@@ -29,6 +29,13 @@ from .model import (
 )
 
 
+def _pow(base, k: int):
+    # float_power calls the C library's pow(), as Python's float ** does;
+    # numpy's ** squares or uses SIMD pow, which differ in the last bit, and
+    # the solvers' reported residuals are pinned to the scalar arithmetic
+    return np.float_power(base, k)
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     """The closed (z_loops, A) system for one parameter point."""
@@ -47,34 +54,51 @@ class ReducedSystem:
         """Aggregate activity of all non-loop vertices."""
         return self.Lambda - sum(self.loop_lams)
 
-    def defect(self, z, A: float):
-        """Residual vector (loop equations, then the aggregate identity)."""
-        q = (1.0 + A) ** self.k
-        out = [zi - lam * (1.0 + zi) ** self.k / q for zi, lam in zip(z, self.loop_lams)]
-        out.append(A - math.fsum(z) - self.tail_lambda / q)
-        return out
+    def _loop_image(self, z, A):
+        """(z, A, (1 + A)**k, loop part of F) as float arrays."""
+        z, A = np.asarray(z, dtype=float), np.asarray(A, dtype=float)
+        q = _pow(1.0 + A, self.k)
+        return z, A, q, np.asarray(self.loop_lams) * _pow(1.0 + z, self.k) / q[..., None]
+
+    def picard(self, z, A):
+        """The fixed-point map (z, A) -> F(z, A), at one point or a stack.
+
+        z has shape (m,) or (n, m) and A is a scalar or has shape (n,); the
+        image has the same shapes.  Overflow follows numpy's float rules.
+        """
+        z, A, q, Fz = self._loop_image(z, A)
+        return Fz, z.sum(axis=-1) + self.tail_lambda / q
+
+    def defect(self, z, A):
+        """Residual vector (loop equations, then the aggregate identity).
+
+        Shapes as in picard; the result has shape (m+1,) or (n, m+1).
+        """
+        z, A, q, Fz = self._loop_image(z, A)
+        dA = A - z.sum(axis=-1) - self.tail_lambda / q
+        return np.concatenate([z - Fz, dA[..., None]], axis=-1)
 
     def residual_at(self, z, A: float) -> float:
-        return max(abs(r) for r in self.defect(z, A))
+        """Max absolute defect at one point."""
+        return float(np.abs(self.defect(z, A)).max())
 
-    def picard(self, z, A: float):
-        """One step of the plain fixed-point map (z, A) -> F(z, A)."""
-        q = (1.0 + A) ** self.k
-        new_z = tuple(lam * (1.0 + zi) ** self.k / q for zi, lam in zip(z, self.loop_lams))
-        new_A = math.fsum(z) + self.tail_lambda / q
-        return new_z, new_A
+    def jacobian(self, z, A) -> np.ndarray:
+        """Analytic Jacobian of the defect with respect to (z_loops, A).
 
-    def jacobian(self, z, A: float) -> np.ndarray:
-        """Analytic Jacobian of the defect with respect to (z_loops, A)."""
-        m = len(self.loop_lams)
-        k = self.k
-        q = (1.0 + A) ** k
-        J = np.zeros((m + 1, m + 1))
-        for i, (zi, lam) in enumerate(zip(z, self.loop_lams)):
-            J[i, i] = 1.0 - lam * k * (1.0 + zi) ** (k - 1) / q
-            J[i, m] = lam * k * (1.0 + zi) ** k / (1.0 + A) ** (k + 1)
-            J[m, i] = -1.0
-        J[m, m] = 1.0 + k * self.tail_lambda / (1.0 + A) ** (k + 1)
+        Shapes as in picard; the result has shape (m+1, m+1) or
+        (n, m+1, m+1).
+        """
+        z, A = np.asarray(z, dtype=float), np.asarray(A, dtype=float)
+        m, k = len(self.loop_lams), self.k
+        lams = np.asarray(self.loop_lams)
+        q = _pow(1.0 + A, k)
+        q1 = ((1.0 + A) * q)[..., None]  # (1 + A)**(k + 1)
+        J = np.zeros(A.shape + (m + 1, m + 1))
+        diag = np.arange(m)
+        J[..., diag, diag] = 1.0 - lams * k * _pow(1.0 + z, k - 1) / q[..., None]
+        J[..., :m, m] = lams * k * _pow(1.0 + z, k) / q1
+        J[..., m, :m] = -1.0
+        J[..., m, m] = 1.0 + k * self.tail_lambda / q1[..., 0]
         return J
 
 
@@ -106,10 +130,8 @@ def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float],
         if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0.0):
             raise InputError(f"z[{lab}] must be positive and finite, got {val!r}")
     q = (1.0 + A) ** spec.k
-    parts = [abs(r) for r in system.defect([z[lab] for lab in graph.loops], A)]
-    for lab, lam in spec.explicit_tail.items():
-        parts.append(abs(z[lab] - lam / q))
-    return max(parts)
+    tail = (abs(z[lab] - lam / q) for lab, lam in spec.explicit_tail.items())
+    return max([system.residual_at([z[lab] for lab in graph.loops], A), *tail])
 
 
 def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int, float], float]:

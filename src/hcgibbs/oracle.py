@@ -1,13 +1,14 @@
-"""Independent numerical solver: damped fixed-point multistart with Newton
-confirmation.
+"""Independent numerical solver: batched Newton multistart.
 
-This module never touches the closed-form branch algebra.  It iterates the
-reduced consistency map directly, so agreement with the explicit solvers is
-a genuine cross-check.  Repelling fixed points are invisible to damped
-Picard iteration for every damping value; the multistart therefore accepts
-hint points (e.g. closed-form solutions) which it confirms or rejects by
-Newton's method on the residual system.  Discovery stays hint-free,
-verification is hint-driven.
+This module never touches the closed-form branch algebra.  It solves the
+reduced consistency system directly, so agreement with the explicit
+solvers is a genuine cross-check.  One vectorised damped Newton runs from
+every random start at once; Newton converges to repelling fixed points of
+the consistency map as readily as to attracting ones, so discovery needs
+no hints.  Hint points (e.g. closed-form solutions) are optional extra
+starts: a genuine hint is confirmed, a wrong one is rejected or pulled onto
+a genuine solution.  fixed_point_iterate keeps the plain damped Picard
+iteration as a single-start instrument.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from .boundary_law import ReducedSystem, reduce
 from .errors import InputError
 from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution
 
-DAMPING_SCHEDULE = (1.0, 0.5, 0.3, 0.1)
-STALL_WINDOW = 1500
-STALL_FACTOR = 0.5
+TOL = 1e-11  # residual gate for a confirmed point
+MAX_STEPS = 60  # Newton steps per start
+STALL_STEPS = 10  # steps without a new best residual after which a start retires
+MAX_HALVINGS = 40  # step halvings that may keep a start in the positive orthant
+CLUSTER_TOL = 1e-6  # relative distance under which two points are one solution
+HINT_JITTER = 1e-4  # relative spread of the three jittered copies of each hint
 
 # Distinctness resolution at a symmetric branch point.  Exactly where the
 # asymmetric solution family is born from the symmetric one, the defect is
@@ -64,7 +68,7 @@ class ClusterPoint:
     A: float
     residual: float
     members: int
-    source: str  # "picard" or "hint"
+    source: str  # start of the representative: "newton" (random) or "hint"
 
 
 @dataclass(frozen=True)
@@ -73,95 +77,16 @@ class MultistartResult:
     representatives: tuple[ClusterPoint, ...]
 
 
-def _batch_iterate(system: ReducedSystem, Z0: np.ndarray, A0: np.ndarray, damping: float,
-                   max_iter: int, tol: float):
-    """Damped Picard iteration on a batch of starts.
-
-    The residual of the map comes for free from the map evaluation itself
-    (defect = point minus image), so each iteration costs one map apply.
-    Diverging starts are left to churn non-finite values harmlessly; the
-    loop exits once every start has either converged (residual < tol) or
-    stalled (best residual failed to halve over a 1500-iteration window,
-    the signature of bounded oscillation or blow-up).  Returns
-    (Z, A, converged_mask, iteration_counts, residuals) where converged
-    rows carry their accepted point and its residual and the rest carry
-    the final iterate.
-    """
-    lams = np.asarray(system.loop_lams)
-    k = system.k
-    tail = system.tail_lambda
-    m = lams.size
-    Z, A = Z0.astype(float).copy(), A0.astype(float).copy()
-
-    def apply_map(Z, A):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            q = (1.0 + A) ** k
-            FZ = lams * (1.0 + Z) ** k / q[:, None]
-            Zsum = Z[:, 0] if m == 1 else Z.sum(axis=1)
-            FA = Zsum + tail / q
-        return FZ, FA
-
-    def defect(Z, A, FZ, FA):
-        # the residual is a free by-product of the map: defect = point - image
-        with np.errstate(invalid="ignore"):
-            dz = np.abs(Z - FZ)
-            dz = dz[:, 0] if m == 1 else dz.max(axis=1)
-            return np.maximum(dz, np.abs(A - FA))
-
-    FZ, FA = apply_map(Z, A)
-    res = defect(Z, A, FZ, FA)
-    converged = res < tol
-    when = np.where(converged, 0, max_iter)
-    Z_out, A_out, res_out = Z.copy(), A.copy(), res.copy()
-    best = res.copy()
-    mark = best.copy()
-    stalled = converged.copy()  # resolved-one-way-or-another mask
-    it = 0
-    check = 8  # bookkeeping stride; detection delayed a few steps at most
-    while it < max_iter and not stalled.all():
-        it += 1
-        Z = (1.0 - damping) * Z + damping * FZ
-        A = (1.0 - damping) * A + damping * FA
-        FZ, FA = apply_map(Z, A)
-        if it % check and it != max_iter:
-            continue
-        res = defect(Z, A, FZ, FA)
-        with np.errstate(invalid="ignore"):
-            np.minimum(best, res, out=best)
-            newly = (res < tol) & ~converged
-            # NaN residual means the orbit left the domain for good (inf-inf
-            # or inf/inf); an inf residual can still pull back, a NaN cannot
-            stalled |= np.isnan(res)
-        if newly.any():
-            converged |= newly
-            stalled |= newly
-            when[newly] = it
-            Z_out[newly] = Z[newly]
-            A_out[newly] = A[newly]
-            res_out[newly] = res[newly]
-        if it % STALL_WINDOW < check:
-            with np.errstate(invalid="ignore"):
-                no_gain = ~(best <= STALL_FACTOR * mark)  # NaN counts as stalled
-            stalled |= no_gain
-            mark = best.copy()
-    live = ~converged
-    when[live] = np.minimum(when[live], it)
-    res = defect(Z, A, FZ, FA)
-    Z_out[live] = Z[live]
-    A_out[live] = A[live]
-    res_out[live] = res[live]
-    return Z_out, A_out, converged, when, res_out
-
-
 def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dict[int, float],
                         A_init: float, damping: float = 0.5, max_iter: int = 100_000,
                         tol: float = 1e-11) -> FixedPointResult:
     """Damped Picard iteration (z, A) <- (1-theta)(z, A) + theta F(z, A).
 
     init maps each loop vertex to a positive starting value; A_init starts
-    the aggregate.  Non-convergence (blow-up, bounded oscillation, or an
-    exhausted budget) is reported in the result, never raised.  An init
-    that already solves the system returns with iterations == 0.
+    the aggregate.  The residual is max |(z, A) - F(z, A)|.  Non-convergence
+    (blow-up, bounded oscillation, or an exhausted budget) is reported in
+    the result, never raised.  An init that already solves the system
+    returns with iterations == 0.
     """
     system = reduce(spec, graph)
     if not 0.0 < damping <= 1.0:
@@ -169,64 +94,76 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
     missing = set(system.loop_labels) - set(init)
     if missing:
         raise InputError(f"init is missing loop components {sorted(missing)}")
-    z0 = [float(init[lab]) for lab in system.loop_labels]
-    if any(not (math.isfinite(v) and v > 0.0) for v in z0) or not (
-            math.isfinite(A_init) and A_init > 0.0):
+    z = np.array([float(init[lab]) for lab in system.loop_labels])
+    A = float(A_init)
+    if not (np.isfinite(z).all() and (z > 0.0).all() and math.isfinite(A) and A > 0.0):
         raise InputError("init values and A_init must be positive and finite")
-    Z, A, conv, when, best = _batch_iterate(
-        system, np.array([z0]), np.array([float(A_init)]), damping, max_iter, tol)
-    z = {lab: float(v) for lab, v in zip(system.loop_labels, Z[0])}
-    return FixedPointResult(converged=bool(conv[0]), z=z, A=float(A[0]),
-                            iterations=int(when[0]), residual=float(best[0]))
+    it = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            Fz, FA = system.picard(z, A)
+            res = float(np.abs(np.append(z - Fz, A - FA)).max())
+            # NaN means the orbit left the domain for good (inf - inf)
+            if res < tol or it == max_iter or math.isnan(res):
+                break
+            z = (1.0 - damping) * z + damping * Fz
+            A = (1.0 - damping) * A + damping * float(FA)
+            it += 1
+    return FixedPointResult(converged=res < tol,
+                            z={lab: float(v) for lab, v in zip(system.loop_labels, z)},
+                            A=A, iterations=it, residual=res)
 
 
-def newton_refine(system: ReducedSystem, z0, A0: float, tol: float = 1e-11,
-                  max_iter: int = 50):
-    """Newton's method on the residual system from (z0, A0).
+def _newton(system: ReducedSystem, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the defect from every row of V (shape (n, m+1)) at once.
 
-    Returns (z, A, residual, converged); steps are halved as needed to keep
-    every coordinate positive, and a singular Jacobian falls back to least
-    squares.  The best point seen is returned.
+    Each step solves J step = defect for all live rows and halves each
+    row's step until the row stays positive.  A row retires once its best
+    residual is below TOL and the last step did not halve it (double roots
+    converge only linearly, so polishing goes on while each step still
+    gains a factor two), once it has gone STALL_STEPS steps without a new
+    best residual, once its defect or step is non-finite, or once
+    MAX_HALVINGS cannot keep it positive.  Returns the best point and
+    residual of each row.
     """
-    m = len(system.loop_labels)
-    v = np.array([*z0, A0], dtype=float)
-    best_v = v.copy()
-    best_r = math.inf
-    for _ in range(max_iter):
-        R = np.array(system.defect(v[:m], v[m]))
-        r = float(np.abs(R).max())
-        improving = r < 0.5 * best_r
-        if r < best_r:
-            best_r, best_v = r, v.copy()
-        if best_r < tol and not improving:
-            # below target and no longer gaining: polished as far as the
-            # arithmetic allows (double roots converge linearly, so keep
-            # stepping while each iteration still halves the residual)
-            return best_v[:m], float(best_v[m]), best_r, True
-        J = system.jacobian(v[:m], v[m])
-        try:
-            step = np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, R, rcond=None)[0]
-        if not np.isfinite(step).all():
-            break
-        v_new = v - step
-        halvings = 0
-        while ((v_new <= 0.0).any() or not np.isfinite(v_new).all()) and halvings < 40:
-            step *= 0.5
-            v_new = v - step
-            halvings += 1
-        if halvings >= 40:
-            break
-        v = v_new
-    R = np.array(system.defect(v[:m], v[m]))
-    r = float(np.abs(R).max())
-    if r < best_r:
-        best_r, best_v = r, v.copy()
-    return best_v[:m], float(best_v[m]), best_r, best_r < tol
+    m = V.shape[1] - 1
+    best_v, best_r = V.copy(), np.full(len(V), np.inf)
+    gained = np.zeros(len(V), dtype=int)  # step of each row's last new best
+    live = np.arange(len(V))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(MAX_STEPS + 1):
+            v = V[live]
+            R = system.defect(v[:, :m], v[:, m])
+            r = np.abs(R).max(axis=1)
+            improving = r < 0.5 * best_r[live]
+            better = r < best_r[live]
+            best_r[live[better]] = r[better]
+            best_v[live[better]] = v[better]
+            gained[live[better]] = it
+            polished = (best_r[live] < TOL) & ~improving
+            stalled = it - gained[live] >= STALL_STEPS
+            keep = np.isfinite(r) & ~polished & ~stalled
+            live, v, R = live[keep], v[keep], R[keep]
+            if live.size == 0 or it == MAX_STEPS:
+                break
+            J = system.jacobian(v[:, :m], v[:, m])
+            try:
+                step = np.linalg.solve(J, R[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = (np.linalg.pinv(J) @ R[..., None])[..., 0]
+            # halve each step until the row stays positive: the first power
+            # of two below v_i / step_i over the coordinates moving down
+            ratio = np.where(step > 0.0, v / step, np.inf).min(axis=1)
+            mant, expo = np.frexp(np.clip(ratio, np.finfo(float).tiny, 1.0))
+            halvings = np.where(ratio > 1.0, 0, 1 - expo + (mant == 0.5))
+            keep = np.isfinite(step).all(axis=1) & (halvings <= MAX_HALVINGS)
+            live = live[keep]
+            V[live] = v[keep] - np.ldexp(step[keep], -halvings[keep, None])
+    return best_v, best_r
 
 
-def _normalise_hint(hint, labels) -> tuple[np.ndarray, float]:
+def _normalise_hint(hint, labels) -> np.ndarray:
+    """A hint as the point (z_loops..., A)."""
     if isinstance(hint, BoundaryLawSolution):
         z_map, A = hint.loop_z, hint.A
     else:
@@ -234,23 +171,23 @@ def _normalise_hint(hint, labels) -> tuple[np.ndarray, float]:
     missing = set(labels) - set(z_map)
     if missing:
         raise InputError(f"hint is missing loop components {sorted(missing)}")
-    return np.array([float(z_map[lab]) for lab in labels]), float(A)
+    return np.array([*(float(z_map[lab]) for lab in labels), float(A)])
 
 
 def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: int = 100,
-                     seed: int = 0, tol: float = 1e-11, max_iter: int = 100_000,
-                     cluster_tol: float = 1e-6, hints=None) -> MultistartResult:
-    """Count distinct fixed points of the reduced system by damped multistart.
+                     seed: int = 0, hints=None) -> MultistartResult:
+    """Count distinct fixed points of the reduced system by Newton multistart.
 
     Starts are log-uniform over [1e-3, 1e3] per coordinate; with two loop
-    vertices half the starts are symmetrised (z1 = z2) because the Picard
-    map preserves that diagonal and some symmetric fixed points only
-    attract within it.  Each start walks the damping schedule 1, 0.5, 0.3,
-    0.1 until it converges.  Converged points are Newton-polished, hint
-    points are Newton-confirmed (or rejected), and everything is clustered
-    at relative tolerance cluster_tol.  Mutually close near-diagonal
-    clusters are merged and counted once (branch-point degeneracy, see
-    PITCHFORK_TOL).
+    vertices half the starts are symmetrised (z1 = z2); with equal loop
+    activities Newton keeps those on the diagonal up to rounding, where the
+    symmetric solution lies.  Optional hints (e.g. closed-form solutions)
+    add four starts each: the hint and three copies jittered by
+    HINT_JITTER.  One batched damped Newton (see _newton) runs from every
+    start and reaches attracting and repelling fixed points alike; points
+    with residual below TOL are clustered at relative tolerance
+    CLUSTER_TOL.  Mutually close near-diagonal clusters are merged and
+    counted once (branch-point degeneracy, see PITCHFORK_TOL).
     """
     if n_starts < 50:
         raise InputError(f"n_starts must be at least 50, got {n_starts}")
@@ -262,48 +199,27 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     A0 = 10.0 ** rng.uniform(-3.0, 3.0, size=n_starts)
     if m == 2:
         Z0[n_starts // 2:, 1] = Z0[n_starts // 2:, 0]
-
-    points: list[tuple[np.ndarray, float, float, str]] = []  # (z, A, residual, source)
-    unresolved = np.arange(n_starts)
-    for damping in DAMPING_SCHEDULE:
-        if unresolved.size == 0:
-            break
-        Z, A, conv, _when, best = _batch_iterate(
-            system, Z0[unresolved], A0[unresolved], damping, max_iter, tol)
-        for i in np.flatnonzero(conv):
-            points.append((Z[i].copy(), float(A[i]), float(best[i]), "picard"))
-        unresolved = unresolved[~conv]
-
-    polished: list[tuple[np.ndarray, float, float, str]] = []
-    for z, A, r, source in points:
-        zp, Ap, rp, ok = newton_refine(system, z, A, tol=tol)
-        if ok and rp <= r:
-            polished.append((np.asarray(zp), Ap, rp, source))
-        else:
-            polished.append((z, A, r, source))
-
+    starts = [np.column_stack([Z0, A0])]  # one (z_loops..., A) per row
     for hint in hints or []:
-        z_h, A_h = _normalise_hint(hint, labels)
-        starts = [(z_h, A_h)]
-        for _ in range(3):
-            jitter = 1.0 + 1e-4 * rng.standard_normal(m + 1)
-            starts.append((z_h * jitter[:m], A_h * abs(jitter[m])))
-        for z_s, A_s in starts:
-            if (z_s <= 0.0).any() or A_s <= 0.0:
-                continue
-            zp, Ap, rp, ok = newton_refine(system, z_s, A_s, tol=tol)
-            if ok:
-                polished.append((np.asarray(zp), Ap, rp, "hint"))
+        v = _normalise_hint(hint, labels)
+        starts += [v[None, :], v * (1.0 + HINT_JITTER * rng.standard_normal((3, m + 1)))]
+    V = np.concatenate(starts)
+    source = np.where(np.arange(len(V)) < n_starts, "newton", "hint")
+    keep = (V > 0.0).all(axis=1)
+    V, residuals = _newton(system, V[keep])
+    source = source[keep]
 
-    polished.sort(key=lambda p: p[2])
+    points = [(V[i, :m], float(V[i, m]), float(residuals[i]), str(source[i]))
+              for i in np.flatnonzero(residuals < TOL)]
+    points.sort(key=lambda p: p[2])
     clusters: list[list[tuple[np.ndarray, float, float, str]]] = []
-    for pt in polished:
+    for pt in points:
         u = np.append(pt[0], pt[1])
         placed = False
         for cl in clusters:
             v = np.append(cl[0][0], cl[0][1])
             scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
-            if float(np.abs(u - v).max()) <= cluster_tol * scale:
+            if float(np.abs(u - v).max()) <= CLUSTER_TOL * scale:
                 cl.append(pt)
                 placed = True
                 break

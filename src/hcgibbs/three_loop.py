@@ -79,13 +79,22 @@ class ThreeLoopProblem:
 
 
 def thresholds(lam: float) -> tuple[float, float]:
-    """Regime thresholds (Lambda1, Lambda2) for shared loop activity lam."""
+    """Regime thresholds (Lambda1, Lambda2) for shared loop activity lam.
+
+    Raises DomainError when Lambda2 overflows double precision, which
+    happens for lam above about 1.9e102.
+    """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
         raise InputError(f"loop activity must be positive and finite, got {lam!r}")
     lam = float(lam)
-    Lambda1 = 8.0 * lam ** 1.5 - 10.0 * lam
-    w = 9.0 * lam * lam + 32.0 * lam
-    Lambda2 = (w ** 1.5 + 27.0 * lam ** 3 + 144.0 * lam * lam + 1152.0 * lam) / 512.0
+    try:
+        Lambda1 = 8.0 * lam ** 1.5 - 10.0 * lam
+        w = 9.0 * lam * lam + 32.0 * lam
+        Lambda2 = (w ** 1.5 + 27.0 * lam ** 3 + 144.0 * lam * lam + 1152.0 * lam) / 512.0
+    except OverflowError:
+        Lambda2 = math.inf
+    if not math.isfinite(Lambda2):  # Lambda2 > Lambda1, so it overflows first
+        raise DomainError(f"thresholds overflow double precision at loop activity {lam!r}")
     return Lambda1, Lambda2
 
 

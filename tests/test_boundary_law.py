@@ -92,6 +92,30 @@ def test_picard_fixed_point_property():
     assert abs(A2 - sol.A) < 1e-12
 
 
+def test_stacked_map_matches_scalar_arithmetic():
+    # one point or a stack: the same bits as the scalar formulas, so the
+    # solvers' reported residuals do not depend on how the map is evaluated
+    rng = np.random.default_rng(3)
+    for lams in ((1.5,), (9.0, 9.0), (2.0, 3.0)):
+        spec = ActivitySpec(loop_activities=dict(enumerate(lams, 1)), tail_mass=4.0)
+        sys_ = reduce(spec, graph_from_spec(spec))
+        Z = 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, len(lams)))
+        A = 10.0 ** rng.uniform(-3.0, 3.0, size=2000)
+        D = sys_.defect(Z, A)
+        Fz, FA = sys_.picard(Z, A)
+        J = sys_.jacobian(Z, A)
+        for i in range(0, 2000, 7):
+            z, a = [float(v) for v in Z[i]], float(A[i])
+            q = (1.0 + a) ** 2
+            want = [zi - lam * (1.0 + zi) ** 2 / q for zi, lam in zip(z, lams)]
+            want.append(a - sum(z) - sys_.tail_lambda / q)
+            assert D[i].tolist() == want
+            assert sys_.defect(z, a).tolist() == want
+            assert Fz[i].tolist() == [lam * (1.0 + zi) ** 2 / q for zi, lam in zip(z, lams)]
+            assert FA[i] == sum(z) + sys_.tail_lambda / q
+            assert np.array_equal(J[i], sys_.jacobian(z, a))
+
+
 def test_normalisable():
     assert normalisable(SPEC)
     assert not normalisable(ActivitySpec(loop_activities={1: 1.0}, divergent=True))

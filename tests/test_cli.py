@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hcgibbs
 from hcgibbs.chain import stationary_closed_form, transition_matrix
 from hcgibbs.cli import main
 from hcgibbs.model import ActivitySpec, graph_from_spec
@@ -13,6 +17,72 @@ from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 A_12 = 1.0169168190675275
 Z_12 = 0.7710929641358364
+
+
+# frozen `solve` output; the residual fields come from ReducedSystem.defect,
+# so these bytes also pin its arithmetic
+SOLVE_TWO_LOOP_OUT = """\
+[
+  {
+    "A": 1.0169168190675275,
+    "z": {
+      "1": 0.7710929641358364
+    },
+    "branch": "two-loop-g",
+    "residual": 9.43689570931383e-16
+  }
+]
+"""
+
+SOLVE_LAMBDA9_130_OUT = """\
+[
+  {
+    "A": 5.002247360676563,
+    "z": {
+      "1": 0.9467327685268366,
+      "2": 0.9467327685268366
+    },
+    "branch": "symmetric",
+    "residual": 3.552713678800501e-15
+  },
+  {
+    "A": 5.173288205484982,
+    "z": {
+      "1": 1.6153120425734777,
+      "2": 0.6190754316465215
+    },
+    "branch": "asymmetric-A1",
+    "residual": 8.881784197001252e-16
+  },
+  {
+    "A": 5.173288205484982,
+    "z": {
+      "1": 0.6190754316465215,
+      "2": 1.6153120425734777
+    },
+    "branch": "asymmetric-A1-swapped",
+    "residual": 8.881784197001252e-16
+  },
+  {
+    "A": 7.342944893032319,
+    "z": {
+      "1": 5.553801998843018,
+      "2": 0.18005683317632182
+    },
+    "branch": "asymmetric-A2",
+    "residual": 8.881784197001252e-16
+  },
+  {
+    "A": 7.342944893032319,
+    "z": {
+      "1": 0.18005683317632182,
+      "2": 5.553801998843018
+    },
+    "branch": "asymmetric-A2-swapped",
+    "residual": 8.881784197001252e-16
+  }
+]
+"""
 
 
 @pytest.fixture
@@ -54,6 +124,34 @@ def test_thresholds_bad_input(capsys):
     assert main(["thresholds", "--lambda", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["thresholds", "--lambda", "zebra"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--lambda", "1e120"],
+        ["classify", "--lambda", "1e120", "--Lambda", "1e300"],
+    ],
+)
+def test_threshold_overflow_is_bad_input(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ('{"loops":{"1":1.0},"tail_mass":1.0}', SOLVE_TWO_LOOP_OUT),
+        ('{"loops":{"1":9.0,"2":9.0},"tail_mass":112.0}', SOLVE_LAMBDA9_130_OUT),
+    ],
+)
+def test_solve_output_bytes_frozen(capsys, tmp_path, spec, expected):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_solve_two_loop(capsys, spec2):
@@ -251,3 +349,17 @@ def test_console_script():
     data = json.loads(proc.stdout)
     assert data["Lambda1"] == 24.0
     assert data["Lambda2"] == pytest.approx(25.63659945443753, rel=1e-12)
+
+
+def test_python_dash_m():
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcgibbs", "thresholds", "--lambda", "9"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["Lambda1"] == 126.0

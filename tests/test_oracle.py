@@ -1,7 +1,7 @@
-"""Damped fixed-point iteration and multistart solution counting.
+"""Damped fixed-point iteration and Newton multistart solution counting.
 
 This module is the independent numerical check on the closed-form solvers:
-it iterates the consistency map directly and never touches the branch
+it solves the consistency system directly and never touches the branch
 algebra.  The solver tests freeze values that were confirmed here.
 """
 
@@ -99,16 +99,32 @@ def test_multistart_three_loop_bare_discovery():
     assert res.count == 3
 
 
-def test_multistart_repelling_points_need_hints():
+def test_multistart_finds_repelling_points_without_hints():
     # in the five-solution regime the asymmetric points repel the damped
-    # map from every direction, so bare iteration only sees the symmetric
-    # one; hints are confirmed by Newton refinement and restore the count
+    # Picard map from every direction; Newton does not care whether a fixed
+    # point attracts, so bare discovery sees all five and hints agree
     spec, graph = three_loop_setup(130.0)
     bare = multistart_count(spec, graph, n_starts=100, seed=0)
-    assert bare.count == 1
+    assert bare.count == 5
     hints = enumerate_solutions(ThreeLoopProblem(9.0, 130.0))
     full = multistart_count(spec, graph, n_starts=100, seed=0, hints=hints)
     assert full.count == 5
+
+
+def test_multistart_single_loop_draws_without_hints():
+    # acceptance criterion 1's draws, with no closed-form hint: every
+    # unique solution must be found by bare discovery
+    rng = np.random.default_rng(20260823)
+    for _ in range(20):
+        lam1 = float(rng.uniform(0.1, 20.0))
+        Lam = float(rng.uniform(lam1 + 0.1, 50.0))
+        spec = ActivitySpec(loop_activities={1: lam1}, tail_mass=Lam - lam1)
+        res = multistart_count(spec, graph_from_spec(spec), n_starts=50, seed=7)
+        assert res.count == 1, (lam1, Lam)
+        sol = solve_unique(TwoLoopProblem(lam1, Lam))
+        rep = res.representatives[0]
+        assert rep.A == pytest.approx(sol.A, rel=1e-8)
+        assert rep.z[1] == pytest.approx(sol.loop_z[1], rel=1e-8)
 
 
 def test_multistart_count_stable_under_doubling():
