@@ -35,12 +35,10 @@ from .model import (
     AdmissibilityGraph,
     BoundaryLawSolution,
     RegimeReport,
-    adjacency,
     graph_from_spec,
     relabel_solution,
     spec_from_json,
     spec_to_json,
-    total_activity,
 )
 from .oracle import FixedPointResult, MultistartResult, fixed_point_iterate, multistart_count
 from .sampler import (
@@ -79,7 +77,6 @@ __all__ = [
     "TreeSample",
     "TwoLoopProblem",
     "WindowTooSmall",
-    "adjacency",
     "conditional_diagnostic",
     "empirical_marginal",
     "enumerate_solutions",
@@ -102,7 +99,6 @@ __all__ = [
     "spec_to_json",
     "stationary_closed_form",
     "thresholds",
-    "total_activity",
     "total_variation",
     "transition_matrix",
     "verify_stationary",

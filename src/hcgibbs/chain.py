@@ -17,19 +17,22 @@ rather than up to truncation error.
 The finite state set is the window -M..M plus TAIL.  Window states that
 carry no listed activity have zero weight: they are displayed but never
 entered, and their rows are the unit vector at 0.
+
+A kernel is stored in its structural form: the hub row, one stay
+probability per loop, and a unit step to 0 for every other state.  The
+sampler draws from that form; the dense matrix is built only when it is
+read, for export and the matrix checks.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .boundary_law import expand, residual
-from .errors import InputError, NumericalFailure, ShapeMismatch, WindowTooSmall
+from .errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
 from .model import (
     ActivitySpec,
     AdmissibilityGraph,
@@ -44,6 +47,9 @@ TAIL = "TAIL"
 # build a kernel from it
 RESIDUAL_PRE_TOL = 1e-8
 
+# largest state set 2M+2 a kernel may have; caps the dense matrix at 128 MiB
+_MAX_STATES = 4096
+
 
 def state_labels(window: int) -> tuple:
     """Labels of the finite state set: -M..M then the tail aggregate."""
@@ -57,12 +63,33 @@ class TransitionMatrix:
     states lists the labels in row/column order (-M..M then TAIL); active
     flags the states the chain actually visits (the hub, every listed spin,
     and TAIL when the unlisted mass is positive).
+
+    hub_row is row 0 and stays maps each loop label to its stay probability,
+    the rest of that row going to 0; every other row steps to 0.  matrix is
+    built from these parts when first read, unless given as dense.
     """
 
     window: int
     states: tuple
-    matrix: np.ndarray
+    dense: InitVar[np.ndarray | None]
     active: tuple
+    hub_row: np.ndarray | None = None
+    stays: dict | None = None
+
+    def __post_init__(self, dense) -> None:
+        if dense is not None:
+            self.__dict__["matrix"] = dense
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        hub = self.window
+        P = np.zeros((len(self.states), len(self.states)))
+        P[:, hub] = 1.0
+        P[hub] = self.hub_row
+        for lab, stay in self.stays.items():
+            P[lab + hub, lab + hub] = stay
+            P[lab + hub, hub] = 1.0 - stay
+        return P
 
     def index(self, label) -> int:
         if label == TAIL:
@@ -130,6 +157,8 @@ def _window_weights(
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 0:
         raise InputError(f"window must be an integer >= 0, got {window!r}")
+    if 2 * window + 2 > _MAX_STATES:
+        raise TooLarge(f"window {window} needs {2 * window + 2} states, over the cap of {_MAX_STATES}")
     check_spec_graph(spec, graph)
     solution = relabel_solution(solution, graph)
     z, tail_z = expand(solution, spec)
@@ -157,14 +186,12 @@ def transition_matrix(
     Row 0 is proportional to (1, weights, tail weight); each loop row splits
     between staying put and returning to 0; every other row steps to 0 with
     probability one.  Each row sums to 1 to the last bit: row 0 is divided
-    by its own sum and two-entry rows are completed by subtraction.
+    by its own sum and two-entry rows are completed by subtraction.  Only
+    row 0 and the stay probabilities are computed here, not the dense matrix.
     """
     weights, w_tail = _window_weights(solution, spec, graph, window)
     n = 2 * window + 2
     hub = window  # row/column index of spin 0
-    P = np.zeros((n, n))
-    P[:, hub] = 1.0
-
     row0 = np.zeros(n)
     row0[hub] = 1.0
     for lab, w in weights.items():
@@ -172,19 +199,16 @@ def transition_matrix(
     row0[n - 1] = w_tail
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
-    P[hub] = row0 / (1.0 + sum(weights.values()) + w_tail)
-
-    for lab in graph.loops:
-        stay = weights[lab] / (1.0 + weights[lab])
-        P[lab + hub, lab + hub] = stay
-        P[lab + hub, hub] = 1.0 - stay
+    hub_row = row0 / (1.0 + sum(weights.values()) + w_tail)
+    stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in graph.loops}
 
     active = np.zeros(n, dtype=bool)
     active[hub] = True
     for lab in weights:
         active[lab + hub] = True
     active[n - 1] = spec.tail_mass > 0.0
-    return TransitionMatrix(window, state_labels(window), P, tuple(bool(a) for a in active))
+    active_flags = tuple(bool(a) for a in active)
+    return TransitionMatrix(window, state_labels(window), None, active_flags, hub_row, stays)
 
 
 def minimal_window(spec: ActivitySpec) -> int:
@@ -277,9 +301,18 @@ def irreducible(P) -> bool:
         m = m[np.ix_(keep, keep)]
     if m.shape[0] == 0:
         raise InputError("empty state set")
-    pattern = csr_matrix(m > 0.0)
-    n_comp, _ = connected_components(pattern, directed=True, connection="strong")
-    return bool(n_comp == 1)
+    pattern = m > 0.0
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether every state is reachable from state 0 along positive entries."""
+    seen = np.arange(edges.shape[0]) == 0
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):

@@ -24,7 +24,7 @@ class WindowTooSmall(InputError):
 
 
 class TooLarge(InputError):
-    """Exact enumeration request exceeds the supported alphabet or depth."""
+    """Request over a size cap: enumeration alphabet or depth, states, vertices."""
 
 
 class ShapeMismatch(InputError):

@@ -73,14 +73,10 @@ class ActivitySpec:
         return out
 
     def total_activity(self) -> float:
-        return total_activity(self)
-
-
-def total_activity(spec: ActivitySpec) -> float:
-    """Total activity over all nonzero spin values; +inf when divergent."""
-    if spec.divergent:
-        return math.inf
-    return sum(spec.loop_activities.values()) + sum(spec.explicit_tail.values()) + spec.tail_mass
+        """Total activity over all nonzero spin values; +inf when divergent."""
+        if self.divergent:
+            return math.inf
+        return sum(self.loop_activities.values()) + sum(self.explicit_tail.values()) + self.tail_mass
 
 
 @dataclass(frozen=True)
@@ -101,17 +97,13 @@ class AdmissibilityGraph:
                 raise InputError(f"loop vertex {lab!r} must be a nonzero integer")
         object.__setattr__(self, "loops", loops)
 
-    def adjacency(self, i: int, j: int) -> int:
-        """0/1 adjacency between spin values, self-loops on the diagonal."""
+    def adjacency(self, i, j) -> int:
+        """0/1 adjacency between spin values or "TAIL", self-loops on the diagonal."""
         if i == 0 or j == 0:
             return 1
         if i == j:
             return 1 if i in self.loops else 0
         return 0
-
-
-def adjacency(graph: AdmissibilityGraph, i: int, j: int) -> int:
-    return graph.adjacency(i, j)
 
 
 def graph_from_spec(spec: ActivitySpec) -> AdmissibilityGraph:
@@ -255,7 +247,7 @@ def spec_to_json(spec: ActivitySpec) -> dict:
 
 def require_finite(spec: ActivitySpec) -> float:
     """Total activity of a spec that must be finite; raises otherwise."""
-    Lambda = total_activity(spec)
+    Lambda = spec.total_activity()
     if not math.isfinite(Lambda):
         raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
     return Lambda

@@ -6,6 +6,11 @@ transition-matrix row of its parent's spin.  Because the root law is
 stationary, the marginal at every vertex is the same distribution, which
 gives a sharp statistical target for tests.
 
+The kernel is used in its structural form, never as a dense matrix: a
+child of the hub is drawn by inverse CDF over the hub row, a child of a
+loop spin stays or steps to 0 by one threshold compare, and any other
+child is 0.  The draws are those of the dense cumulative rows.
+
 Randomness comes from a counter-based generator (Philox) keyed by the tree
 seed.  The stream-split rule is: the vertex with breadth-first index v
 consumes variate number v of the keyed stream.  Any worker can therefore
@@ -28,7 +33,6 @@ import numpy as np
 from .chain import (
     TAIL,
     StationaryDistribution,
-    TransitionMatrix,
     minimal_window,
     stationary_closed_form,
     transition_matrix,
@@ -42,6 +46,9 @@ _KEY_SPACE = 1 << 128
 _MAX_SYMBOLS = 6
 _MAX_DEPTH = 2
 _MAX_VERTICES = 10
+
+# most vertices one sample_tree/sample_forest call may draw, over all trees
+_MAX_SAMPLE_VERTICES = 2**24
 
 
 def num_vertices(k: int, depth: int) -> int:
@@ -124,7 +131,12 @@ def tree_sample_from_json(data: dict, k: int = 2) -> TreeSample:
 
 
 class _Kernel:
-    """Cumulative-row form of (X, P) for inverse-CDF sampling."""
+    """Structural form of (X, P) for inverse-CDF sampling.
+
+    cum_root and cum_hub sum X and the hub row over the active states only,
+    which equals the dense cumulative rows there.  A state stays put iff its
+    variate lies in [stay_lo, stay_hi), empty off the loops, else steps to 0.
+    """
 
     def __init__(
         self,
@@ -135,21 +147,36 @@ class _Kernel:
     ) -> None:
         if window is None:
             window = minimal_window(spec)
-        self.matrix = transition_matrix(solution, spec, graph, window)
-        self.stationary = stationary_closed_form(solution, spec, graph, window)
-        self.states = self.matrix.states
+        tm = transition_matrix(solution, spec, graph, window)
+        stationary = stationary_closed_form(solution, spec, graph, window)
+        self.states = tm.states
         self.k = spec.k
-        self.cum_rows = np.cumsum(self.matrix.matrix, axis=1)
-        self.cum_root = np.cumsum(self.stationary.probabilities)
+        self.hub = window
+        self.active = np.flatnonzero(tm.active)
+        self.cum_root = np.cumsum(stationary.probabilities[self.active])
+        self.cum_hub = np.cumsum(tm.hub_row[self.active])
+        # a loop right of the hub in its dense row stays on the top end of
+        # [0, 1), a loop left of it on the bottom end
+        self.stay_lo = np.zeros(len(self.states))
+        self.stay_hi = np.zeros(len(self.states))
+        for lab, stay in tm.stays.items():
+            lo_hi = (1.0 - stay, np.inf) if lab > 0 else (0.0, stay)
+            self.stay_lo[lab + window], self.stay_hi[lab + window] = lo_hi
+
+    def _inverse_cdf(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # a variate at or past the last sum takes the last active state
+        idx = np.searchsorted(cum, u, side="right")
+        return self.active[np.minimum(idx, len(self.active) - 1)]
 
     def draw_root(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.cum_root, u, side="right")
-        return np.minimum(idx, len(self.states) - 1)
+        return self._inverse_cdf(self.cum_root, u)
 
     def draw_children(self, parent_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        rows = self.cum_rows[parent_idx]
-        idx = (rows <= u[:, None]).sum(axis=1)
-        return np.minimum(idx, len(self.states) - 1)
+        stay = (self.stay_lo[parent_idx] <= u) & (u < self.stay_hi[parent_idx])
+        out = np.where(stay, parent_idx, self.hub)
+        from_hub = parent_idx == self.hub
+        out[from_hub] = self._inverse_cdf(self.cum_hub, u[from_hub])
+        return out
 
 
 def _stream(seed, count: int) -> np.ndarray:
@@ -170,6 +197,18 @@ def _sample_indices(kernel: _Kernel, depth: int, seed) -> np.ndarray:
     return spins_idx
 
 
+def _check_vertex_budget(k: int, depth: int, trees: int) -> None:
+    """Raise TooLarge when the trees exceed _MAX_SAMPLE_VERTICES vertices.
+
+    A tree of order k >= 2 has over 2**depth vertices, so a depth of at least
+    the cap's bit length is refused before k**depth is computed."""
+    if k > 1 and isinstance(depth, int) and depth >= _MAX_SAMPLE_VERTICES.bit_length():
+        raise TooLarge(f"depth {depth} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
+    total = trees * num_vertices(k, depth)
+    if total > _MAX_SAMPLE_VERTICES:
+        raise TooLarge(f"{total} vertices exceed the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
+
+
 def sample_tree(
     solution: BoundaryLawSolution,
     spec: ActivitySpec,
@@ -179,6 +218,7 @@ def sample_tree(
     window: int | None = None,
 ) -> TreeSample:
     """Draw one configuration of the given depth, deterministically in seed."""
+    _check_vertex_budget(spec.k, depth, 1)
     kernel = _Kernel(solution, spec, graph, window)
     idx = _sample_indices(kernel, depth, seed)
     spins = tuple(kernel.states[i] for i in idx)
@@ -201,6 +241,7 @@ def sample_forest(
     """
     if isinstance(trees, bool) or not isinstance(trees, int) or trees < 1:
         raise InputError(f"need at least one tree, got {trees!r}")
+    _check_vertex_budget(spec.k, depth, trees)
     kernel = _Kernel(solution, spec, graph, window)
     tree_seeds = np.random.SeedSequence(int(seed) % _KEY_SPACE).generate_state(trees, np.uint64)
     out = []
@@ -211,15 +252,6 @@ def sample_forest(
     return tuple(out)
 
 
-def _spin_adjacent(graph: AdmissibilityGraph, a, b) -> bool:
-    """Adjacency extended to the tail symbol, which acts as a non-loop spin."""
-    if a == 0 or b == 0:
-        return True
-    if a == b and a != TAIL and a in graph.loops:
-        return True
-    return False
-
-
 def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     """Fraction of tree edges whose endpoint spins are admissible."""
     parents = parent_array(sample.k, sample.depth)
@@ -227,7 +259,7 @@ def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     if edges == 0:
         return 1.0
     good = sum(
-        _spin_adjacent(graph, sample.spins[parents[v]], sample.spins[v])
+        graph.adjacency(sample.spins[parents[v]], sample.spins[v])
         for v in range(1, len(parents))
     )
     return good / edges
@@ -340,7 +372,7 @@ def finite_gibbs_oracle(
         options = (pinned[v],) if v in pinned else alphabet
         parent_spin = config[parents[v]] if v > 0 else None
         for s in options:
-            if v > 0 and not _spin_adjacent(graph, parent_spin, s):
+            if v > 0 and not graph.adjacency(parent_spin, s):
                 continue
             config[v] = s
             assign(v + 1, weight * activity[s])
@@ -367,7 +399,7 @@ def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neigh
             raise InputError(f"neighbour spin {s!r} is not in the alphabet")
     weights = {}
     for i in alphabet:
-        if all(_spin_adjacent(graph, i, s) for s in neighbors):
+        if all(graph.adjacency(i, s) for s in neighbors):
             weights[i] = activity[i]
     total = sum(weights.values())
     return {i: w / total for i, w in weights.items()}

@@ -8,8 +8,10 @@ closed form is algebraically stationary), so several assertions here use
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from hcgibbs.chain import (
+    _MAX_STATES,
     TAIL,
     StationaryDistribution,
     TransitionMatrix,
@@ -24,7 +26,7 @@ from hcgibbs.chain import (
     transition_matrix,
     verify_stationary,
 )
-from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, WindowTooSmall
+from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -164,6 +166,24 @@ def test_irreducible_raw_array():
     assert not irreducible(np.eye(2))
     with pytest.raises(ShapeMismatch):
         irreducible(np.ones((2, 3)))
+
+
+def test_irreducible_matches_strong_components():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+        n_comp, _ = connected_components(m > 0.0, directed=True, connection="strong")
+        assert irreducible(m) == (n_comp == 1)
+
+
+def test_state_cap():
+    window = _MAX_STATES // 2 - 1  # exactly _MAX_STATES states
+    assert len(stationary_closed_form(SOL, SPEC, GRAPH, window).probabilities) == _MAX_STATES
+    with pytest.raises(TooLarge):
+        stationary_closed_form(SOL, SPEC, GRAPH, window + 1)
+    with pytest.raises(TooLarge):
+        transition_matrix(SOL, SPEC, GRAPH, 100_000)
 
 
 def test_window_enlargement_appends_zeros():

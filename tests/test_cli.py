@@ -268,6 +268,21 @@ def test_sample_unknown_branch(capsys, spec2):
     assert main(["sample", spec2, "--depth", "2", "--seed", "1", "--branch", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--depth", "3", "--seed", "1", "--window", "100000"],
+        ["chain", "--window", "100000"],
+        ["sample", "--depth", "200", "--seed", "1"],
+    ],
+)
+def test_oversized_requests_are_bad_input(capsys, spec2, argv):
+    assert main([argv[0], spec2, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_sweep_grid(capsys):
     rc = main(["sweep", "--lambda-grid", "9", "--Lambda-grid", "100,130,200"])
     out = capsys.readouterr().out
@@ -349,6 +364,16 @@ def test_console_script():
     data = json.loads(proc.stdout)
     assert data["Lambda1"] == 24.0
     assert data["Lambda2"] == pytest.approx(25.63659945443753, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, hcgibbs.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_python_dash_m():

@@ -10,14 +10,12 @@ from hcgibbs.model import (
     AdmissibilityGraph,
     BoundaryLawSolution,
     RegimeReport,
-    adjacency,
     check_spec_graph,
     graph_from_spec,
     relabel_solution,
     require_finite,
     spec_from_json,
     spec_to_json,
-    total_activity,
 )
 
 
@@ -25,7 +23,6 @@ def test_spec_basic_fields():
     spec = ActivitySpec(loop_activities={1: 2.0}, explicit_tail={3: 0.5}, tail_mass=1.5)
     assert spec.k == 2
     assert spec.listed() == {1: 2.0, 3: 0.5}
-    assert total_activity(spec) == pytest.approx(4.0)
     assert spec.total_activity() == pytest.approx(4.0)
 
 
@@ -75,7 +72,7 @@ def test_spec_rejects_bad_k():
 
 def test_divergent_total_activity():
     spec = ActivitySpec(loop_activities={1: 1.0}, divergent=True)
-    assert total_activity(spec) == math.inf
+    assert spec.total_activity() == math.inf
     with pytest.raises(DivergentActivities):
         require_finite(spec)
 
@@ -93,7 +90,14 @@ def test_adjacency_hub_and_loops():
     # distinct nonzero values are never adjacent
     assert g.adjacency(1, 2) == 0
     assert g.adjacency(5, -5) == 0
-    assert adjacency(g, 2, 2) == 1
+
+
+def test_adjacency_treats_tail_as_non_loop():
+    g = AdmissibilityGraph((1,))
+    assert g.adjacency(0, "TAIL") == 1
+    assert g.adjacency("TAIL", 0) == 1
+    assert g.adjacency("TAIL", "TAIL") == 0
+    assert g.adjacency("TAIL", 1) == 0
 
 
 def test_graph_loop_count_limits():

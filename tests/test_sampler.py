@@ -1,16 +1,26 @@
 """Tree sampling, reproducibility, and the brute-force finite-volume oracle."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from hcgibbs.chain import TAIL, stationary_closed_form
+from hcgibbs.chain import (
+    TAIL,
+    TransitionMatrix,
+    minimal_window,
+    stationary_closed_form,
+    transition_matrix,
+)
 from hcgibbs.errors import InputError, TooLarge
-from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.model import ActivitySpec, graph_from_spec, spec_from_json
 from hcgibbs.sampler import (
+    _MAX_SAMPLE_VERTICES,
     TreeSample,
+    _check_vertex_budget,
+    _Kernel,
     conditional_diagnostic,
     edge_admissibility,
     empirical_marginal,
@@ -26,6 +36,7 @@ from hcgibbs.sampler import (
     single_site_conditional,
     tree_sample_from_json,
 )
+from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
@@ -34,6 +45,31 @@ SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
 
 SPEC5 = ActivitySpec(loop_activities={1: 0.8, 2: 0.3}, explicit_tail={3: 0.4}, tail_mass=0.6)
 GRAPH5 = graph_from_spec(SPEC5)
+
+# two equal loops on both sides of the hub, listed states and unlisted mass
+PAIR = ActivitySpec(
+    loop_activities={-2: 9.0, 3: 9.0}, explicit_tail={-4: 1.5, 1: 0.5}, tail_mass=3.0
+)
+PAIR_SOLS = enumerate_solutions(ThreeLoopProblem.from_spec(PAIR))
+LISTED = ActivitySpec(loop_activities={1: 0.8}, explicit_tail={-3: 0.4, 2: 0.7}, tail_mass=0.6)
+LISTED_SOL = solve_unique(TwoLoopProblem.from_spec(LISTED))
+# no unlisted mass: the hub row's cumulative sum ends at 1 - 2**-52, below
+# the largest Philox variate 1 - 2**-53, and TAIL is inactive
+SHORT = spec_from_json(
+    {
+        "loops": {"1": 3.0725153012591817},
+        "tail": {
+            "2": 0.8166622741539723,
+            "3": 0.13251083656922213,
+            "4": 0.059417630230302,
+            "5": 2.4416780152088147,
+            "6": 2.739139176060388,
+        },
+        "tail_mass": 0.0,
+    }
+)
+SHORT_SOL = solve_unique(TwoLoopProblem.from_spec(SHORT))
+LARGEST_VARIATE = 1.0 - 2.0**-53
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +291,115 @@ def test_conditional_diagnostic_report():
     assert len(d["rows"]) == len(report.rows)
     with pytest.raises(InputError):
         conditional_diagnostic(SOL, SPEC, GRAPH, trials=0)
+
+
+def _forest_digest(forest) -> str:
+    text = json.dumps([t.to_json_dict() for t in forest], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# digests of the dense-kernel sampler's forests; the structural kernel must
+# reproduce them bit for bit
+LISTED_WIDE = minimal_window(LISTED) + 3
+GOLDEN_FORESTS = [
+    (SOL, SPEC, None, 0, "aaa963092ed9dc1340d81584195003884499490f7ee96effe8cab9f13176aff3"),
+    (SOL, SPEC, None, 1, "08e50400f4fbee03c710b76ecc8cedc4e3e5e6e2a68439de828e81ec2024daac"),
+    (PAIR_SOLS[0], PAIR, None, 0, "7fa993cdffabd5eecc130f1abf1e4b3216e52836eb3a91e83360587f00870b14"),
+    (PAIR_SOLS[1], PAIR, None, 1, "c7b4657b0e8a192587d0e78e5793abb03a1cfc5b44417d4502feac5884fe5df6"),
+    (PAIR_SOLS[2], PAIR, None, 2, "4fb5dc7b22d8ac1bf964815e6ee51acb68a0aa5f993381c3a48c90a1a76cb07a"),
+    (LISTED_SOL, LISTED, LISTED_WIDE, 0, "382cd3be51a44669a2c2121d65c4516f3cada86ebfbbf1496e1143b923f2c01b"),
+    (LISTED_SOL, LISTED, LISTED_WIDE, 1, "28bb82cc7a449a85077043cb8f3c7c77eba0ad8a17c15da4967c02862587aec6"),
+]
+
+
+@pytest.mark.parametrize("sol, spec, window, seed, digest", GOLDEN_FORESTS)
+def test_forest_spins_frozen(sol, spec, window, seed, digest):
+    graph = graph_from_spec(spec)
+    forest = sample_forest(sol, spec, graph, depth=6, trees=3, seed=seed, window=window)
+    assert _forest_digest(forest) == digest
+
+
+KERNEL_CASES = [
+    (SOL, SPEC, 5),
+    (LISTED_SOL, LISTED, 6),
+    (SHORT_SOL, SHORT, None),
+] + [(sol, PAIR, 5) for sol in PAIR_SOLS]
+
+
+@pytest.mark.parametrize("sol, spec, window", KERNEL_CASES)
+def test_structural_draws_match_dense_rows(sol, spec, window):
+    """Every child draw equals the dense inverse CDF, breakpoints included."""
+    graph = graph_from_spec(spec)
+    kernel = _Kernel(sol, spec, graph, window)
+    window = minimal_window(spec) if window is None else window
+    rows = np.cumsum(transition_matrix(sol, spec, graph, window).matrix, axis=1)
+    cum_root = np.cumsum(stationary_closed_form(sol, spec, graph, window).probabilities)
+    n = len(kernel.states)
+    breaks = np.unique(np.concatenate([rows.ravel(), cum_root]))
+    u = np.concatenate(
+        [
+            np.random.default_rng(0).random(2000),
+            breaks,
+            np.nextafter(breaks, -np.inf),
+            np.nextafter(breaks, np.inf),
+            [0.0],
+        ]
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]
+    for p in range(n):
+        below = u[u < rows[p, -1]]
+        dense = np.minimum((rows[p] <= below[:, None]).sum(axis=1), n - 1)
+        got = kernel.draw_children(np.full(len(below), p), below)
+        assert np.array_equal(got, dense), kernel.states[p]
+    below = u[u < cum_root[-1]]
+    dense = np.minimum(np.searchsorted(cum_root, below, side="right"), n - 1)
+    assert np.array_equal(kernel.draw_root(below), dense)
+
+
+def test_largest_variate_draws_an_active_state():
+    kernel = _Kernel(SHORT_SOL, SHORT, graph_from_spec(SHORT), None)
+    assert kernel.cum_hub[-1] < LARGEST_VARIATE
+    u = np.array([LARGEST_VARIATE])
+    hub = kernel.states.index(0)
+    drawn = [kernel.draw_root(u)[0], kernel.draw_children(np.array([hub]), u)[0]]
+    for idx in drawn:
+        assert kernel.states[idx] in SHORT.listed()
+
+
+def test_vertex_budget():
+    # 3 * 2**22 - 2 vertices fit once, not twice
+    _check_vertex_budget(2, 22, 1)
+    with pytest.raises(TooLarge):
+        _check_vertex_budget(2, 22, 2)
+    # a path tree has 2 * depth + 1 vertices
+    _check_vertex_budget(1, _MAX_SAMPLE_VERTICES // 2 - 1, 1)
+    with pytest.raises(TooLarge):
+        _check_vertex_budget(1, _MAX_SAMPLE_VERTICES // 2, 1)
+    # refused by the bit-length test, before 2**depth is formed
+    with pytest.raises(TooLarge):
+        _check_vertex_budget(2, 10**18, 1)
+    with pytest.raises(InputError):
+        _check_vertex_budget(2, -1, 1)
+
+
+def test_sampling_never_builds_the_dense_matrix(monkeypatch):
+    def dense(self):
+        raise AssertionError("the sampler read the dense kernel")
+
+    monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
+    for sol in PAIR_SOLS:
+        sample_forest(sol, PAIR, graph_from_spec(PAIR), depth=4, trees=2, seed=0, window=300)
+    tm = transition_matrix(SOL, SPEC, GRAPH, 2)
+    with pytest.raises(AssertionError):
+        tm.matrix
+
+
+def test_sampling_refuses_oversized_requests():
+    with pytest.raises(TooLarge):
+        sample_tree(SOL, SPEC, GRAPH, depth=200, seed=1)
+    with pytest.raises(TooLarge):
+        sample_forest(SOL, SPEC, GRAPH, depth=20, trees=6, seed=1)
+    with pytest.raises(TooLarge):
+        sample_forest(SOL, SPEC, GRAPH, depth=3, trees=1, seed=1, window=100_000)
+    with pytest.raises(InputError):
+        sample_tree(SOL, SPEC, GRAPH, depth=1.5, seed=1)
