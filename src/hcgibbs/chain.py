@@ -56,6 +56,17 @@ def state_labels(window: int) -> tuple:
     return tuple(range(-window, window + 1)) + (TAIL,)
 
 
+def _state_index(window: int, label) -> int:
+    """Position of a label in state_labels(window); InputError off the window."""
+    if label == TAIL:
+        return 2 * window + 1
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise InputError(f"state label {label!r} is not an integer or {TAIL!r}")
+    if abs(label) > window:
+        raise InputError(f"state label {label} lies outside the window {window}")
+    return label + window
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic kernel on the windowed state set.
@@ -92,13 +103,7 @@ class TransitionMatrix:
         return P
 
     def index(self, label) -> int:
-        if label == TAIL:
-            return 2 * self.window + 1
-        if isinstance(label, bool) or not isinstance(label, int):
-            raise InputError(f"state label {label!r} is not an integer or {TAIL!r}")
-        if abs(label) > self.window:
-            raise InputError(f"state label {label} lies outside the window {self.window}")
-        return label + self.window
+        return _state_index(self.window, label)
 
     def entry(self, i, j) -> float:
         return float(self.matrix[self.index(i), self.index(j)])
@@ -107,7 +112,7 @@ class TransitionMatrix:
         return {
             "window": self.window,
             "states": list(self.states),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
+            "matrix": self.matrix.tolist(),
         }
 
 
@@ -120,9 +125,7 @@ class StationaryDistribution:
     probabilities: np.ndarray
 
     def index(self, label) -> int:
-        if label == TAIL:
-            return 2 * self.window + 1
-        return label + self.window
+        return _state_index(self.window, label)
 
     def probability(self, label) -> float:
         return float(self.probabilities[self.index(label)])
@@ -131,7 +134,7 @@ class StationaryDistribution:
         return {
             "window": self.window,
             "states": list(self.states),
-            "probabilities": [float(v) for v in self.probabilities],
+            "probabilities": self.probabilities.tolist(),
         }
 
 

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import chain as chain_mod
 from . import sampler as sampler_mod
 from . import three_loop, two_loop
@@ -40,8 +42,44 @@ def _write(text: str, out: str) -> None:
         Path(out).write_text(text)
 
 
+class _Encoded(str):
+    """Text that is already JSON, written as it is."""
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """JSON text of obj with compact leaves.
+
+    Dicts, and lists that hold a container, get json.dumps(indent=2)'s
+    layout of one item a line; every other list goes on one line through
+    the C encoder, which json.dumps bypasses whenever indent is set.  Dict
+    keys are strings, as in every command's output.
+    """
+    inner = indent + "  "
+    if isinstance(obj, _Encoded):
+        return obj
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{json.dumps(key)}: {_json_text(v, inner)}" for key, v in obj.items()]
+    elif isinstance(obj, (list, tuple)) and any(
+        issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))
+    ):
+        items = [inner + _json_text(v, inner) for v in obj]
+    else:
+        return json.dumps(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def _emit_json(obj, out: str) -> None:
-    _write(json.dumps(obj, indent=2) + "\n", out)
+    _write(_json_text(obj) + "\n", out)
+
+
+def _spins_json(forest) -> list:
+    """Each tree's spins as one JSON array, joined from one token per state.
+
+    The trees of a forest share one state table, so the tokens are encoded once.
+    """
+    tokens = np.array([json.dumps(lab) for lab in forest[0].states], dtype=object)
+    return [_Encoded("[" + ", ".join(tokens[tree.index].tolist()) + "]") for tree in forest]
 
 
 def _load_spec(path: str) -> ActivitySpec:
@@ -198,7 +236,10 @@ def cmd_sample(args) -> int:
             "trees": args.trees,
             "seed": args.seed,
             "window": window,
-            "samples": [s.to_json_dict() for s in forest],
+            "samples": [
+                {"depth": s.depth, "seed": s.seed, "spins": spins}
+                for s, spins in zip(forest, _spins_json(forest))
+            ],
             "marginal": {
                 str(lab): freq for lab, freq in sorted(marginal.items(), key=lambda kv: str(kv[0]))
             },

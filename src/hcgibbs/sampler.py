@@ -27,6 +27,7 @@ conditionals and normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,26 +100,41 @@ def level_slices(k: int, depth: int) -> list[slice]:
     return out
 
 
-@dataclass(frozen=True)
 class TreeSample:
-    """One sampled configuration, spins in breadth-first vertex order."""
+    """One sampled configuration, spins in breadth-first vertex order.
 
-    depth: int
-    seed: int
-    spins: tuple
-    k: int = 2
+    index is an int64 array giving each vertex's position in the state
+    table states; trees of one forest share their kernel's table.  spins,
+    the tuple of labels, is built from the two on first read and cached.
+    A tree built by hand from labels has every spin checked; the sampler
+    builds its trees from the index arrays it drew, unchecked.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spins", tuple(self.spins))
-        want = num_vertices(self.k, self.depth)
-        if len(self.spins) != want:
+    def __init__(self, depth: int, seed: int, spins, k: int = 2) -> None:
+        spins = tuple(spins)
+        want = num_vertices(k, depth)
+        if len(spins) != want:
             raise InputError(
-                f"depth {self.depth} on a tree of order {self.k} needs {want} spins, "
-                f"got {len(self.spins)}"
+                f"depth {depth} on a tree of order {k} needs {want} spins, got {len(spins)}"
             )
-        for s in self.spins:
+        for s in spins:
             if s != TAIL and (isinstance(s, bool) or not isinstance(s, int)):
                 raise InputError(f"spin {s!r} is neither an integer nor {TAIL!r}")
+        states = tuple(dict.fromkeys(spins))
+        row = {lab: i for i, lab in enumerate(states)}
+        self.depth, self.seed, self.k, self.states = depth, seed, k, states
+        self.index = np.array([row[s] for s in spins], dtype=np.int64)
+        self.spins = spins
+
+    @classmethod
+    def _drawn(cls, depth: int, seed: int, index: np.ndarray, states: tuple, k: int) -> TreeSample:
+        tree = cls.__new__(cls)
+        tree.depth, tree.seed, tree.k, tree.states, tree.index = depth, seed, k, states, index
+        return tree
+
+    @cached_property
+    def spins(self) -> tuple:
+        return tuple(map(self.states.__getitem__, self.index.tolist()))
 
     def to_json_dict(self) -> dict:
         return {"depth": self.depth, "seed": self.seed, "spins": list(self.spins)}
@@ -221,8 +237,7 @@ def sample_tree(
     _check_vertex_budget(spec.k, depth, 1)
     kernel = _Kernel(solution, spec, graph, window)
     idx = _sample_indices(kernel, depth, seed)
-    spins = tuple(kernel.states[i] for i in idx)
-    return TreeSample(depth, int(seed), spins, k=kernel.k)
+    return TreeSample._drawn(depth, int(seed), idx, kernel.states, kernel.k)
 
 
 def sample_forest(
@@ -244,56 +259,69 @@ def sample_forest(
     _check_vertex_budget(spec.k, depth, trees)
     kernel = _Kernel(solution, spec, graph, window)
     tree_seeds = np.random.SeedSequence(int(seed) % _KEY_SPACE).generate_state(trees, np.uint64)
-    out = []
-    for t in range(trees):
-        idx = _sample_indices(kernel, depth, int(tree_seeds[t]))
-        spins = tuple(kernel.states[i] for i in idx)
-        out.append(TreeSample(depth, int(tree_seeds[t]), spins, k=kernel.k))
-    return tuple(out)
+    return tuple(
+        TreeSample._drawn(depth, t, _sample_indices(kernel, depth, t), kernel.states, kernel.k)
+        for t in map(int, tree_seeds)
+    )
 
 
 def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
-    """Fraction of tree edges whose endpoint spins are admissible."""
+    """Fraction of tree edges whose endpoint spins are admissible.
+
+    An edge is admissible when either end is the hub, or both ends hold the
+    same spin and that spin's self-adjacency, graph.adjacency(s, s), is 1.
+    """
     parents = parent_array(sample.k, sample.depth)
     edges = len(parents) - 1
     if edges == 0:
         return 1.0
-    good = sum(
-        graph.adjacency(sample.spins[parents[v]], sample.spins[v])
-        for v in range(1, len(parents))
-    )
-    return good / edges
+    hub = np.array([s == 0 for s in sample.states])
+    loop = np.array([graph.adjacency(s, s) == 1 for s in sample.states])
+    p, c = sample.index[parents[1:]], sample.index[1:]
+    good = hub[p] | hub[c] | ((p == c) & loop[p])
+    return int(np.count_nonzero(good)) / edges
 
 
-def _count_spins(counter: dict, spins) -> None:
-    for s in spins:
-        counter[s] = counter.get(s, 0) + 1
+def _tally(samples, level: int | None = None) -> dict:
+    """Spin counts over one level, or all vertices, of every sample.
+
+    Labels are keyed in order of first appearance, vertex by vertex, as a
+    count that walked every spin would key them: marginal_tv's floating
+    sum follows the key order, so its last bit depends on it.
+    """
+    counts: dict = {}
+    for sample in samples:
+        idx = sample.index
+        if level is not None:
+            idx = idx[level_slices(sample.k, sample.depth)[level]]
+        per_state = np.bincount(idx, minlength=len(sample.states))
+        present = np.flatnonzero(per_state).tolist()
+        new = [i for i in present if sample.states[i] not in counts]
+        if new:
+            is_new = np.zeros(len(sample.states), dtype=bool)
+            is_new[new] = True
+            for i in dict.fromkeys(idx[is_new[idx]].tolist()):
+                counts[sample.states[i]] = 0
+        for i in present:
+            counts[sample.states[i]] += int(per_state[i])
+    return counts
 
 
 def level_counts(samples, level: int) -> dict:
     """Spin counts over the vertices at one depth level of every sample."""
     if not samples:
         raise InputError("no samples")
-    counts: dict = {}
-    seen = 0
-    for sample in samples:
-        if level > sample.depth:
-            continue
-        sl = level_slices(sample.k, sample.depth)[level]
-        _count_spins(counts, sample.spins[sl])
-        seen += 1
-    if seen == 0:
+    reaching = [sample for sample in samples if level <= sample.depth]
+    if not reaching:
         raise InputError(f"no sample reaches level {level}")
-    return counts
+    return _tally(reaching, level)
 
 
 def empirical_marginal(samples) -> dict:
     """Relative spin frequencies over all vertices of all samples."""
     if not samples:
         raise InputError("no samples")
-    counts: dict = {}
-    for sample in samples:
-        _count_spins(counts, sample.spins)
+    counts = _tally(samples)
     total = sum(counts.values())
     return {lab: c / total for lab, c in counts.items()}
 
@@ -462,6 +490,7 @@ def conditional_diagnostic(
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InputError(f"trials must be a positive integer, got {trials!r}")
+    _check_vertex_budget(spec.k, 1, trials)  # a depth-1 star has k + 2 vertices
     kernel = _Kernel(solution, spec, graph, window)
     fanout = kernel.k + 1
     u = _stream(seed, trials * (fanout + 1)).reshape(trials, fanout + 1)

@@ -252,6 +252,17 @@ def test_index_validation():
         tm.index(True)
 
 
+def test_stationary_index_validation():
+    sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
+    assert sd.index(TAIL) == 5
+    assert sd.index(-2) == 0
+    assert sd.index(2) == 4
+    assert sd.probability(TAIL) == sd.probabilities[5]
+    for label in (-5, -3, 3, 5, "hub", True):
+        with pytest.raises(InputError):
+            sd.probability(label)
+
+
 def test_csv_round_trip():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
     text = matrix_to_csv(tm)

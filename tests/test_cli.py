@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import hcgibbs
 from hcgibbs.chain import stationary_closed_form, transition_matrix
 from hcgibbs.cli import main
 from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.sampler import TreeSample
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 A_12 = 1.0169168190675275
@@ -154,6 +156,88 @@ def test_solve_output_bytes_frozen(capsys, tmp_path, spec, expected):
     assert capsys.readouterr().out == expected
 
 
+CLASSIFY_9_130_OUT = """\
+{
+  "lambda": 9.0,
+  "Lambda": 130.0,
+  "Lambda1": 126.0,
+  "Lambda2": 144.81948217705747,
+  "count": 5,
+  "case": "iv"
+}
+"""
+
+THRESHOLDS_9_OUT = """\
+{
+  "lambda": 9.0,
+  "Lambda1": 126.0,
+  "Lambda2": 144.81948217705747,
+  "lambda_star": 5.444444444444445
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "--lambda", "9", "--Lambda", "130"], CLASSIFY_9_130_OUT),
+        (["thresholds", "--lambda", "9"], THRESHOLDS_9_OUT),
+    ],
+)
+def test_output_bytes_frozen(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+NARROW = '{"loops":{"1":1.0},"tail_mass":1.0}'
+PAIR = '{"loops":{"-2":9.0,"3":9.0},"tail":{"-4":1.5,"1":0.5},"tail_mass":3.0}'
+SAMPLE_ARGS = ["--depth", "5", "--trees", "4", "--seed", "11"]
+
+
+# SHA-256 of json.dumps(parsed stdout, sort_keys=True), captured before the
+# compact JSON writer; only whitespace inside scalar arrays may change.
+# tv_to_stationary sums over a set, whose order follows the string hash, so
+# the runs pin PYTHONHASHSEED.
+@pytest.mark.parametrize(
+    "spec, argv, digest",
+    [
+        (NARROW, ["sample", *SAMPLE_ARGS], "08260b9386e98cd02b007084e5c62942bc1ddb0b93104552d434076d0b10378e"),
+        (PAIR, ["sample", *SAMPLE_ARGS], "f87bc546a66d82f8170c52a5fc6df724d0d34ec0275d2a745ff714063c435114"),
+        (NARROW, ["chain"], "bde187d273b0d99a1723cda1cc3a1ec8fc4ec4f972fb45c756f88605a68684aa"),
+        (PAIR, ["chain"], "e93db2e136db6be56dce6f641f78d63084bbcf49c299f60da13c6a7d93428c73"),
+    ],
+)
+def test_parsed_output_frozen(tmp_path, spec, argv, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcgibbs", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    canonical = json.dumps(json.loads(proc.stdout), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+def test_sample_writes_from_index_arrays(capsys, monkeypatch, tmp_path):
+    def labels(self):
+        raise AssertionError("the sample command read TreeSample.spins")
+
+    monkeypatch.setattr(TreeSample, "spins", property(labels))
+    path = tmp_path / "spec.json"
+    path.write_text(PAIR)
+    assert main(["sample", str(path), *SAMPLE_ARGS]) == 0
+    out = capsys.readouterr().out
+    spins_lines = [line for line in out.split("\n") if '"spins": [' in line]
+    assert len(spins_lines) == 4
+    assert all(line.endswith("]") for line in spins_lines)
+
+
 def test_solve_two_loop(capsys, spec2):
     sols = run_json(capsys, ["solve", spec2])
     assert len(sols) == 1
@@ -219,6 +303,16 @@ def test_chain_json(capsys, spec3):
         assert entry["report"]["max_residual"] < 1e-10
         assert entry["irreducible"] is True
         assert entry["matrix"]["states"] == [-2, -1, 0, 1, 2, "TAIL"]
+
+
+def test_scalar_arrays_written_on_one_line(capsys, spec3):
+    assert main(["chain", spec3]) == 0
+    lines = [line.strip() for line in capsys.readouterr().out.split("\n")]
+    # a line that opens an array and does not end there holds the whole array
+    opened = [line for line in lines if "[" in line and not line.endswith("[")]
+    assert any(line.startswith('"probabilities": [') for line in opened)
+    assert sum(line.startswith("[") for line in opened) == 5 * 6  # matrix rows
+    assert all(line.endswith(("]", "],")) for line in opened)
 
 
 def test_chain_csv_round_trip(capsys, spec2):

@@ -293,6 +293,70 @@ def test_conditional_diagnostic_report():
         conditional_diagnostic(SOL, SPEC, GRAPH, trials=0)
 
 
+def test_conditional_diagnostic_budget(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
+    monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
+    # a depth-1 star has k + 2 = 4 vertices
+    with pytest.raises(TooLarge):
+        conditional_diagnostic(SOL, SPEC, GRAPH, trials=_MAX_SAMPLE_VERTICES // 4 + 1)
+    with pytest.raises(TooLarge):
+        conditional_diagnostic(SOL, SPEC, GRAPH, trials=10**30)
+
+
+def _reference_admissibility(sample, graph) -> float:
+    spins, parents = sample.spins, parent_array(sample.k, sample.depth)
+    if len(spins) == 1:
+        return 1.0
+    good = sum(graph.adjacency(spins[parents[v]], spins[v]) for v in range(1, len(spins)))
+    return good / (len(spins) - 1)
+
+
+def _reference_counts(samples, level=None) -> dict:
+    counts: dict = {}
+    for sample in samples:
+        spins = sample.spins
+        if level is not None:
+            spins = spins[level_slices(sample.k, sample.depth)[level]]
+        for s in spins:
+            counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+def test_vectorised_statistics_match_label_reference():
+    """edge_admissibility, empirical_marginal and level_counts agree with
+    label-by-label counting, dict order included, on hand-built trees with
+    negative loop labels, TAIL and inadmissible edges."""
+    graph = graph_from_spec(PAIR)
+    rng = np.random.default_rng(3)
+    alphabet = [0, -2, 3, -4, 1, TAIL]
+    weights = [0.4, 0.2, 0.2, 0.1, 0.05, 0.05]
+    samples = []
+    for t in range(40):
+        k, depth = 1 + t % 3, t % 5
+        drawn = rng.choice(len(alphabet), num_vertices(k, depth), p=weights)
+        samples.append(TreeSample(depth, t, [alphabet[i] for i in drawn], k=k))
+    fractions = [edge_admissibility(s, graph) for s in samples]
+    assert fractions == [_reference_admissibility(s, graph) for s in samples]
+    assert min(fractions) < 1.0
+    # sampler trees share the kernel's state table; mix them with hand-built ones
+    drawn = sample_forest(PAIR_SOLS[1], PAIR, graph, depth=4, trees=3, seed=9)
+    assert all(t.states is drawn[0].states for t in drawn)
+    assert [edge_admissibility(t, graph) for t in drawn] == [1.0, 1.0, 1.0]
+    for group in (samples, drawn, samples[:7] + list(drawn)):
+        ref = _reference_counts(group)
+        total = sum(ref.values())
+        got = empirical_marginal(group)
+        assert list(got.items()) == [(lab, c / total) for lab, c in ref.items()]
+        for level in range(5):
+            reaching = [s for s in group if level <= s.depth]
+            assert list(level_counts(group, level).items()) == list(
+                _reference_counts(reaching, level).items()
+            )
+
+
 def _forest_digest(forest) -> str:
     text = json.dumps([t.to_json_dict() for t in forest], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
