@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,7 +40,10 @@ def _write(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}")
 
 
 class _Encoded(str):
@@ -183,12 +187,7 @@ def cmd_chain(args) -> int:
         entries.append((s, tm, sd, report))
 
     if args.format == "csv":
-        s, tm, sd, _ = next(
-            (e for e in entries if args.branch in (None, e[0].branch)),
-            entries[0],
-        )
-        if args.branch is not None and s.branch != args.branch:
-            raise InputError(f"no solution on branch {args.branch!r}")
+        _, tm, sd, _ = entries[sols.index(_pick_branch(sols, args.branch))]
         _write(chain_mod.matrix_to_csv(tm) + "\n" + chain_mod.distribution_to_csv(sd), args.out)
         return 0
 
@@ -273,7 +272,10 @@ def _sweep_curves(args) -> int:
         funcs = (two_loop.f_curve, two_loop.g_curve)
         header = "lambda,f,g"
     else:
-        bound = (1.0 + x) ** 2 / 4.0
+        try:
+            bound = (1.0 + x) ** 2 / 4.0
+        except OverflowError:
+            bound = math.inf  # the curves then refuse every row
         funcs = (three_loop.h_curve, three_loop.delta_curve)
         header = "lambda,h,delta"
     n = args.points

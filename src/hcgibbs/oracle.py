@@ -9,6 +9,16 @@ no hints.  Hint points (e.g. closed-form solutions) are optional extra
 starts: a genuine hint is confirmed, a wrong one is rejected or pulled onto
 a genuine solution.  fixed_point_iterate keeps the plain damped Picard
 iteration as a single-start instrument.
+
+Confirmed points are grouped by one greedy leader rule (_leaders): taken
+in order, a point joins the first earlier leader within a relative
+max-norm tolerance, or else leads a new group.  It runs twice.  First on
+the confirmed points in order of residual, at CLUSTER_TOL: each group is a
+cluster and its leader, the lowest-residual point, represents it.  Then,
+with two loop vertices only, on the near-diagonal cluster leaders at
+PITCHFORK_TOL: this is the pitchfork merge.  A group that absorbed another
+cluster is represented by its member point nearest the diagonal (ties by
+residual, then by cluster); every other cluster keeps its leader.
 """
 
 from __future__ import annotations
@@ -38,10 +48,10 @@ HINT_JITTER = 1e-4  # relative spread of the three jittered copies of each hint
 # drifting even an exact symmetric start off the diagonal).  Observed
 # satellite distances reach ~1e-3 at cubic branch points and ~2.3e-2 at
 # the quartic tangency, while genuinely distinct asymmetric pairs away
-# from the thresholds sit at least ~0.28 apart.  All mutually close
-# clusters within this relative radius of the diagonal are merged and
-# counted once; asymmetry below this radius is not certifiable in double
-# precision.
+# from the thresholds sit at least ~0.28 apart.  Clusters whose leaders
+# lie within this relative radius of the diagonal are regrouped by the
+# leader rule at this radius and counted once per group; asymmetry below
+# this radius is not certifiable in double precision.
 PITCHFORK_TOL = 5e-2
 
 
@@ -174,6 +184,27 @@ def _normalise_hint(hint, labels) -> np.ndarray:
     return np.array([*(float(z_map[lab]) for lab in labels), float(A)])
 
 
+def _leaders(P: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy leader grouping of the rows of P, taken in order.
+
+    A row joins the first earlier leader within max-norm distance tol
+    relative to max(1, |row|max, |leader|max); otherwise it leads a new
+    group.  Returns the index of each row's leader (a leader's is its own).
+    Memory is linear in the rows: each row is compared with the leaders only.
+    """
+    size = np.abs(P).max(axis=1)
+    lead = np.arange(len(P))
+    heads = np.empty(0, dtype=int)
+    for i in range(len(P)):
+        close = np.abs(P[heads] - P[i]).max(axis=1) <= tol * np.maximum(
+            np.maximum(size[heads], size[i]), 1.0)
+        if close.any():
+            lead[i] = heads[close.argmax()]
+        else:
+            heads = np.append(heads, i)
+    return lead
+
+
 def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: int = 100,
                      seed: int = 0, hints=None) -> MultistartResult:
     """Count distinct fixed points of the reduced system by Newton multistart.
@@ -184,10 +215,9 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     symmetric solution lies.  Optional hints (e.g. closed-form solutions)
     add four starts each: the hint and three copies jittered by
     HINT_JITTER.  One batched damped Newton (see _newton) runs from every
-    start and reaches attracting and repelling fixed points alike; points
-    with residual below TOL are clustered at relative tolerance
-    CLUSTER_TOL.  Mutually close near-diagonal clusters are merged and
-    counted once (branch-point degeneracy, see PITCHFORK_TOL).
+    start and reaches attracting and repelling fixed points alike.  Points
+    with residual below TOL are grouped as the module docstring describes:
+    clusters at CLUSTER_TOL, then the pitchfork merge at PITCHFORK_TOL.
     """
     if n_starts < 50:
         raise InputError(f"n_starts must be at least 50, got {n_starts}")
@@ -209,62 +239,29 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     V, residuals = _newton(system, V[keep])
     source = source[keep]
 
-    points = [(V[i, :m], float(V[i, m]), float(residuals[i]), str(source[i]))
-              for i in np.flatnonzero(residuals < TOL)]
-    points.sort(key=lambda p: p[2])
-    clusters: list[list[tuple[np.ndarray, float, float, str]]] = []
-    for pt in points:
-        u = np.append(pt[0], pt[1])
-        placed = False
-        for cl in clusters:
-            v = np.append(cl[0][0], cl[0][1])
-            scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
-            if float(np.abs(u - v).max()) <= CLUSTER_TOL * scale:
-                cl.append(pt)
-                placed = True
-                break
-        if not placed:
-            clusters.append([pt])
-
-    if m == 2 and len(clusters) > 1:
-        # pitchfork guard, see PITCHFORK_TOL: merge every group of mutually
-        # close near-diagonal clusters into one, keeping its most diagonal
-        # lowest-residual member as the representative
-        pts = [np.append(cl[0][0], cl[0][1]) for cl in clusters]
-        scales = [max(1.0, float(np.abs(u).max())) for u in pts]
-        near = [abs(u[0] - u[1]) <= PITCHFORK_TOL * s for u, s in zip(pts, scales)]
-        kept: list[list[tuple[np.ndarray, float, float, str]]] = []
-        seeds: list[int] = []  # indices into pts for merged-group anchors
-        grew: list[bool] = []
-        for i, cl in enumerate(clusters):
-            if near[i]:
-                target = next(
-                    (
-                        g
-                        for g, j in enumerate(seeds)
-                        if j >= 0
-                        and float(np.abs(pts[i] - pts[j]).max())
-                        <= PITCHFORK_TOL * max(scales[i], scales[j])
-                    ),
-                    None,
-                )
-                if target is not None:
-                    kept[target].extend(cl)
-                    grew[target] = True
-                    continue
-                seeds.append(i)
-            else:
-                seeds.append(-1)
-            kept.append(cl)
-            grew.append(False)
-        for g, did in enumerate(grew):
-            if did:
-                kept[g].sort(key=lambda p: (abs(float(p[0][0] - p[0][1])), p[2]))
-        clusters = kept
-
+    ok = sorted(np.flatnonzero(residuals < TOL), key=residuals.__getitem__)  # stable
+    P, res, source = V[ok], residuals[ok], source[ok]
+    lead = _leaders(P, CLUSTER_TOL)
+    is_head = lead == np.arange(len(P))
+    heads = np.flatnonzero(is_head)  # first-pass leaders
+    cluster = np.cumsum(is_head)[lead] - 1  # first-pass cluster of each point
+    top = np.arange(len(heads))  # leading cluster of each cluster's group
+    if m == 2 and len(heads) > 1:
+        # pitchfork guard, see PITCHFORK_TOL
+        H = P[heads]
+        near = np.flatnonzero(np.abs(H[:, 0] - H[:, 1])
+                              <= PITCHFORK_TOL * np.maximum(np.abs(H).max(axis=1), 1.0))
+        top[near] = near[_leaders(H[near], PITCHFORK_TOL)]
+    group = top[cluster]  # leading cluster of each point's group
+    rep = heads.copy()  # representative point of each group
+    for g in np.flatnonzero(np.bincount(top) > 1):
+        rep[g] = min(np.flatnonzero(group == g),
+                     key=lambda i: (abs(P[i, 0] - P[i, 1]), res[i], cluster[i]))
+    members = np.bincount(group, minlength=len(heads))
     reps = tuple(
-        ClusterPoint(z={lab: float(v) for lab, v in zip(labels, cl[0][0])},
-                     A=cl[0][1], residual=cl[0][2], members=len(cl), source=cl[0][3])
-        for cl in clusters
+        ClusterPoint(z={lab: float(v) for lab, v in zip(labels, P[rep[g], :m])},
+                     A=float(P[rep[g], m]), residual=float(res[rep[g]]),
+                     members=int(members[g]), source=str(source[rep[g]]))
+        for g in np.flatnonzero(top == np.arange(len(heads)))
     )
     return MultistartResult(count=len(reps), representatives=reps)

@@ -26,6 +26,7 @@ conditionals and normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -207,9 +208,11 @@ def _sample_indices(kernel: _Kernel, depth: int, seed) -> np.ndarray:
     u = _stream(seed, n)
     spins_idx = np.empty(n, dtype=np.int64)
     spins_idx[0] = kernel.draw_root(u[:1])[0]
-    parents = parent_array(kernel.k, depth)
-    for sl in level_slices(kernel.k, depth)[1:]:
-        spins_idx[sl] = kernel.draw_children(spins_idx[parents[sl]], u[sl])
+    levels = level_slices(kernel.k, depth)
+    for d in range(1, depth + 1):
+        # each vertex of level d-1 parents k children, the root k + 1
+        above = np.repeat(spins_idx[levels[d - 1]], kernel.k + (d == 1))
+        spins_idx[levels[d]] = kernel.draw_children(above, u[levels[d]])
     return spins_idx
 
 
@@ -271,13 +274,16 @@ def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     An edge is admissible when either end is the hub, or both ends hold the
     same spin and that spin's self-adjacency, graph.adjacency(s, s), is 1.
     """
-    parents = parent_array(sample.k, sample.depth)
-    edges = len(parents) - 1
+    edges = len(sample.index) - 1
     if edges == 0:
         return 1.0
     hub = np.array([s == 0 for s in sample.states])
     loop = np.array([graph.adjacency(s, s) == 1 for s in sample.states])
-    p, c = sample.index[parents[1:]], sample.index[1:]
+    # parents in breadth-first order: the root k + 1 times, then every
+    # vertex above the last level k times
+    idx, k = sample.index, sample.k
+    inner = idx[1 : len(idx) - level_sizes(k, sample.depth)[-1]]
+    p, c = np.concatenate([np.repeat(idx[:1], k + 1), np.repeat(inner, k)]), idx[1:]
     good = hub[p] | hub[c] | ((p == c) & loop[p])
     return int(np.count_nonzero(good)) / edges
 
@@ -335,10 +341,14 @@ def _as_marginal(dist) -> dict:
 
 
 def marginal_tv(empirical: dict, dist) -> float:
-    """Total variation between a frequency mapping and a distribution."""
+    """Total variation between a frequency mapping and a distribution.
+
+    The sum is math.fsum's correctly rounded one, so it does not depend on
+    the order of the labels (a set's order follows the string hash seed).
+    """
     target = _as_marginal(dist)
     labels = set(empirical) | set(target)
-    return 0.5 * sum(abs(empirical.get(lab, 0.0) - target.get(lab, 0.0)) for lab in labels)
+    return 0.5 * math.fsum(abs(empirical.get(lab, 0.0) - target.get(lab, 0.0)) for lab in labels)
 
 
 def _oracle_alphabet(spec: ActivitySpec) -> tuple[list, dict]:

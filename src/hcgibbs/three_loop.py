@@ -32,7 +32,7 @@ from .boundary_law import ReducedSystem
 from .errors import DivergentActivities, DomainError, InputError
 from .model import ActivitySpec, BoundaryLawSolution, RegimeReport
 from .rootfind import refine, scan_right
-from .two_loop import loop_z_branches, solve_loop_aggregate
+from .two_loop import checked_curve, loop_z_branches, solve_loop_aggregate
 
 LAMBDA_STAR = 49.0 / 9.0
 THRESHOLD_RTOL = 1e-9
@@ -98,12 +98,9 @@ def thresholds(lam: float) -> tuple[float, float]:
     return Lambda1, Lambda2
 
 
+@checked_curve
 def h_curve(lam: float, x: float, Lambda: float) -> float:
     """Symmetric-family branch condition (plus branch) at aggregate x = A."""
-    if not (lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
     y = 1.0 + x
     r = y * y - 4.0 * lam
     if r < 0.0:
@@ -111,12 +108,9 @@ def h_curve(lam: float, x: float, Lambda: float) -> float:
     return y ** 4 + y ** 3 * math.sqrt(r) - lam * y * y * (x + 2.0) + lam * (Lambda - 2.0 * lam)
 
 
+@checked_curve
 def delta_curve(lam: float, x: float, Lambda: float) -> float:
     """Symmetric-family branch condition (minus branch) at aggregate x = A."""
-    if not (lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
     y = 1.0 + x
     r = y * y - 4.0 * lam
     if r < 0.0:

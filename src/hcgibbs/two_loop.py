@@ -11,11 +11,14 @@ unique translation-invariant Gibbs measure sits there.  All formulas assume
 tree order k = 2.
 
 f_curve and g_curve are the same two branch conditions written as quartic
-expressions in x = 1 + A; they are kept as test instruments.
+expressions in x = 1 + A; they are kept as test instruments.  Every such
+curve, here and in three_loop, goes through checked_curve, so a
+non-finite x or a value past double precision raises DomainError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,22 +70,42 @@ def _radicand(lam: float, x: float) -> float:
     return r
 
 
+def checked_curve(curve):
+    """A branch-condition curve curve(lam, x, Lambda) with checked arguments and value.
+
+    lam must be positive and x positive and finite; a value that overflows
+    double precision or is otherwise not finite raises DomainError.
+    """
+    @functools.wraps(curve)
+    def checked(lam: float, x: float, Lambda: float) -> float:
+        if not (lam > 0.0):
+            raise DomainError(f"lambda must be positive, got {lam!r}")
+        if not (0.0 < x < math.inf):
+            raise DomainError(f"x must be positive and finite, got {x!r}")
+        try:
+            value = curve(lam, x, Lambda)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(
+                f"{curve.__name__} is not finite in double precision at "
+                f"lambda = {lam!r}, x = {x!r}, Lambda = {Lambda!r}"
+            )
+        return value
+
+    return checked
+
+
+@checked_curve
 def f_curve(lam: float, x: float, Lambda: float) -> float:
     """Branch condition of the z_plus branch as a function of x = 1 + A."""
-    if not (lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
     s = math.sqrt(_radicand(lam, x))
     return x ** 4 + x ** 3 * (s - 2.0 * lam) + 2.0 * lam * (Lambda - lam)
 
 
+@checked_curve
 def g_curve(lam: float, x: float, Lambda: float) -> float:
     """Branch condition of the z_minus branch as a function of x = 1 + A."""
-    if not (lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (x > 0.0):
-        raise DomainError(f"x must be positive, got {x!r}")
     s = math.sqrt(_radicand(lam, x))
     return x ** 4 - x ** 3 * (s + 2.0 * lam) + 2.0 * lam * (Lambda - lam)
 

@@ -11,10 +11,17 @@ from pathlib import Path
 import pytest
 
 import hcgibbs
-from hcgibbs.chain import stationary_closed_form, transition_matrix
+from hcgibbs.chain import (
+    distribution_to_csv,
+    matrix_to_csv,
+    minimal_window,
+    stationary_closed_form,
+    transition_matrix,
+)
 from hcgibbs.cli import main
-from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution
 from hcgibbs.sampler import TreeSample
+from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 A_12 = 1.0169168190675275
@@ -196,8 +203,7 @@ SAMPLE_ARGS = ["--depth", "5", "--trees", "4", "--seed", "11"]
 
 # SHA-256 of json.dumps(parsed stdout, sort_keys=True), captured before the
 # compact JSON writer; only whitespace inside scalar arrays may change.
-# tv_to_stationary sums over a set, whose order follows the string hash, so
-# the runs pin PYTHONHASHSEED.
+# The runs inherit the string hash seed: no output may depend on it.
 @pytest.mark.parametrize(
     "spec, argv, digest",
     [
@@ -211,7 +217,7 @@ def test_parsed_output_frozen(tmp_path, spec, argv, digest):
     path = tmp_path / "spec.json"
     path.write_text(spec)
     src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hcgibbs", argv[0], str(path), *argv[1:]],
@@ -342,6 +348,19 @@ def test_chain_unknown_branch(capsys, spec2):
     assert main(["chain", spec2, "--format", "csv", "--branch", "nope"]) == 2
 
 
+def test_chain_csv_named_branch(capsys, spec3):
+    spec = ActivitySpec(loop_activities={1: 9.0, 2: 9.0}, tail_mass=112.0)
+    graph = graph_from_spec(spec)
+    window = minimal_window(spec)
+    for sol in enumerate_solutions(ThreeLoopProblem(9.0, 130.0)):
+        sol = relabel_solution(sol, graph)
+        assert main(["chain", spec3, "--format", "csv", "--branch", sol.branch]) == 0
+        tm = transition_matrix(sol, spec, graph, window)
+        sd = stationary_closed_form(sol, spec, graph, window)
+        expected = matrix_to_csv(tm) + "\n" + distribution_to_csv(sd)
+        assert capsys.readouterr().out == expected
+
+
 def test_chain_window_too_small(capsys, spec3):
     assert main(["chain", spec3, "--window", "1"]) == 2
 
@@ -437,6 +456,42 @@ def test_sweep_curve_pair_names(capsys):
     assert out.startswith("lambda,h,delta")
     assert main(["sweep", "--emit-curves", "f,h", "--x", "2.0", "--Lambda", "10"]) == 2
     assert main(["sweep", "--emit-curves", "f,g", "--Lambda", "10"]) == 2
+
+
+# 1e200 overflows h,delta's bound (1 + x)**2 before any curve runs
+@pytest.mark.parametrize("x", ["1e100", "1e200", "inf"])
+@pytest.mark.parametrize("pair", ["f,g", "h,delta"])
+def test_sweep_curve_overflow_is_bad_input(capsys, pair, x):
+    argv = ["sweep", "--emit-curves", pair, "--x", x, "--Lambda", "6", "--points", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["missing/thr.json", "."])
+def test_unwritable_out_is_bad_input(tmp_path, capsys, target):
+    rc = main(["thresholds", "--lambda", "4", "--out", str(tmp_path / target)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+
+
+def test_sample_output_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(PAIR)
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "30"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["sample", str(path), "--depth", "6", "--trees", "5", "--seed", "3"]
+        proc = subprocess.run([sys.executable, "-m", "hcgibbs", *argv],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -5,6 +5,9 @@ it solves the consistency system directly and never touches the branch
 algebra.  The solver tests freeze values that were confirmed here.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,34 @@ def test_threshold_satellites_merge_into_symmetric_cluster():
         assert res.count == want
         sym = min(res.representatives, key=lambda r: abs(r.z[1] - r.z[2]))
         assert abs(sym.z[1] - sym.z[2]) < 1e-9
+
+
+# SHA-256 of every representative (z, A, residual, members, source) of
+# multistart_count at 100 starts, seeds 0-2, with and without closed-form
+# hints, on threshold cells where the pitchfork merge collapses clusters.
+# Frozen from the two-pass grouping that preceded _leaders.
+MERGE_DIGESTS = [
+    (4.0, 1.0, "0bb79ca13a35997bda275d7c9c7160c0957ba74b93662e023a4fc58699cca6f3"),
+    (49 / 9, 1.0, "9775a71382286e375384a290d2b9c91a79e2b1f4519ecd769a1197259fa49631"),
+    (6.0, 1.0, "434bccbf9d03a55c9e1cce83ffeb667090dc9cfed22766a82cdc4eb0d2dc14fd"),
+    (6.0, 1.0001, "e7f9846e9aa6467502f13d3e44f2a6fe821f45e4e7c863925b43a37b9d33ebb4"),
+    (9.0, 1.0, "a1e8a133089b6f1d8e7bbe9ab50c85a94b8d2712c4e525bf8fc6406d58c849ce"),
+    (9.0, 1.0001, "41d8179c888dea4ef21e5ef1355c9ef2de5c0e35c8640cb627ffdce7738fb6e1"),
+    (12.0, 1.0, "1093261e8a8f823666d695299908a0b21a38cb235318064b6c358bfe5100448b"),
+    (12.0, 1.0001, "32128ab564546e1fde4c92ba91cfc446f5e14a6cfa0caeb8b6ed51cca765d17d"),
+]
+
+
+@pytest.mark.parametrize("lam, factor, digest", MERGE_DIGESTS)
+def test_merge_representatives_frozen(lam, factor, digest):
+    Lambda = thresholds(lam)[0] * factor
+    spec = ActivitySpec(loop_activities={1: lam, 2: lam}, tail_mass=Lambda - 2.0 * lam)
+    graph = graph_from_spec(spec)
+    hints = enumerate_solutions(ThreeLoopProblem(lam, Lambda))
+    runs = []
+    for seed in range(3):
+        for h in (None, hints):
+            res = multistart_count(spec, graph, n_starts=100, seed=seed, hints=h)
+            runs.append([res.count] + [[sorted(r.z.items()), r.A, r.residual, r.members, r.source]
+                                       for r in res.representatives])
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == digest

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hcgibbs.boundary_law import expand, residual
-from hcgibbs.errors import DivergentActivities, InputError
+from hcgibbs.errors import DivergentActivities, DomainError, InputError
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.three_loop import (
     LAMBDA_STAR,
@@ -201,6 +201,13 @@ def test_curve_small_activity_limits():
     x, Lambda = 2.0, 10.0
     assert h_curve(1e-12, x, Lambda) == pytest.approx(2.0 * (1.0 + x) ** 4, abs=1e-8)
     assert abs(delta_curve(1e-12, x, Lambda)) < 1e-8
+
+
+def test_curve_overflow_is_domain_error():
+    for fn in (h_curve, delta_curve):
+        for x in (1e200, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                fn(1.0, x, 10.0)  # overflows, or x is not finite
 
 
 def test_problem_validation():

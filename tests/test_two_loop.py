@@ -113,6 +113,10 @@ def test_curve_domain_errors():
         f_curve(2.0, 2.0, 6.0)  # x^2 - 4 lambda < 0
     with pytest.raises(DomainError):
         f_curve(1.0, -1.0, 6.0)
+    for x in (1e100, float("inf"), float("nan")):
+        for fn in (f_curve, g_curve):
+            with pytest.raises(DomainError):
+                fn(1.0, x, 6.0)  # overflows, or x is not finite
 
 
 def test_problem_validation():
