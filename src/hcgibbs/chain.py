@@ -21,7 +21,8 @@ entered, and their rows are the unit vector at 0.
 A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
 sampler draws from that form; the dense matrix is built only when it is
-read, for export and the matrix checks.
+read, for export and the matrix checks.  Export formats each distinct row
+of it once and reuses that text for every state with the same row.
 """
 
 from __future__ import annotations
@@ -361,11 +362,27 @@ def _label_str(label) -> str:
     return label if label == TAIL else str(label)
 
 
+def _row_texts(tm: TransitionMatrix, encode) -> list:
+    """encode(row) for each row of tm.matrix, called once per distinct row.
+
+    Rows are keyed by their bytes, so equal keys give equal text and -0.0
+    keeps its own key; a structural kernel has at most 2 + loops distinct
+    rows (the hub row, one per loop and the unit step to 0).
+    """
+    memo = {}
+    texts = []
+    for row in tm.matrix:
+        key = row.tobytes()
+        if key not in memo:
+            memo[key] = encode(row)
+        texts.append(memo[key])
+    return texts
+
+
 def matrix_to_csv(tm: TransitionMatrix) -> str:
     """CSV text: header of state labels, then one row per state."""
     lines = [",".join(_label_str(lab) for lab in tm.states)]
-    for row in tm.matrix:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -35,6 +35,9 @@ from .oracle import multistart_count
 
 _FLOAT_FMT = "%.17g"
 
+# sweep --emit-curves holds every row before the write (about 0.23 KB each)
+_MAX_CURVE_POINTS = 100_000
+
 
 def _write(text: str, out: str) -> None:
     if out == "-":
@@ -53,8 +56,9 @@ class _Encoded(str):
 def _json_text(obj, indent: str = "") -> str:
     """JSON text of obj with compact leaves.
 
-    Dicts, and lists that hold a container, get json.dumps(indent=2)'s
-    layout of one item a line; every other list goes on one line through
+    Dicts, and lists that hold a container or _Encoded text, get
+    json.dumps(indent=2)'s layout of one item a line (_Encoded text stands
+    for the value it encodes); every other list goes on one line through
     the C encoder, which json.dumps bypasses whenever indent is set.  Dict
     keys are strings, as in every command's output.
     """
@@ -64,7 +68,7 @@ def _json_text(obj, indent: str = "") -> str:
     if isinstance(obj, dict) and obj:
         items = [f"{inner}{json.dumps(key)}: {_json_text(v, inner)}" for key, v in obj.items()]
     elif isinstance(obj, (list, tuple)) and any(
-        issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))
+        issubclass(t, (dict, list, tuple, _Encoded)) for t in set(map(type, obj))
     ):
         items = [inner + _json_text(v, inner) for v in obj]
     else:
@@ -84,6 +88,11 @@ def _spins_json(forest) -> list:
     """
     tokens = np.array([json.dumps(lab) for lab in forest[0].states], dtype=object)
     return [_Encoded("[" + ", ".join(tokens[tree.index].tolist()) + "]") for tree in forest]
+
+
+def _json_row(row: np.ndarray) -> _Encoded:
+    """One kernel row as the one-line JSON array _json_text writes for it."""
+    return _Encoded(json.dumps(row.tolist()))
 
 
 def _load_spec(path: str) -> ActivitySpec:
@@ -198,7 +207,11 @@ def cmd_chain(args) -> int:
                 {
                     "branch": s.branch,
                     "solution": s.to_json_dict(),
-                    "matrix": tm.to_json_dict(),
+                    "matrix": {
+                        "window": tm.window,
+                        "states": list(tm.states),
+                        "matrix": chain_mod._row_texts(tm, _json_row),
+                    },
                     "stationary": sd.to_json_dict(),
                     "report": {
                         "max_residual": report.max_residual,
@@ -250,13 +263,19 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, name: str) -> list[float]:
+def _parse_grid(text: str, name: str, allow_inf: bool) -> list[float]:
+    """Comma-separated grid values; NaN is refused, and so is +-inf unless allowed."""
     if text.strip() == "":
         return []
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"{name} must be comma-separated numbers, got {text!r}")
+    if any(math.isnan(v) for v in values):
+        raise InputError(f"{name} must not hold NaN, got {text!r}")
+    if not allow_inf and not all(map(math.isfinite, values)):
+        raise InputError(f"{name} must hold finite numbers, got {text!r}")
+    return values
 
 
 def _sweep_curves(args) -> int:
@@ -265,6 +284,9 @@ def _sweep_curves(args) -> int:
         raise InputError(f'--emit-curves takes "f,g" or "h,delta", got {pair!r}')
     if args.x is None or args.Lambda is None:
         raise InputError("--emit-curves needs --x and --Lambda")
+    n = args.points
+    if not 1 <= n <= _MAX_CURVE_POINTS:
+        raise InputError(f"--points must be between 1 and {_MAX_CURVE_POINTS}, got {n}")
     x = _positive(args.x, "--x")
     Lambda = _positive(args.Lambda, "--Lambda")
     if pair == "f,g":
@@ -278,7 +300,6 @@ def _sweep_curves(args) -> int:
             bound = math.inf  # the curves then refuse every row
         funcs = (three_loop.h_curve, three_loop.delta_curve)
         header = "lambda,h,delta"
-    n = args.points
     lines = [header]
     for i in range(1, n + 1):
         lam = bound * i / n
@@ -293,8 +314,9 @@ def cmd_sweep(args) -> int:
         return _sweep_curves(args)
     if args.lambda_grid is None or args.Lambda_grid is None:
         raise InputError("sweep needs --lambda-grid and --Lambda-grid (or --emit-curves)")
-    lams = _parse_grid(args.lambda_grid, "--lambda-grid")
-    Lambdas = _parse_grid(args.Lambda_grid, "--Lambda-grid")
+    lams = _parse_grid(args.lambda_grid, "--lambda-grid", allow_inf=False)
+    # Lambda = +inf is the paper's divergent case: no TIGM, exit 3
+    Lambdas = _parse_grid(args.Lambda_grid, "--Lambda-grid", allow_inf=True)
     lines = ["lambda,Lambda,count_closed_form,count_oracle,agree"]
     for lam in lams:
         for Lambda in Lambdas:

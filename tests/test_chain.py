@@ -6,10 +6,13 @@ closed form is algebraically stationary), so several assertions here use
 == on floats deliberately.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from hcgibbs import chain
 from hcgibbs.chain import (
     _MAX_STATES,
     TAIL,
@@ -26,6 +29,7 @@ from hcgibbs.chain import (
     transition_matrix,
     verify_stationary,
 )
+from hcgibbs.cli import _Encoded, _json_row, _json_text, main
 from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
@@ -290,3 +294,64 @@ def test_json_dicts():
     assert dd["states"] == [-2, -1, 0, 1, 2, TAIL]
     assert np.array_equal(np.array(dd["probabilities"]), sd.probabilities)
     assert isinstance(StationaryDistribution(2, state_labels(2), sd.probabilities), StationaryDistribution)
+
+
+def test_matrix_to_csv_keeps_signed_zero_rows():
+    dense = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, -0.0, 0.0],
+        ]
+    )
+    tm = TransitionMatrix(1, state_labels(1), dense, (True,) * 4)
+    assert matrix_to_csv(tm).split("\n") == [
+        "-1,0,1,TAIL",
+        "0,1,0,0",
+        "-0,1,0,0",
+        "0,1,0,0",
+        "0,1,-0,0",
+        "",
+    ]
+
+
+def test_chain_export_encodes_each_distinct_row_once(tmp_path, capsys, monkeypatch):
+    # 602 states: loops at 1 and 2, every other label of -300..300 listed
+    tail = {str(lab): 0.1 for lab in range(-300, 301) if lab not in (0, 1, 2)}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"loops": {"1": 9.0, "2": 9.0}, "tail": tail, "tail_mass": 22.2}))
+    calls = []
+    row_texts = chain._row_texts
+
+    def counted(tm, encode):
+        n = 0
+
+        def counting(row):
+            nonlocal n
+            n += 1
+            return encode(row)
+
+        texts = row_texts(tm, counting)
+        calls.append((len(texts), n))
+        return texts
+
+    monkeypatch.setattr(chain, "_row_texts", counted)
+    assert main(["chain", str(path)]) == 0
+    solutions = json.loads(capsys.readouterr().out)["solutions"]
+    assert len(solutions) == 3
+    assert len(calls) == 3
+    assert all(states == 602 and 1 <= n <= 2 + 2 for states, n in calls)
+
+    calls.clear()
+    assert main(["chain", str(path), "--format", "csv", "--branch", "asymmetric-A1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 602 + 1 + 2
+    assert len(calls) == 1 and 1 <= calls[0][1] <= 2 + 2
+
+
+def test_encoded_rows_keep_the_nested_list_layout():
+    rows = np.array([[0.25, 0.75, -0.0], [1.0, 0.0, 0.0]])
+    plain = _json_text({"matrix": rows.tolist(), "states": [-1, 0, 1]})
+    encoded = _json_text({"matrix": [_json_row(row) for row in rows], "states": [-1, 0, 1]})
+    assert encoded == plain
+    assert _json_text([_Encoded("[1]"), _Encoded("[2]")]) == _json_text([[1], [2]])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hcgibbs
+from hcgibbs import two_loop
 from hcgibbs.chain import (
     distribution_to_csv,
     matrix_to_csv,
@@ -18,7 +19,7 @@ from hcgibbs.chain import (
     stationary_closed_form,
     transition_matrix,
 )
-from hcgibbs.cli import main
+from hcgibbs.cli import _MAX_CURVE_POINTS, main
 from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution
 from hcgibbs.sampler import TreeSample
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
@@ -230,6 +231,47 @@ def test_parsed_output_frozen(tmp_path, spec, argv, digest):
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
+FIVE = '{"loops":{"1":9.0,"2":9.0},"tail_mass":112.0}'
+
+
+# SHA-256 of the exact stdout bytes of `chain`, in JSON and in CSV for each
+# branch, captured before the row texts were memoized
+@pytest.mark.parametrize(
+    "spec, argv, digest",
+    [
+        (NARROW, [], "601f594c874b4450f6dacec39274b19136650484ed802a445c6972771d51aed9"),
+        (NARROW, ["--branch", "two-loop-g"], "b2251038f0c34b6a5ccae3ea30a9f8c3613ab2c37e467c6fe5247d1d72f678a7"),
+        (FIVE, [], "2c33ad73db1794dfdd194e93f35cb1ebeb37c54304ce0627acade775b16bef8e"),
+        (FIVE, ["--branch", "symmetric"], "de5fdeebe679eb0b390315cf42593430a32b8a5588c00e1ec8181a4ed8bb5d46"),
+        (FIVE, ["--branch", "asymmetric-A1"], "d8f21c35068de3c11235e2d1a15b62fd73687ec5066b983de2fb2a049ccabe3c"),
+        (FIVE, ["--branch", "asymmetric-A1-swapped"], "9b0118a7841a7e73724cece6f0efc95586d752e7ef1d8b55d4dced22588f3724"),
+        (FIVE, ["--branch", "asymmetric-A2"], "8db21da06c228a28227f4c4ddd0ec7914d8b86fb9553b19908a291d6e021dd98"),
+        (FIVE, ["--branch", "asymmetric-A2-swapped"], "88278ec45b3a4f71b728f6300228b465603e2eeac855a093d4835470b33dee04"),
+        (PAIR, [], "d4df311266a0e31f9daa45b44a127740fcbaa53dab2885777084c3b8b13086db"),
+        (PAIR, ["--branch", "symmetric"], "d699dd3dc0eebd3f6a5385899cdff682f910cecae9e6eb762c5721d15c21f84e"),
+        (PAIR, ["--branch", "asymmetric-A1"], "47d9d7a0bdcc6a2072a6b6b1ba880afff97c084ceddddd66fbc43461a768ab2f"),
+        (PAIR, ["--branch", "asymmetric-A1-swapped"], "740ab5e9bb5e6b73db3eebeaed2bebcb768c19592b1b07d44553b9a0fecfa27a"),
+        (PAIR, ["--window", "44"], "ff9e4511f39434c7fd0ac2384fc96b1d8a4cf06c2b53ba7b2c70913464bbb6a7"),
+        (PAIR, ["--window", "44", "--branch", "symmetric"], "09076a8ea07d95ca32e0f0b4ac828ded1b337309e8a73707c13a14a8a2405398"),
+        (PAIR, ["--window", "44", "--branch", "asymmetric-A1"], "4dcef048390e57a66940d095b70e61f578e6654371e614612d6086ae959b9aea"),
+        (PAIR, ["--window", "44", "--branch", "asymmetric-A1-swapped"], "05ff725e39d54753a340151ebfde918ab24d17e59a3c1a8c686a83c13629973f"),
+    ],
+)
+def test_chain_output_bytes_frozen(tmp_path, spec, argv, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    if "--branch" in argv:
+        argv = [*argv, "--format", "csv"]
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcgibbs", "chain", str(path), *argv], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_sample_writes_from_index_arrays(capsys, monkeypatch, tmp_path):
     def labels(self):
         raise AssertionError("the sample command read TreeSample.spins")
@@ -418,6 +460,20 @@ def test_sweep_skips_inconsistent_cells(capsys):
     assert "skipping" in captured.err
 
 
+@pytest.mark.parametrize("lams, Lambdas", [("nan", "60"), ("9", "nan"), ("inf", "60")])
+def test_sweep_grid_nan_or_infinite_loop_is_bad_input(capsys, lams, Lambdas):
+    rc = main(["sweep", "--lambda-grid", lams, "--Lambda-grid", Lambdas])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_sweep_infinite_total_activity_is_no_tigm(capsys):
+    assert main(["sweep", "--lambda-grid", "9", "--Lambda-grid", "inf"]) == 3
+    assert capsys.readouterr().err.startswith("no TIGM:")
+
+
 def test_sweep_empty_grid(capsys):
     rc = main(["sweep", "--lambda-grid", "", "--Lambda-grid", "5"])
     captured = capsys.readouterr()
@@ -456,6 +512,19 @@ def test_sweep_curve_pair_names(capsys):
     assert out.startswith("lambda,h,delta")
     assert main(["sweep", "--emit-curves", "f,h", "--x", "2.0", "--Lambda", "10"]) == 2
     assert main(["sweep", "--emit-curves", "f,g", "--Lambda", "10"]) == 2
+
+
+@pytest.mark.parametrize("points", [0, -3, _MAX_CURVE_POINTS + 1])
+def test_sweep_curve_points_out_of_range(capsys, monkeypatch, points):
+    def no_rows(*args):
+        raise AssertionError("a curve row was computed")
+
+    monkeypatch.setattr(two_loop, "f_curve", no_rows)
+    argv = ["sweep", "--emit-curves", "f,g", "--x", "2.5", "--Lambda", "6", f"--points={points}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --points")
 
 
 # 1e200 overflows h,delta's bound (1 + x)**2 before any curve runs
