@@ -3,7 +3,10 @@
 Subcommands expose the solvers, the regime classifier, the chain builder,
 the tree sampler, and a phase-diagram sweep.  Every command is
 deterministic given its flags and seed.  Output goes to the path given by
---out, with "-" meaning standard output.
+--out, with "-" meaning standard output.  Every value of a document is
+computed before the output is opened, so a failed computation leaves no
+partial file; the text is then streamed into the output in pieces and
+never held as one string.
 
 Exit codes: 0 success, 2 bad input, 3 divergent activities (no
 translation-invariant Gibbs measure exists), 4 numerical failure.
@@ -12,8 +15,10 @@ translation-invariant Gibbs measure exists), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -39,46 +44,73 @@ _FLOAT_FMT = "%.17g"
 _MAX_CURVE_POINTS = 100_000
 
 
-def _write(text: str, out: str) -> None:
+def _write(chunks, out: str) -> None:
+    """Write the text pieces chunks to the file out, or to standard output for "-".
+
+    A reader that closes standard output early (`| head`) ends the write
+    quietly, and the command still exits 0.
+    """
     if out == "-":
-        sys.stdout.write(text)
-    else:
         try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}")
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is still buffered goes nowhere, so the exit flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(out, "w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}")
 
 
 class _Encoded(str):
     """Text that is already JSON, written as it is."""
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """JSON text of obj with compact leaves.
+def _json_chunks(obj, indent: str = ""):
+    """JSON text of obj with compact leaves, yielded piece by piece.
 
     Dicts, and lists that hold a container or _Encoded text, get
     json.dumps(indent=2)'s layout of one item a line (_Encoded text stands
-    for the value it encodes); every other list goes on one line through
-    the C encoder, which json.dumps bypasses whenever indent is set.  Dict
-    keys are strings, as in every command's output.
+    for the value it encodes and is yielded as it is); every other list
+    goes on one line through the C encoder, which json.dumps bypasses
+    whenever indent is set.  Dict keys are strings, as in every command's
+    output.
     """
-    inner = indent + "  "
     if isinstance(obj, _Encoded):
-        return obj
+        yield obj
+        return
+    inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        items = [f"{inner}{json.dumps(key)}: {_json_text(v, inner)}" for key, v in obj.items()]
+        sep = "{\n"
+        for key, v in obj.items():
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(v, inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
     elif isinstance(obj, (list, tuple)) and any(
         issubclass(t, (dict, list, tuple, _Encoded)) for t in set(map(type, obj))
     ):
-        items = [inner + _json_text(v, inner) for v in obj]
+        sep = "[\n"
+        for v in obj:
+            yield sep + inner
+            yield from _json_chunks(v, inner)
+            sep = ",\n"
+        yield f"\n{indent}]"
     else:
-        return json.dumps(obj)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+        yield json.dumps(obj)
+
+
+def _json_text(obj) -> str:
+    """The text _json_chunks yields for obj, joined."""
+    return "".join(_json_chunks(obj))
 
 
 def _emit_json(obj, out: str) -> None:
-    _write(_json_text(obj) + "\n", out)
+    """Stream obj's JSON text, then a newline, into out."""
+    _write(itertools.chain(_json_chunks(obj), ("\n",)), out)
 
 
 def _spins_json(forest) -> list:
@@ -197,7 +229,7 @@ def cmd_chain(args) -> int:
 
     if args.format == "csv":
         _, tm, sd, _ = entries[sols.index(_pick_branch(sols, args.branch))]
-        _write(chain_mod.matrix_to_csv(tm) + "\n" + chain_mod.distribution_to_csv(sd), args.out)
+        _write((chain_mod.matrix_to_csv(tm), "\n", chain_mod.distribution_to_csv(sd)), args.out)
         return 0
 
     _emit_json(
@@ -305,7 +337,7 @@ def _sweep_curves(args) -> int:
         lam = bound * i / n
         row = [lam] + [fn(lam, x, Lambda) for fn in funcs]
         lines.append(",".join(_FLOAT_FMT % v for v in row))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines), "\n"), args.out)
     return 0
 
 
@@ -314,6 +346,8 @@ def cmd_sweep(args) -> int:
         return _sweep_curves(args)
     if args.lambda_grid is None or args.Lambda_grid is None:
         raise InputError("sweep needs --lambda-grid and --Lambda-grid (or --emit-curves)")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     lams = _parse_grid(args.lambda_grid, "--lambda-grid", allow_inf=False)
     # Lambda = +inf is the paper's divergent case: no TIGM, exit 3
     Lambdas = _parse_grid(args.Lambda_grid, "--Lambda-grid", allow_inf=True)
@@ -340,7 +374,7 @@ def cmd_sweep(args) -> int:
             lines.append(
                 f"{_FLOAT_FMT % lam},{_FLOAT_FMT % Lambda},{closed},{oracle},{agree}"
             )
-    _write("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines), "\n"), args.out)
     return 0
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -268,6 +268,15 @@ def sample_forest(
     )
 
 
+@lru_cache(maxsize=1)
+def _edge_masks(states: tuple, graph: AdmissibilityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Hub and self-loop masks over a state table, built once for the trees sharing it."""
+    hub = np.array([s == 0 for s in states])
+    loop = np.array([graph.adjacency(s, s) == 1 for s in states])
+    hub.flags.writeable = loop.flags.writeable = False
+    return hub, loop
+
+
 def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     """Fraction of tree edges whose endpoint spins are admissible.
 
@@ -277,8 +286,7 @@ def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     edges = len(sample.index) - 1
     if edges == 0:
         return 1.0
-    hub = np.array([s == 0 for s in sample.states])
-    loop = np.array([graph.adjacency(s, s) == 1 for s in sample.states])
+    hub, loop = _edge_masks(sample.states, graph)
     # parents in breadth-first order: the root k + 1 times, then every
     # vertex above the last level k times
     idx, k = sample.index, sample.k

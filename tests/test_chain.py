@@ -7,6 +7,7 @@ closed form is algebraically stationary), so several assertions here use
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,11 +317,16 @@ def test_matrix_to_csv_keeps_signed_zero_rows():
     ]
 
 
-def test_chain_export_encodes_each_distinct_row_once(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def wide_spec(tmp_path):
     # 602 states: loops at 1 and 2, every other label of -300..300 listed
     tail = {str(lab): 0.1 for lab in range(-300, 301) if lab not in (0, 1, 2)}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"loops": {"1": 9.0, "2": 9.0}, "tail": tail, "tail_mass": 22.2}))
+    return path
+
+
+def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypatch):
     calls = []
     row_texts = chain._row_texts
 
@@ -337,16 +343,31 @@ def test_chain_export_encodes_each_distinct_row_once(tmp_path, capsys, monkeypat
         return texts
 
     monkeypatch.setattr(chain, "_row_texts", counted)
-    assert main(["chain", str(path)]) == 0
+    assert main(["chain", str(wide_spec)]) == 0
     solutions = json.loads(capsys.readouterr().out)["solutions"]
     assert len(solutions) == 3
     assert len(calls) == 3
     assert all(states == 602 and 1 <= n <= 2 + 2 for states, n in calls)
 
     calls.clear()
-    assert main(["chain", str(path), "--format", "csv", "--branch", "asymmetric-A1"]) == 0
+    assert main(["chain", str(wide_spec), "--format", "csv", "--branch", "asymmetric-A1"]) == 0
     assert capsys.readouterr().out.count("\n") == 1 + 602 + 1 + 2
     assert len(calls) == 1 and 1 <= calls[0][1] <= 2 + 2
+
+
+def test_chain_export_streams_its_json(wide_spec, tmp_path):
+    out = tmp_path / "chain.json"
+    argv = ["chain", str(wide_spec), "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the document is 5.5 MB, most of it the three kernels' row texts;
+    # joining it into one string copied it several times over
+    assert peak < 3 * out.stat().st_size
 
 
 def test_encoded_rows_keep_the_nested_list_layout():

@@ -486,6 +486,17 @@ def test_sweep_missing_arguments(capsys):
     assert main(["sweep", "--lambda-grid", "9"]) == 2
 
 
+def test_sweep_negative_seed_is_bad_input(capsys, monkeypatch):
+    def cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("hcgibbs.cli.multistart_count", cell)
+    assert main(["sweep", "--lambda-grid", "9", "--Lambda-grid", "100", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed")
+
+
 def test_sweep_curve_identity(capsys):
     x = 2.5
     rc = main(
@@ -545,6 +556,40 @@ def test_unwritable_out_is_bad_input(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write")
+
+
+# documents of megabytes, far more than a pipe or a write buffer holds
+LARGE_OUTPUTS = [
+    ["chain", "--window", "300"],
+    ["sample", "--depth", "12", "--trees", "20", "--seed", "1"],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", LARGE_OUTPUTS, ids=lambda argv: argv[0])
+def test_failed_write_is_bad_input(capsys, spec3, argv):
+    assert main([argv[0], spec3, *argv[1:], "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /dev/full")
+
+
+@pytest.mark.parametrize("argv", LARGE_OUTPUTS, ids=lambda argv: argv[0])
+def test_closed_stdout_ends_quietly(spec3, argv):
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "hcgibbs", argv[0], spec3, *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(5) == b"{\n  \""
+        proc.stdout.close()  # as `| head -c 5` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    assert err == b""
 
 
 def test_sample_output_independent_of_hash_seed(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hcgibbs import sampler
 from hcgibbs.chain import (
     TAIL,
     TransitionMatrix,
@@ -15,7 +16,7 @@ from hcgibbs.chain import (
     transition_matrix,
 )
 from hcgibbs.errors import InputError, TooLarge
-from hcgibbs.model import ActivitySpec, graph_from_spec, spec_from_json
+from hcgibbs.model import ActivitySpec, AdmissibilityGraph, graph_from_spec, spec_from_json
 from hcgibbs.sampler import (
     _MAX_SAMPLE_VERTICES,
     TreeSample,
@@ -356,6 +357,30 @@ def test_vectorised_statistics_match_label_reference():
                 _reference_counts(reaching, level).items()
             )
 
+
+def test_edge_masks_built_once_per_state_table(monkeypatch):
+    # 602 states: loops at 1 and 2, every other label of -300..300 listed
+    spec = ActivitySpec(
+        loop_activities={1: 9.0, 2: 9.0},
+        explicit_tail={lab: 0.1 for lab in range(-300, 301) if lab not in (0, 1, 2)},
+        tail_mass=22.2,
+    )
+    graph = graph_from_spec(spec)
+    sol = enumerate_solutions(ThreeLoopProblem.from_spec(spec))[0]
+    forest = sample_forest(sol, spec, graph, depth=3, trees=50, seed=0)
+    assert len(forest[0].states) == 602
+    calls = 0
+    adjacency = AdmissibilityGraph.adjacency
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return adjacency(self, i, j)
+
+    monkeypatch.setattr(AdmissibilityGraph, "adjacency", counted)
+    sampler._edge_masks.cache_clear()
+    assert [edge_admissibility(t, graph) for t in forest] == [1.0] * 50
+    assert 0 < calls <= len(forest[0].states)
 
 def _forest_digest(forest) -> str:
     text = json.dumps([t.to_json_dict() for t in forest], separators=(",", ":"))
