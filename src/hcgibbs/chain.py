@@ -20,14 +20,14 @@ entered, and their rows are the unit vector at 0.
 
 A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
-sampler draws from that form; the dense matrix is built only when it is
-read, for export and the matrix checks.  Export formats each distinct row
-of it once and reuses that text for every state with the same row.
+sampler draws from that form, and export encodes the unit row, the hub row
+and each loop row once.  The dense matrix is built only when the matrix
+checks read it, as an independent check on the structural form.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,37 +70,39 @@ def _state_index(window: int, label) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic kernel on the windowed state set.
+    """Row-stochastic kernel on the windowed state set, in structural form.
 
     states lists the labels in row/column order (-M..M then TAIL); active
     flags the states the chain actually visits (the hub, every listed spin,
     and TAIL when the unlisted mass is positive).
 
     hub_row is row 0 and stays maps each loop label to its stay probability,
-    the rest of that row going to 0; every other row steps to 0.  matrix is
-    built from these parts when first read, unless given as dense.
+    the rest of that row going to 0; every other row steps to 0.
+    nonunit_rows yields the hub and loop rows, and matrix, the dense form,
+    is built from them when first read.
     """
 
     window: int
     states: tuple
-    dense: InitVar[np.ndarray | None]
     active: tuple
-    hub_row: np.ndarray | None = None
-    stays: dict | None = None
+    hub_row: np.ndarray
+    stays: dict
 
-    def __post_init__(self, dense) -> None:
-        if dense is not None:
-            self.__dict__["matrix"] = dense
+    def nonunit_rows(self):
+        """(position, row) of the hub row, then of each loop's stay-or-return row."""
+        yield self.window, self.hub_row
+        for lab, stay in self.stays.items():
+            pos = self.index(lab)
+            row = np.zeros(len(self.states))
+            row[pos], row[self.window] = stay, 1.0 - stay
+            yield pos, row
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        hub = self.window
         P = np.zeros((len(self.states), len(self.states)))
-        P[:, hub] = 1.0
-        P[hub] = self.hub_row
-        for lab, stay in self.stays.items():
-            P[lab + hub, lab + hub] = stay
-            P[lab + hub, hub] = 1.0 - stay
+        P[:, self.window] = 1.0
+        for pos, row in self.nonunit_rows():
+            P[pos] = row
         return P
 
     def index(self, label) -> int:
@@ -108,13 +110,6 @@ class TransitionMatrix:
 
     def entry(self, i, j) -> float:
         return float(self.matrix[self.index(i), self.index(j)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "states": list(self.states),
-            "matrix": self.matrix.tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +174,16 @@ def _window_weights(
     return weights, spec.tail_mass * tail_z
 
 
+def _on_window(window: int, hub, values: dict, tail, dtype=float) -> np.ndarray:
+    """A vector over state_labels(window): hub at 0, values[lab] at each label, tail at TAIL."""
+    x = np.zeros(2 * window + 2, dtype=dtype)
+    x[window] = hub
+    for lab, v in values.items():
+        x[lab + window] = v
+    x[-1] = tail
+    return x
+
+
 def transition_matrix(
     solution: BoundaryLawSolution,
     spec: ActivitySpec,
@@ -194,25 +199,12 @@ def transition_matrix(
     row 0 and the stay probabilities are computed here, not the dense matrix.
     """
     weights, w_tail = _window_weights(solution, spec, graph, window)
-    n = 2 * window + 2
-    hub = window  # row/column index of spin 0
-    row0 = np.zeros(n)
-    row0[hub] = 1.0
-    for lab, w in weights.items():
-        row0[lab + hub] = w
-    row0[n - 1] = w_tail
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
-    hub_row = row0 / (1.0 + sum(weights.values()) + w_tail)
+    hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + sum(weights.values()) + w_tail)
     stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in graph.loops}
-
-    active = np.zeros(n, dtype=bool)
-    active[hub] = True
-    for lab in weights:
-        active[lab + hub] = True
-    active[n - 1] = spec.tail_mass > 0.0
-    active_flags = tuple(bool(a) for a in active)
-    return TransitionMatrix(window, state_labels(window), None, active_flags, hub_row, stays)
+    active = _on_window(window, True, dict.fromkeys(weights, True), spec.tail_mass > 0.0, bool)
+    return TransitionMatrix(window, state_labels(window), tuple(active.tolist()), hub_row, stays)
 
 
 def minimal_window(spec: ActivitySpec) -> int:
@@ -238,16 +230,9 @@ def stationary_closed_form(
     weights, w_tail = _window_weights(solution, spec, graph, window)
     S = sum(weights.values()) + w_tail
     denom = 1.0 + sum(weights[lab] ** 2 for lab in graph.loops) + 2.0 * S
-    n = 2 * window + 2
-    hub = window
-    x = np.zeros(n)
-    x[hub] = (1.0 + S) / denom
-    for lab, w in weights.items():
-        if lab in graph.loops:
-            x[lab + hub] = (w * w + w) / denom
-        else:
-            x[lab + hub] = w / denom
-    x[n - 1] = w_tail / denom
+    mass = {lab: (w * w + w) / denom if lab in graph.loops else w / denom
+            for lab, w in weights.items()}
+    x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
     return StationaryDistribution(window, state_labels(window), x)
 
 
@@ -363,19 +348,16 @@ def _label_str(label) -> str:
 
 
 def _row_texts(tm: TransitionMatrix, encode) -> list:
-    """encode(row) for each row of tm.matrix, called once per distinct row.
+    """encode(row) for each row of tm, without reading the dense matrix.
 
-    Rows are keyed by their bytes, so equal keys give equal text and -0.0
-    keeps its own key; a structural kernel has at most 2 + loops distinct
-    rows (the hub row, one per loop and the unit step to 0).
+    encode runs once on the unit step to 0, which every state off the hub
+    and the loops shares, and once on each row of tm.nonunit_rows().
     """
-    memo = {}
-    texts = []
-    for row in tm.matrix:
-        key = row.tobytes()
-        if key not in memo:
-            memo[key] = encode(row)
-        texts.append(memo[key])
+    unit = np.zeros(len(tm.states))
+    unit[tm.window] = 1.0
+    texts = [encode(unit)] * len(tm.states)
+    for pos, row in tm.nonunit_rows():
+        texts[pos] = encode(row)
     return texts
 
 

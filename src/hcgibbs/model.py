@@ -19,12 +19,20 @@ from .errors import DivergentActivities, InputError
 _SCHEMA_KEYS = {"k", "loops", "tail", "tail_mass", "divergent"}
 
 
+def _as_float(value, name: str) -> float:
+    """float(value); a number beyond double range is an InputError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{name} is beyond double precision range") from None
+
+
 def _check_activity(label: int, value: float) -> float:
     if isinstance(label, bool) or not isinstance(label, int):
         raise InputError(f"spin label {label!r} is not an integer")
     if label == 0:
         raise InputError("spin label 0 carries the hub; it cannot be listed")
-    value = float(value)
+    value = _as_float(value, f"activity at {label}")
     if not math.isfinite(value) or value <= 0.0:
         raise InputError(f"activity at {label} must be positive and finite, got {value!r}")
     return value
@@ -57,7 +65,7 @@ class ActivitySpec:
         overlap = set(loops) & set(tail)
         if overlap:
             raise InputError(f"labels {sorted(overlap)} appear as both loop and tail states")
-        mass = float(self.tail_mass)
+        mass = _as_float(self.tail_mass, "tail_mass")
         if not math.isfinite(mass) or mass < 0.0:
             raise InputError(f"tail_mass must be finite and >= 0, got {self.tail_mass!r}")
         if not isinstance(self.divergent, bool):
@@ -218,7 +226,7 @@ def spec_from_json(data: dict) -> ActivitySpec:
                 raise InputError(f'"{name}" key {key!r} is not a decimal integer string')
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise InputError(f'"{name}" value for {key!r} is not a number')
-            out[lab] = float(val)
+            out[lab] = _as_float(val, f'"{name}" value for {key!r}')
         return out
 
     k = data.get("k", 2)
@@ -229,7 +237,7 @@ def spec_from_json(data: dict) -> ActivitySpec:
     return ActivitySpec(
         loop_activities=parse_map(data["loops"], "loops"),
         explicit_tail=parse_map(data.get("tail", {}), "tail"),
-        tail_mass=float(tail_mass),
+        tail_mass=_as_float(tail_mass, '"tail_mass"'),
         k=k,
         divergent=divergent,
     )

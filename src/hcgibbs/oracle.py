@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_law import ReducedSystem, reduce
-from .errors import InputError
+from .errors import InputError, TooLarge
 from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution
 
 TOL = 1e-11  # residual gate for a confirmed point
@@ -38,6 +38,7 @@ STALL_STEPS = 10  # steps without a new best residual after which a start retire
 MAX_HALVINGS = 40  # step halvings that may keep a start in the positive orthant
 CLUSTER_TOL = 1e-6  # relative distance under which two points are one solution
 HINT_JITTER = 1e-4  # relative spread of the three jittered copies of each hint
+_MAX_STARTS = 100_000  # most random starts one multistart_count call may run
 
 # Distinctness resolution at a symmetric branch point.  Exactly where the
 # asymmetric solution family is born from the symmetric one, the defect is
@@ -218,9 +219,12 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     start and reaches attracting and repelling fixed points alike.  Points
     with residual below TOL are grouped as the module docstring describes:
     clusters at CLUSTER_TOL, then the pitchfork merge at PITCHFORK_TOL.
+    More than _MAX_STARTS starts raise TooLarge before any is drawn.
     """
     if n_starts < 50:
         raise InputError(f"n_starts must be at least 50, got {n_starts}")
+    if n_starts > _MAX_STARTS:
+        raise TooLarge(f"n_starts {n_starts} exceeds the cap of {_MAX_STARTS}")
     system = reduce(spec, graph)
     labels = system.loop_labels
     m = len(labels)

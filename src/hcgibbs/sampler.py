@@ -168,7 +168,7 @@ class _Kernel:
         stationary = stationary_closed_form(solution, spec, graph, window)
         self.states = tm.states
         self.k = spec.k
-        self.hub = window
+        self.hub = tm.index(0)
         self.active = np.flatnonzero(tm.active)
         self.cum_root = np.cumsum(stationary.probabilities[self.active])
         self.cum_hub = np.cumsum(tm.hub_row[self.active])
@@ -178,7 +178,7 @@ class _Kernel:
         self.stay_hi = np.zeros(len(self.states))
         for lab, stay in tm.stays.items():
             lo_hi = (1.0 - stay, np.inf) if lab > 0 else (0.0, stay)
-            self.stay_lo[lab + window], self.stay_hi[lab + window] = lo_hi
+            self.stay_lo[tm.index(lab)], self.stay_hi[tm.index(lab)] = lo_hi
 
     def _inverse_cdf(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         # a variate at or past the last sum takes the last active state

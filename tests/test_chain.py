@@ -160,9 +160,9 @@ def test_irreducible_on_active_states():
 
 def test_irreducible_detects_unreachable_state():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    cut = tm.matrix.copy()
-    cut[tm.index(0), tm.index(2)] = 0.0  # state 2 stays active but unreachable
-    bad = TransitionMatrix(tm.window, tm.states, cut, tm.active)
+    cut = tm.hub_row.copy()
+    cut[tm.index(2)] = 0.0  # state 2 stays active but unreachable
+    bad = TransitionMatrix(tm.window, tm.states, tm.active, cut, tm.stays)
     assert not irreducible(bad)
 
 
@@ -283,13 +283,20 @@ def test_csv_round_trip():
     dparsed = np.array([float(tok) for tok in dlines[1].split(",")])
     assert np.array_equal(dparsed, sd.probabilities)
 
+    # loops either side of the hub, on a window wider than the minimal one
+    spec = ActivitySpec(loop_activities={-2: 9.0, 3: 9.0}, explicit_tail={1: 2.0}, tail_mass=110.0)
+    graph = graph_from_spec(spec)
+    for sol in SOLS2:
+        tm = transition_matrix(sol, spec, graph, 5)
+        lines = matrix_to_csv(tm).strip().split("\n")
+        assert lines[0] == "-5,-4,-3,-2,-1,0,1,2,3,4,5,TAIL"
+        parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(parsed, tm.matrix)
+        for lab in (-2, 3):
+            assert np.count_nonzero(parsed[tm.index(lab)]) == 2
+
 
 def test_json_dicts():
-    tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    d = tm.to_json_dict()
-    assert d["window"] == 2
-    assert d["states"] == [-2, -1, 0, 1, 2, TAIL]
-    assert np.array_equal(np.array(d["matrix"]), tm.matrix)
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
     dd = sd.to_json_dict()
     assert dd["states"] == [-2, -1, 0, 1, 2, TAIL]
@@ -297,24 +304,14 @@ def test_json_dicts():
     assert isinstance(StationaryDistribution(2, state_labels(2), sd.probabilities), StationaryDistribution)
 
 
-def test_matrix_to_csv_keeps_signed_zero_rows():
-    dense = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-0.0, 1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 1.0, -0.0, 0.0],
-        ]
-    )
-    tm = TransitionMatrix(1, state_labels(1), dense, (True,) * 4)
-    assert matrix_to_csv(tm).split("\n") == [
-        "-1,0,1,TAIL",
-        "0,1,0,0",
-        "-0,1,0,0",
-        "0,1,0,0",
-        "0,1,-0,0",
-        "",
-    ]
+def test_export_reads_no_dense_matrix():
+    tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 4)
+    text = matrix_to_csv(tm)
+    rows = chain._row_texts(tm, _json_row)
+    assert "matrix" not in tm.__dict__
+    assert [json.loads(row) for row in rows] == tm.matrix.tolist()
+    parsed = [[float(tok) for tok in line.split(",")] for line in text.split("\n")[1:-1]]
+    assert parsed == tm.matrix.tolist()
 
 
 @pytest.fixture

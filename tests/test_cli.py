@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hcgibbs
@@ -21,6 +22,7 @@ from hcgibbs.chain import (
 )
 from hcgibbs.cli import _MAX_CURVE_POINTS, main
 from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution
+from hcgibbs.oracle import _MAX_STARTS
 from hcgibbs.sampler import TreeSample
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -145,6 +147,27 @@ def test_thresholds_bad_input(capsys):
 )
 def test_threshold_overflow_is_bad_input(capsys, argv):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+HUGE = "9" * 400  # a JSON integer beyond double range
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"loops":{"1":%s}}' % HUGE,
+        '{"loops":{"1":1.0},"tail":{"3":%s}}' % HUGE,
+        '{"loops":{"1":1.0},"tail_mass":%s}' % HUGE,
+    ],
+    ids=["loops", "tail", "tail_mass"],
+)
+def test_spec_number_beyond_double_range_is_bad_input(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(["solve", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
@@ -495,6 +518,18 @@ def test_sweep_negative_seed_is_bad_input(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --seed")
+
+
+def test_sweep_starts_over_cap_is_bad_input(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("starts were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    argv = ["sweep", "--lambda-grid", "9", "--Lambda-grid", "130", "--starts", str(_MAX_STARTS + 1)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_starts")
 
 
 def test_sweep_curve_identity(capsys):

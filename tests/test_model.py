@@ -34,7 +34,7 @@ def test_spec_rejects_zero_label():
 
 
 def test_spec_rejects_bad_activity():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, 10**400):
         with pytest.raises(InputError):
             ActivitySpec(loop_activities={1: bad})
 

@@ -11,9 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from hcgibbs.errors import DivergentActivities, InputError
+from hcgibbs.errors import DivergentActivities, InputError, TooLarge
 from hcgibbs.model import ActivitySpec, graph_from_spec
-from hcgibbs.oracle import fixed_point_iterate, multistart_count
+from hcgibbs.oracle import _MAX_STARTS, fixed_point_iterate, multistart_count
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions, thresholds
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
@@ -100,6 +100,16 @@ def test_multistart_three_loop_bare_discovery():
     spec, graph = three_loop_setup(100.0)
     res = multistart_count(spec, graph, n_starts=100, seed=0)
     assert res.count == 3
+
+
+def test_multistart_caps_starts_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("starts were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    spec, graph = three_loop_setup(130.0)
+    with pytest.raises(TooLarge):
+        multistart_count(spec, graph, n_starts=_MAX_STARTS + 1)
 
 
 def test_multistart_finds_repelling_points_without_hints():
