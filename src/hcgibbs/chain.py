@@ -284,13 +284,15 @@ def irreducible(P) -> bool:
     array is taken at face value, every state counted.  True iff the
     directed graph of positive entries is strongly connected.
     """
-    m = _as_matrix(P)
+    pattern = _as_matrix(P) > 0.0
     if isinstance(P, TransitionMatrix):
+        # restrict the boolean pattern, not the float matrix: no float copy;
+        # a minimal window with tail mass has no inactive state to drop
         keep = np.asarray(P.active, dtype=bool)
-        m = m[np.ix_(keep, keep)]
-    if m.shape[0] == 0:
+        if not keep.all():
+            pattern = pattern[keep][:, keep]
+    if pattern.shape[0] == 0:
         raise InputError("empty state set")
-    pattern = m > 0.0
     return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 

@@ -182,8 +182,11 @@ def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, f
         x = 1.0 + A_lo
         z_b = (x * x - 2.0 * lam) / (2.0 * lam)
         psi_b = A_lo * x * x - Lambda - mult * lam * z_b * (2.0 + z_b)
-        scale = max(1.0, abs(Lambda), x ** 3)
-        if A_lo > 0.0 and abs(psi_b) <= 1e-9 * scale:
+        try:
+            certified = abs(psi_b) <= 1e-9 * max(1.0, abs(Lambda), x ** 3)
+        except OverflowError:
+            certified = False  # a scale past double range certifies nothing
+        if A_lo > 0.0 and certified:
             return A_lo, z_b, 1
         raise NumericalFailure(f"no aggregate root located for lam={lam}, Lambda={Lambda}")
     if len(found) == 2:

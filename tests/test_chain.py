@@ -6,6 +6,7 @@ closed form is algebraically stationary), so several assertions here use
 == on floats deliberately.
 """
 
+import io
 import json
 import tracemalloc
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from hcgibbs import chain
+from hcgibbs import chain, cli
 from hcgibbs.chain import (
     _MAX_STATES,
     TAIL,
@@ -32,7 +33,7 @@ from hcgibbs.chain import (
 )
 from hcgibbs.cli import _Encoded, _json_row, _json_text, main
 from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
-from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec, spec_from_json
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
@@ -314,13 +315,63 @@ def test_export_reads_no_dense_matrix():
     assert parsed == tm.matrix.tolist()
 
 
+# 602 states: loops at 1 and 2, every other label of -300..300 listed
+WIDE = {
+    "loops": {"1": 9.0, "2": 9.0},
+    "tail": {str(lab): 0.1 for lab in range(-300, 301) if lab not in (0, 1, 2)},
+    "tail_mass": 22.2,
+}
+
+
 @pytest.fixture
 def wide_spec(tmp_path):
-    # 602 states: loops at 1 and 2, every other label of -300..300 listed
-    tail = {str(lab): 0.1 for lab in range(-300, 301) if lab not in (0, 1, 2)}
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"loops": {"1": 9.0, "2": 9.0}, "tail": tail, "tail_mass": 22.2}))
+    path.write_text(json.dumps(WIDE))
     return path
+
+
+def _wide_kernels(window):
+    spec = spec_from_json(WIDE)
+    graph = graph_from_spec(spec)
+    sols = enumerate_solutions(ThreeLoopProblem.from_spec(spec))
+    return [transition_matrix(sol, spec, graph, window) for sol in sols]
+
+
+def test_irreducible_copies_no_float_matrix():
+    tm = _wide_kernels(300)[0]
+    assert tm.matrix.shape == (602, 602)  # built before the trace starts
+    tracemalloc.start()
+    try:
+        assert irreducible(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float copy of the active block alone would take matrix.nbytes
+    assert peak < tm.matrix.nbytes
+
+
+def _dense_irreducible(tm):
+    """The reference verdict: restrict the float matrix to the active states, then threshold."""
+    keep = np.asarray(tm.active, dtype=bool)
+    pattern = tm.matrix[np.ix_(keep, keep)] > 0.0
+    return chain._reaches_all(pattern) and chain._reaches_all(pattern.T)
+
+
+def test_irreducible_matches_dense_restriction():
+    # windows wider than minimal, so the active states have inactive gaps,
+    # and the minimal window of the wide spec, where every state is active
+    spec = ActivitySpec(loop_activities={-2: 9.0, 3: 9.0}, explicit_tail={1: 2.0}, tail_mass=110.0)
+    graph = graph_from_spec(spec)
+    kernels = [transition_matrix(sol, spec, graph, 5) for sol in SOLS2]
+    kernels += _wide_kernels(300)[:1] + _wide_kernels(310)
+    assert [all(tm.active) for tm in kernels] == [False] * len(SOLS2) + [True] + [False] * 3
+    for tm in kernels[:len(SOLS2)] + kernels[-1:]:
+        cut = tm.hub_row.copy()
+        cut[tm.index(1)] = 0.0  # state 1 stays active but unreachable
+        kernels.append(TransitionMatrix(tm.window, tm.states, tm.active, cut, tm.stays))
+    verdicts = [irreducible(tm) for tm in kernels]
+    assert verdicts == [_dense_irreducible(tm) for tm in kernels]
+    assert verdicts.count(False) == len(SOLS2) + 1
 
 
 def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypatch):
@@ -365,6 +416,28 @@ def test_chain_export_streams_its_json(wide_spec, tmp_path):
     # the document is 5.5 MB, most of it the three kernels' row texts;
     # joining it into one string copied it several times over
     assert peak < 3 * out.stat().st_size
+
+
+def test_chain_out_goes_out_in_few_writes(wide_spec, tmp_path, monkeypatch):
+    writes = []
+
+    class CountingFile(io.FileIO):
+        def write(self, b):
+            writes.append(len(b))
+            return super().write(b)
+
+    def counting_open(file, mode="r", buffering=-1):
+        # the layers open() stacks for a text file, over a raw file that counts its writes
+        assert mode == "w"
+        size = buffering if buffering > 1 else io.DEFAULT_BUFFER_SIZE
+        return io.TextIOWrapper(io.BufferedWriter(CountingFile(file, "w"), size))
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    out = tmp_path / "chain.json"
+    assert main(["chain", str(wide_spec), "--out", str(out)]) == 0
+    assert sum(writes) == out.stat().st_size > 5_000_000
+    # the default 8 KiB buffer would take several hundred
+    assert len(writes) <= 10
 
 
 def test_encoded_rows_keep_the_nested_list_layout():

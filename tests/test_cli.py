@@ -173,6 +173,34 @@ def test_spec_number_beyond_double_range_is_bad_input(capsys, tmp_path, spec):
     assert captured.err.startswith("error:")
 
 
+# the boundary scan's scale (1 + A)^3 overflows at these activities
+OVERFLOW_SPECS = [
+    '{"loops":{"1":1e300},"tail_mass":1e307}',
+    '{"loops":{"1":1e300,"2":1e300},"tail_mass":1e307}',
+]
+
+
+@pytest.mark.parametrize("spec", OVERFLOW_SPECS, ids=["one-loop", "two-loop"])
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["chain"], ["sample", "--depth", "2", "--seed", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_scale_is_numerical_failure(capsys, tmp_path, spec, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main([argv[0], str(path), *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: no aggregate root")
+
+
+def test_sweep_overflowing_scale_is_numerical_failure(capsys):
+    assert main(["sweep", "--lambda-grid", "1e300", "--Lambda-grid", "1e308"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: no aggregate root")
+
+
 @pytest.mark.parametrize(
     "spec, expected",
     [

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hcgibbs.errors import DivergentActivities, InputError
@@ -34,9 +35,18 @@ def test_spec_rejects_zero_label():
 
 
 def test_spec_rejects_bad_activity():
-    for bad in (0.0, -1.0, math.inf, math.nan, 10**400):
+    for bad in (0.0, -1.0, math.inf, math.nan, 10**400, "abc", "5", None, [1], True):
         with pytest.raises(InputError):
             ActivitySpec(loop_activities={1: bad})
+        with pytest.raises(InputError):
+            ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: bad})
+    for bad in ("x", None, [1], True):
+        with pytest.raises(InputError):
+            ActivitySpec(loop_activities={1: 1.0}, tail_mass=bad)
+    # numpy scalars are real numbers
+    spec = ActivitySpec(loop_activities={1: np.int64(3), 2: np.float32(2.5)}, tail_mass=np.float64(1.0))
+    assert spec.loop_activities == {1: 3.0, 2: 2.5} and spec.tail_mass == 1.0
+    assert all(type(v) is float for v in [*spec.loop_activities.values(), spec.tail_mass])
 
 
 def test_spec_rejects_non_integer_label():
