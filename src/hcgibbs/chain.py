@@ -286,11 +286,9 @@ def irreducible(P) -> bool:
     """
     pattern = _as_matrix(P) > 0.0
     if isinstance(P, TransitionMatrix):
-        # restrict the boolean pattern, not the float matrix: no float copy;
-        # a minimal window with tail mass has no inactive state to drop
+        # restrict the boolean pattern, not the float matrix: no float copy
         keep = np.asarray(P.active, dtype=bool)
-        if not keep.all():
-            pattern = pattern[keep][:, keep]
+        pattern = pattern[keep][:, keep]
     if pattern.shape[0] == 0:
         raise InputError("empty state set")
     return _reaches_all(pattern) and _reaches_all(pattern.T)
