@@ -20,9 +20,10 @@ entered, and their rows are the unit vector at 0.
 
 A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
-sampler draws from that form, and export encodes the unit row, the hub row
-and each loop row once.  The dense matrix is built only when the matrix
-checks read it, as an independent check on the structural form.
+sampler draws from that form, export encodes the unit row, the hub row and
+each loop row once, and the stationarity and irreducibility checks read it
+too, so no command holds a window-squared matrix.  The dense matrix is built
+only by power_iteration and by reading the matrix attribute.
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ TAIL = "TAIL"
 # build a kernel from it
 RESIDUAL_PRE_TOL = 1e-8
 
-# largest state set 2M+2 a kernel may have; caps the dense matrix at 128 MiB
+# largest state set 2M+2 a kernel may have; caps power_iteration's dense
+# matrix at 128 MiB
 _MAX_STATES = 4096
+
+# verify_stationary multiplies by at most this many kernel columns at a
+# time: its block buffer is then 1 MiB at 1024 states and 4 MiB at the cap
+_BLOCK_COLUMNS = 128
 
 
 def state_labels(window: int) -> tuple:
@@ -78,8 +84,8 @@ class TransitionMatrix:
 
     hub_row is row 0 and stays maps each loop label to its stay probability,
     the rest of that row going to 0; every other row steps to 0.
-    nonunit_rows yields the hub and loop rows, and matrix, the dense form,
-    is built from them when first read.
+    nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
+    built from them when first read; only power_iteration reads it.
     """
 
     window: int
@@ -109,7 +115,14 @@ class TransitionMatrix:
         return _state_index(self.window, label)
 
     def entry(self, i, j) -> float:
-        return float(self.matrix[self.index(i), self.index(j)])
+        """P[i, j], read from the structural form."""
+        r, c = self.index(i), self.index(j)
+        if r == self.window:
+            return float(self.hub_row[c])
+        stay = self.stays.get(self.states[r], 0.0)
+        if c == r:
+            return float(stay)
+        return float(1.0 - stay) if c == self.window else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +212,15 @@ def transition_matrix(
     row 0 and the stay probabilities are computed here, not the dense matrix.
     """
     weights, w_tail = _window_weights(solution, spec, graph, window)
+    return _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0)
+
+
+def _kernel(window: int, weights: dict, w_tail: float, loops, tail_active: bool) -> TransitionMatrix:
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
     hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + sum(weights.values()) + w_tail)
-    stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in graph.loops}
-    active = _on_window(window, True, dict.fromkeys(weights, True), spec.tail_mass > 0.0, bool)
+    stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in loops}
+    active = _on_window(window, True, dict.fromkeys(weights, True), tail_active, bool)
     return TransitionMatrix(window, state_labels(window), tuple(active.tolist()), hub_row, stays)
 
 
@@ -228,12 +245,30 @@ def stationary_closed_form(
     if window is None:
         window = minimal_window(spec)
     weights, w_tail = _window_weights(solution, spec, graph, window)
+    return _stationary(window, weights, w_tail, graph.loops)
+
+
+def _stationary(window: int, weights: dict, w_tail: float, loops) -> StationaryDistribution:
     S = sum(weights.values()) + w_tail
-    denom = 1.0 + sum(weights[lab] ** 2 for lab in graph.loops) + 2.0 * S
-    mass = {lab: (w * w + w) / denom if lab in graph.loops else w / denom
+    denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
+    mass = {lab: (w * w + w) / denom if lab in loops else w / denom
             for lab, w in weights.items()}
     x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
     return StationaryDistribution(window, state_labels(window), x)
+
+
+def _kernel_and_stationary(
+    solution: BoundaryLawSolution,
+    spec: ActivitySpec,
+    graph: AdmissibilityGraph,
+    window: int,
+) -> tuple[TransitionMatrix, StationaryDistribution]:
+    """transition_matrix and stationary_closed_form at one window, validating the solution once."""
+    weights, w_tail = _window_weights(solution, spec, graph, window)
+    return (
+        _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0),
+        _stationary(window, weights, w_tail, graph.loops),
+    )
 
 
 def _as_matrix(P) -> np.ndarray:
@@ -259,21 +294,50 @@ def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
 
     X may be a StationaryDistribution or a plain vector; P a
     TransitionMatrix or a plain square array.  When both carry state sets
-    they must agree.
+    they must agree.  A TransitionMatrix is multiplied in column blocks
+    built from its structural form, never as the dense matrix.
     """
     x = _as_vector(X)
-    m = _as_matrix(P)
-    if isinstance(X, StationaryDistribution) and isinstance(P, TransitionMatrix):
-        if X.states != P.states:
+    if isinstance(P, TransitionMatrix):
+        if isinstance(X, StationaryDistribution) and X.states != P.states:
             raise ShapeMismatch("distribution and matrix are on different state sets")
-    if x.shape[0] != m.shape[0]:
-        raise ShapeMismatch(
-            f"distribution has {x.shape[0]} entries but the matrix has {m.shape[0]} states"
-        )
-    max_residual = float(np.max(np.abs(x @ m - x)))
+        n = len(P.states)
+    else:
+        m = _as_matrix(P)
+        n = m.shape[0]
+    if x.shape[0] != n:
+        raise ShapeMismatch(f"distribution has {x.shape[0]} entries but the matrix has {n} states")
+    xP = _times_kernel(x, P) if isinstance(P, TransitionMatrix) else x @ m
+    max_residual = float(np.max(np.abs(xP - x)))
     sum_error = float(abs(x.sum() - 1.0))
     passed = bool(max_residual <= tol and sum_error <= tol)
     return StationaryReport(max_residual, sum_error, passed)
+
+
+def _times_kernel(x: np.ndarray, tm: TransitionMatrix) -> np.ndarray:
+    """x @ tm.matrix, one block of at most _BLOCK_COLUMNS columns at a time.
+
+    Each block holds the dense matrix's columns, so each product runs the
+    same BLAS kernel over the same column as x @ tm.matrix would.  One
+    buffer serves every block: the nonunit rows are rewritten for each, and
+    the hub column is set only while its own block is multiplied.
+    """
+    n = len(tm.states)
+    rows = list(tm.nonunit_rows())
+    xP = np.empty(n)
+    buffer = np.zeros((n, min(n, _BLOCK_COLUMNS)))
+    for lo in range(0, n, _BLOCK_COLUMNS):
+        hi = min(lo + _BLOCK_COLUMNS, n)
+        block = buffer[:, :hi - lo]
+        hub_here = lo <= tm.window < hi
+        if hub_here:
+            block[:, tm.window - lo] = 1.0
+        for pos, row in rows:
+            block[pos] = row[lo:hi]
+        xP[lo:hi] = x @ block
+        if hub_here:
+            block[:, tm.window - lo] = 0.0
+    return xP
 
 
 def irreducible(P) -> bool:
@@ -283,12 +347,19 @@ def irreducible(P) -> bool:
     occupy (dead window states are padding, not part of the chain); a plain
     array is taken at face value, every state counted.  True iff the
     directed graph of positive entries is strongly connected.
+
+    A TransitionMatrix is decided from its structure: every state off the
+    hub is entered only from the hub and leaves only for itself or the hub,
+    so the active states are one class iff the hub row reaches each of them
+    and no loop keeps its state with probability one.
     """
-    pattern = _as_matrix(P) > 0.0
     if isinstance(P, TransitionMatrix):
-        # restrict the boolean pattern, not the float matrix: no float copy
-        keep = np.asarray(P.active, dtype=bool)
-        pattern = pattern[keep][:, keep]
+        off_hub = np.asarray(P.active, dtype=bool)
+        off_hub[P.window] = False
+        return bool(np.all(P.hub_row[off_hub] > 0.0)) and all(
+            1.0 - stay > 0.0 for stay in P.stays.values()
+        )
+    pattern = _as_matrix(P) > 0.0
     if pattern.shape[0] == 0:
         raise InputError("empty state set")
     return _reaches_all(pattern) and _reaches_all(pattern.T)

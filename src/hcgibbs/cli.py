@@ -222,8 +222,7 @@ def cmd_chain(args) -> int:
 
     entries = []
     for s in sols:
-        tm = chain_mod.transition_matrix(s, spec, graph, window)
-        sd = chain_mod.stationary_closed_form(s, spec, graph, window)
+        tm, sd = chain_mod._kernel_and_stationary(s, spec, graph, window)
         report = chain_mod.verify_stationary(sd, tm)
         if not report.passed:
             raise NumericalFailure(
@@ -237,6 +236,15 @@ def cmd_chain(args) -> int:
         _write((chain_mod.matrix_to_csv(tm), "\n", chain_mod.distribution_to_csv(sd)), args.out)
         return 0
 
+    # solutions share the unit row, and may share a loop row
+    texts = {}
+
+    def encode(row: np.ndarray) -> _Encoded:
+        key = row.tobytes()
+        if key not in texts:
+            texts[key] = _json_row(row)
+        return texts[key]
+
     _emit_json(
         {
             "window": window,
@@ -247,7 +255,7 @@ def cmd_chain(args) -> int:
                     "matrix": {
                         "window": tm.window,
                         "states": list(tm.states),
-                        "matrix": chain_mod._row_texts(tm, _json_row),
+                        "matrix": chain_mod._row_texts(tm, encode),
                     },
                     "stationary": sd.to_json_dict(),
                     "report": {

@@ -8,6 +8,7 @@ closed form is algebraically stationary), so several assertions here use
 
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,16 @@ def test_hub_row_proportional_to_weights():
     assert tm.entry(0, TAIL) / tm.entry(0, 0) == pytest.approx(0.5 * (0.5 / q), rel=1e-12)
     assert tm.entry(0, -1) == 0.0
     assert tm.entry(0, -2) == 0.0
+
+
+def test_entry_reads_the_structural_form():
+    spec = ActivitySpec(loop_activities={-2: 9.0, 3: 9.0}, explicit_tail={1: 2.0}, tail_mass=110.0)
+    kernels = [transition_matrix(SOL, SPEC, GRAPH, 3)]
+    kernels += [transition_matrix(sol, spec, graph_from_spec(spec), 4) for sol in SOLS2]
+    for tm in kernels:
+        entries = np.array([[tm.entry(i, j) for j in tm.states] for i in tm.states])
+        assert "matrix" not in tm.__dict__
+        assert entries.tobytes() == tm.matrix.tobytes()
 
 
 def test_stationary_closed_form_verifies():
@@ -238,12 +249,30 @@ def test_relabel_for_shifted_loop():
 def test_shape_mismatches():
     tm2 = transition_matrix(SOL, SPEC, GRAPH, 2)
     sd3 = stationary_closed_form(SOL, SPEC, GRAPH, 3)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="different state sets"):
         verify_stationary(sd3, tm2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="distribution has 4 entries but the matrix has 6 states"):
         verify_stationary(np.ones(4), tm2)
+    with pytest.raises(ShapeMismatch, match="distribution has 4 entries but the matrix has 6 states"):
+        verify_stationary(np.ones(4), tm2.matrix)
+    with pytest.raises(ShapeMismatch, match="must be square"):
+        verify_stationary(np.ones(2), np.ones((2, 3)))
+    with pytest.raises(ShapeMismatch, match="must be a vector"):
+        verify_stationary(np.ones((6, 1)), tm2)
     with pytest.raises(ShapeMismatch):
         total_variation(np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_distribution_fails_the_check(bad):
+    sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
+    tm = transition_matrix(SOL, SPEC, GRAPH, 2)
+    for pos in (tm.index(0), tm.index(1), tm.index(-2)):
+        x = sd.probabilities.copy()
+        x[pos] = bad
+        with np.errstate(invalid="ignore"):
+            assert not verify_stationary(x, tm).passed
+            assert not verify_stationary(x, tm.matrix).passed
 
 
 def test_index_validation():
@@ -369,9 +398,12 @@ def test_irreducible_matches_dense_restriction():
         cut = tm.hub_row.copy()
         cut[tm.index(1)] = 0.0  # state 1 stays active but unreachable
         kernels.append(TransitionMatrix(tm.window, tm.states, tm.active, cut, tm.stays))
+        # a loop that never leaves cannot return to the hub
+        trapped = {**tm.stays, min(tm.stays): 1.0}
+        kernels.append(TransitionMatrix(tm.window, tm.states, tm.active, tm.hub_row, trapped))
     verdicts = [irreducible(tm) for tm in kernels]
     assert verdicts == [_dense_irreducible(tm) for tm in kernels]
-    assert verdicts.count(False) == len(SOLS2) + 1
+    assert verdicts.count(False) == 2 * (len(SOLS2) + 1)
 
 
 def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypatch):
@@ -401,6 +433,67 @@ def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypa
     assert main(["chain", str(wide_spec), "--format", "csv", "--branch", "asymmetric-A1"]) == 0
     assert capsys.readouterr().out.count("\n") == 1 + 602 + 1 + 2
     assert len(calls) == 1 and 1 <= calls[0][1] <= 2 + 2
+
+
+def test_chain_command_never_reads_the_dense_matrix(wide_spec, capsys, monkeypatch):
+    def dense(self):
+        raise AssertionError("the chain command read the dense kernel")
+
+    monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
+    assert main(["chain", str(wide_spec)]) == 0
+    assert all(sol["irreducible"] and sol["report"]["passed"]
+               for sol in json.loads(capsys.readouterr().out)["solutions"])
+    assert main(["chain", str(wide_spec), "--window", "400", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 802 + 1 + 2
+
+
+def test_chain_at_the_state_cap_stays_window_linear(tmp_path, monkeypatch):
+    spec = tmp_path / "five.json"
+    spec.write_text(json.dumps({"loops": {"1": 9.0, "2": 9.0}, "tail_mass": 112.0}))
+    checked = []
+    verify = chain.verify_stationary
+
+    def counted(sd, tm):
+        checked.append(len(tm.states))
+        return verify(sd, tm)
+
+    monkeypatch.setattr(chain, "verify_stationary", counted)
+    # the document is 420 MB of row text, so it goes to the null device
+    argv = ["chain", str(spec), "--window", str(_MAX_STATES // 2 - 1), "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [_MAX_STATES] * 5
+    # one dense matrix at the cap is 128 MiB; the five solutions held one each
+    assert peak < 32 * 2**20
+
+
+def test_chain_json_encodes_the_shared_unit_row_once(wide_spec, capsys, monkeypatch):
+    rows = []
+
+    def counted(row):
+        rows.append(row.tobytes())
+        return _json_row(row)
+
+    monkeypatch.setattr(cli, "_json_row", counted)
+    assert main(["chain", str(wide_spec)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 3
+    # the unit row once, then each solution's hub row and two loop rows
+    assert len(rows) == 1 + 3 * 3 == len(set(rows))
+
+
+def test_blocked_product_matches_the_dense_one():
+    # 602 and 622 states: five blocks, the last one partial
+    for tm in _wide_kernels(300) + _wide_kernels(310):
+        n = len(tm.states)
+        x = np.random.default_rng(n).random(n)
+        # BLAS may order a column's sum differently for a block than for the
+        # whole matrix when it splits the work over threads
+        np.testing.assert_allclose(chain._times_kernel(x, tm), x @ tm.matrix,
+                                   rtol=n * np.finfo(float).eps, atol=0.0)
 
 
 def test_chain_export_streams_its_json(wide_spec, tmp_path):

@@ -26,6 +26,16 @@ from hcgibbs.oracle import _MAX_STARTS
 from hcgibbs.sampler import TreeSample
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
+from test_chain import WIDE
+
+
+def _subprocess_env(**overrides) -> dict:
+    """The environment plus overrides, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 A_12 = 1.0169168190675275
 Z_12 = 0.7710929641358364
@@ -268,14 +278,11 @@ SAMPLE_ARGS = ["--depth", "5", "--trees", "4", "--seed", "11"]
 def test_parsed_output_frozen(tmp_path, spec, argv, digest):
     path = tmp_path / "spec.json"
     path.write_text(spec)
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hcgibbs", argv[0], str(path), *argv[1:]],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
     canonical = json.dumps(json.loads(proc.stdout), sort_keys=True)
@@ -286,7 +293,10 @@ FIVE = '{"loops":{"1":9.0,"2":9.0},"tail_mass":112.0}'
 
 
 # SHA-256 of the exact stdout bytes of `chain`, in JSON and in CSV for each
-# branch, captured before the row texts were memoized
+# branch, captured before the row texts were memoized.  The WIDE and window
+# 300 cases span several column blocks of the stationarity product; they were
+# captured from the dense product under one BLAS thread, which every run here
+# pins, since the summation order of `max_residual` follows the thread count.
 @pytest.mark.parametrize(
     "spec, argv, digest",
     [
@@ -306,6 +316,10 @@ FIVE = '{"loops":{"1":9.0,"2":9.0},"tail_mass":112.0}'
         (PAIR, ["--window", "44", "--branch", "symmetric"], "09076a8ea07d95ca32e0f0b4ac828ded1b337309e8a73707c13a14a8a2405398"),
         (PAIR, ["--window", "44", "--branch", "asymmetric-A1"], "4dcef048390e57a66940d095b70e61f578e6654371e614612d6086ae959b9aea"),
         (PAIR, ["--window", "44", "--branch", "asymmetric-A1-swapped"], "05ff725e39d54753a340151ebfde918ab24d17e59a3c1a8c686a83c13629973f"),
+        pytest.param(json.dumps(WIDE), [], "53b20f85863948bfd35126efec45c74206138aa39f951ddab70115aa548d8f5d", id="wide"),
+        pytest.param(json.dumps(WIDE), ["--branch", "asymmetric-A1"], "e965b06474f3d05e3b7163f81bd2ef11a9c9e9544fda90fc4810cdce2215d4d5", id="wide-asymmetric-A1"),
+        (FIVE, ["--window", "300"], "94c5a68582c13b858390f04d8ae465487d1b8d00a9c017ba53434520b09235ab"),
+        (FIVE, ["--window", "300", "--branch", "asymmetric-A2"], "ebf37a20edea852265629c37bddf2b99aa64ced007ca5f560ffe94381e23186d"),
     ],
 )
 def test_chain_output_bytes_frozen(tmp_path, spec, argv, digest):
@@ -313,11 +327,10 @@ def test_chain_output_bytes_frozen(tmp_path, spec, argv, digest):
     path.write_text(spec)
     if "--branch" in argv:
         argv = [*argv, "--format", "csv"]
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hcgibbs", "chain", str(path), *argv], capture_output=True, env=env
+        [sys.executable, "-m", "hcgibbs", "chain", str(path), *argv],
+        capture_output=True,
+        env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
@@ -639,14 +652,11 @@ def test_failed_write_is_bad_input(capsys, spec3, argv):
 
 @pytest.mark.parametrize("argv", LARGE_OUTPUTS, ids=lambda argv: argv[0])
 def test_closed_stdout_ends_quietly(spec3, argv):
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with subprocess.Popen(
         [sys.executable, "-m", "hcgibbs", argv[0], spec3, *argv[1:]],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     ) as proc:
         assert proc.stdout.read(5) == b"{\n  \""
         proc.stdout.close()  # as `| head -c 5` does
@@ -658,14 +668,11 @@ def test_closed_stdout_ends_quietly(spec3, argv):
 def test_sample_output_independent_of_hash_seed(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(PAIR)
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
     outputs = []
     for hash_seed in ("0", "30"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argv = ["sample", str(path), "--depth", "6", "--trees", "5", "--seed", "3"]
         proc = subprocess.run([sys.executable, "-m", "hcgibbs", *argv],
-                              capture_output=True, env=env)
+                              capture_output=True, env=_subprocess_env(PYTHONHASHSEED=hash_seed))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
@@ -693,24 +700,20 @@ def test_console_script():
 
 
 def test_cli_import_leaves_scipy_out():
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, hcgibbs.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_python_dash_m():
-    src = str(Path(hcgibbs.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hcgibbs", "thresholds", "--lambda", "9"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["Lambda1"] == 126.0
