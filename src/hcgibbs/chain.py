@@ -21,13 +21,14 @@ entered, and their rows are the unit vector at 0.
 A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
 sampler draws from that form, export encodes the unit row, the hub row and
-each loop row once, and the stationarity and irreducibility checks read it
-too, so no command holds a window-squared matrix.  The dense matrix is built
-only by power_iteration and by reading the matrix attribute.
+each loop row once, and the stationarity check, power iteration and
+irreducibility read it too; only the matrix attribute, the dense reference
+of the tests, holds a window-squared matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,13 +50,9 @@ TAIL = "TAIL"
 # build a kernel from it
 RESIDUAL_PRE_TOL = 1e-8
 
-# largest state set 2M+2 a kernel may have; caps power_iteration's dense
-# matrix at 128 MiB
+# largest state set 2M+2 a kernel may have; the exported rows grow with its
+# square, about 420 MB of JSON for five solutions at the cap
 _MAX_STATES = 4096
-
-# verify_stationary multiplies by at most this many kernel columns at a
-# time: its block buffer is then 1 MiB at 1024 states and 4 MiB at the cap
-_BLOCK_COLUMNS = 128
 
 
 def state_labels(window: int) -> tuple:
@@ -85,7 +82,7 @@ class TransitionMatrix:
     hub_row is row 0 and stays maps each loop label to its stay probability,
     the rest of that row going to 0; every other row steps to 0.
     nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
-    built from them when first read; only power_iteration reads it.
+    built from them when first read, as the tests' dense reference.
     """
 
     window: int
@@ -272,8 +269,6 @@ def _kernel_and_stationary(
 
 
 def _as_matrix(P) -> np.ndarray:
-    if isinstance(P, TransitionMatrix):
-        return P.matrix
     arr = np.asarray(P, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"transition matrix must be square, got shape {arr.shape}")
@@ -289,54 +284,53 @@ def _as_vector(X) -> np.ndarray:
     return arr
 
 
+def _product(P):
+    """(state count, x -> x @ P) for a TransitionMatrix or a plain square array."""
+    if isinstance(P, TransitionMatrix):
+        return len(P.states), lambda x: _times_kernel(x, P)
+    m = _as_matrix(P)
+    return m.shape[0], lambda x: x @ m
+
+
 def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
     """Check that X is stationary for P and normalized, within tol.
 
     X may be a StationaryDistribution or a plain vector; P a
     TransitionMatrix or a plain square array.  When both carry state sets
-    they must agree.  A TransitionMatrix is multiplied in column blocks
-    built from its structural form, never as the dense matrix.
+    they must agree.  A TransitionMatrix is multiplied from its structural
+    form, never as the dense matrix.
     """
     x = _as_vector(X)
-    if isinstance(P, TransitionMatrix):
-        if isinstance(X, StationaryDistribution) and X.states != P.states:
-            raise ShapeMismatch("distribution and matrix are on different state sets")
-        n = len(P.states)
-    else:
-        m = _as_matrix(P)
-        n = m.shape[0]
+    if isinstance(X, StationaryDistribution) and isinstance(P, TransitionMatrix) and X.states != P.states:
+        raise ShapeMismatch("distribution and matrix are on different state sets")
+    n, times = _product(P)
     if x.shape[0] != n:
         raise ShapeMismatch(f"distribution has {x.shape[0]} entries but the matrix has {n} states")
-    xP = _times_kernel(x, P) if isinstance(P, TransitionMatrix) else x @ m
-    max_residual = float(np.max(np.abs(xP - x)))
+    max_residual = float(np.max(np.abs(times(x) - x)))
     sum_error = float(abs(x.sum() - 1.0))
     passed = bool(max_residual <= tol and sum_error <= tol)
     return StationaryReport(max_residual, sum_error, passed)
 
 
 def _times_kernel(x: np.ndarray, tm: TransitionMatrix) -> np.ndarray:
-    """x @ tm.matrix, one block of at most _BLOCK_COLUMNS columns at a time.
+    """x @ tm.matrix in O(states), summed in a fixed order.
 
-    Each block holds the dense matrix's columns, so each product runs the
-    same BLAS kernel over the same column as x @ tm.matrix would.  One
-    buffer serves every block: the nonunit rows are rewritten for each, and
-    the hub column is set only while its own block is multiplied.
+    Off the hub, column j is x[hub] * hub_row[j], plus x[j] * stay at a
+    loop.  math.fsum adds the hub column's terms exactly and rounds once,
+    so neither the BLAS build nor its thread count moves the result.
     """
-    n = len(tm.states)
-    rows = list(tm.nonunit_rows())
-    xP = np.empty(n)
-    buffer = np.zeros((n, min(n, _BLOCK_COLUMNS)))
-    for lo in range(0, n, _BLOCK_COLUMNS):
-        hi = min(lo + _BLOCK_COLUMNS, n)
-        block = buffer[:, :hi - lo]
-        hub_here = lo <= tm.window < hi
-        if hub_here:
-            block[:, tm.window - lo] = 1.0
-        for pos, row in rows:
-            block[pos] = row[lo:hi]
-        xP[lo:hi] = x @ block
-        if hub_here:
-            block[:, tm.window - lo] = 0.0
+    hub = tm.window
+    xP = x[hub] * tm.hub_row
+    terms = x.copy()
+    terms[hub] = xP[hub]
+    for lab, stay in tm.stays.items():
+        pos = tm.index(lab)
+        xP[pos] += x[pos] * stay
+        terms[pos] = x[pos] * (1.0 - stay)
+    try:  # zero terms, as at dead states, add nothing
+        xP[hub] = math.fsum(terms[terms != 0.0].tolist())
+    except (OverflowError, ValueError):  # an overflowing sum, or +inf with -inf
+        xP[hub] = terms.sum()  # the inf or nan that then fails the check
     return xP
 
 
@@ -382,8 +376,7 @@ def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
     supplied start is normalized.  Raises NumericalFailure when max_iter
     sweeps do not reach the tolerance.
     """
-    m = _as_matrix(P)
-    n = m.shape[0]
+    n, times = _product(P)
     if start is None:
         x = np.full(n, 1.0 / n)
     else:
@@ -394,7 +387,7 @@ def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
             raise InputError("start vector must be nonnegative with positive mass")
         x /= x.sum()
     for it in range(1, max_iter + 1):
-        y = x @ m
+        y = times(x)
         if total_variation(y, x) < tol:
             return y, it
         x = y
@@ -432,11 +425,15 @@ def _row_texts(tm: TransitionMatrix, encode) -> list:
     return texts
 
 
+def matrix_csv_lines(tm: TransitionMatrix) -> list:
+    """matrix_to_csv's lines, each with its newline; the unit row's text is one shared object."""
+    header = ",".join(_label_str(lab) for lab in tm.states) + "\n"
+    return [header] + _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row) + "\n")
+
+
 def matrix_to_csv(tm: TransitionMatrix) -> str:
     """CSV text: header of state labels, then one row per state."""
-    lines = [",".join(_label_str(lab) for lab in tm.states)]
-    lines += _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(matrix_csv_lines(tm))
 
 
 def distribution_to_csv(sd: StationaryDistribution) -> str:

@@ -233,7 +233,8 @@ def cmd_chain(args) -> int:
 
     if args.format == "csv":
         _, tm, sd, _ = entries[sols.index(_pick_branch(sols, args.branch))]
-        _write((chain_mod.matrix_to_csv(tm), "\n", chain_mod.distribution_to_csv(sd)), args.out)
+        lines = chain_mod.matrix_csv_lines(tm)
+        _write(itertools.chain(lines, ("\n", chain_mod.distribution_to_csv(sd))), args.out)
         return 0
 
     # solutions share the unit row, and may share a loop row

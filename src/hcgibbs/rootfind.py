@@ -15,10 +15,17 @@ from .errors import NumericalFailure
 
 XTOL = 1e-13
 NEWTON_STEPS = 5
+SCAN_STEP = 0.25
+SCAN_GROWTH = 2.0
+SCAN_MAX_STEPS = 200
 
 
-def scan_right(f, x0: float, f0: float | None = None, step: float = 0.25,
-               growth: float = 2.0, max_steps: int = 200):
+def root_right(f, df, x0: float, f0: float | None = None) -> float:
+    """The root of f in the first sign change right of x0, refined with df."""
+    return refine(f, df, *scan_right(f, x0, f0))
+
+
+def scan_right(f, x0: float, f0: float | None = None):
     """First sign change of f on adjacent scan points right of x0.
 
     Returns (a, b, fa, fb) with a sign change between a and b; a == b means
@@ -32,8 +39,8 @@ def scan_right(f, x0: float, f0: float | None = None, step: float = 0.25,
     if f0 == 0.0:
         return x0, x0, 0.0, 0.0
     a, fa = x0, f0
-    h = step
-    for _ in range(max_steps):
+    h = SCAN_STEP
+    for _ in range(SCAN_MAX_STEPS):
         b = a + h
         fb = f(b)
         if not math.isfinite(fb):
@@ -43,13 +50,12 @@ def scan_right(f, x0: float, f0: float | None = None, step: float = 0.25,
         if (fa < 0.0) != (fb < 0.0):
             return a, b, fa, fb
         a, fa = b, fb
-        h *= growth
-    raise NumericalFailure(f"no sign change within {max_steps} doubling steps of {x0}")
+        h *= SCAN_GROWTH
+    raise NumericalFailure(f"no sign change within {SCAN_MAX_STEPS} doubling steps of {x0}")
 
 
-def refine(f, a: float, b: float, fa: float, fb: float, df=None,
-           xtol: float = XTOL, newton_steps: int = NEWTON_STEPS) -> float:
-    """Bisect a sign-change bracket, then polish with Newton if df is given."""
+def refine(f, df, a: float, b: float, fa: float, fb: float) -> float:
+    """Bisect a sign-change bracket, then polish with Newton steps on df."""
     if a == b:
         return a
     if fa == 0.0:
@@ -58,7 +64,7 @@ def refine(f, a: float, b: float, fa: float, fb: float, df=None,
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise NumericalFailure(f"[{a}, {b}] is not a sign-change bracket")
-    while b - a > xtol:
+    while b - a > XTOL:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
@@ -72,21 +78,20 @@ def refine(f, a: float, b: float, fa: float, fb: float, df=None,
     x = 0.5 * (a + b)
     fx = f(x)
     best_x, best_f = x, abs(fx)
-    if df is not None:
-        for _ in range(newton_steps):
-            d = df(x)
-            if not math.isfinite(d) or d == 0.0:
-                break
-            step = fx / d
-            x_next = x - step
-            if not math.isfinite(x_next):
-                break
-            f_next = f(x_next)
-            if not math.isfinite(f_next):
-                break
-            x, fx = x_next, f_next
-            if abs(fx) < best_f:
-                best_x, best_f = x, abs(fx)
-            if abs(step) <= 1e-16 * max(1.0, abs(x)):
-                break
+    for _ in range(NEWTON_STEPS):
+        d = df(x)
+        if not math.isfinite(d) or d == 0.0:
+            break
+        step = fx / d
+        x_next = x - step
+        if not math.isfinite(x_next):
+            break
+        f_next = f(x_next)
+        if not math.isfinite(f_next):
+            break
+        x, fx = x_next, f_next
+        if abs(fx) < best_f:
+            best_x, best_f = x, abs(fx)
+        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+            break
     return best_x

@@ -300,8 +300,11 @@ def _tally(samples, level: int | None = None) -> dict:
     """Spin counts over one level, or all vertices, of every sample.
 
     Labels are keyed in order of first appearance, vertex by vertex, as a
-    count that walked every spin would key them: marginal_tv's floating
-    sum follows the key order, so its last bit depends on it.
+    count that walked every spin would key them.  marginal_tv sums with
+    math.fsum, so its value does not depend on that order; the order is
+    kept because README documents it for empirical_marginal and
+    level_counts, and test_vectorised_statistics_match_label_reference
+    pins it.
     """
     counts: dict = {}
     for sample in samples:

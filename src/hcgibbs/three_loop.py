@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .boundary_law import ReducedSystem
 from .errors import DivergentActivities, DomainError, InputError
 from .model import ActivitySpec, BoundaryLawSolution, RegimeReport
-from .rootfind import refine, scan_right
+from .rootfind import refine, root_right
 from .two_loop import checked_curve, loop_z_branches, solve_loop_aggregate
 
 LAMBDA_STAR = 49.0 / 9.0
@@ -170,8 +170,7 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
         if Lambda >= Lambda1:
             return []
         q_lo = lam * (Lambda - Lambda1)
-        a, b, fa, fb = scan_right(q, lo, f0=q_lo)
-        return [refine(q, a, b, fa, fb, df=dq)]
+        return [root_right(q, dq, lo, q_lo)]
 
     x3 = q_critical_points(lam)[2]
     if _near(Lambda, Lambda2):
@@ -183,10 +182,9 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
     if Lambda > Lambda1:
         # q decreases from q(lo) > 0 to q(x3) < 0: one root inside (lo, x3)
         q_lo = lam * (Lambda - Lambda1)
-        roots.append(refine(q, lo, x3, q_lo, q_x3, df=dq))
+        roots.append(refine(q, dq, lo, x3, q_lo, q_x3))
     # q increases without bound beyond x3: always one root out there
-    a, b, fa, fb = scan_right(q, x3, f0=q_x3)
-    roots.append(refine(q, a, b, fa, fb, df=dq))
+    roots.append(root_right(q, dq, x3, q_x3))
     return sorted(roots)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .boundary_law import ReducedSystem
 from .errors import DivergentActivities, DomainError, InputError, NumericalFailure
 from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, RegimeReport
-from .rootfind import refine, scan_right
+from .rootfind import root_right
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,9 @@ def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, f
             return _psi_derivative(lam, Lambda, mult, sign, A)
 
         try:
-            a, b, fa, fb = scan_right(psi, A_lo, step=0.25)
+            A_root = root_right(psi, dpsi, A_lo)
         except NumericalFailure:
             continue
-        A_root = refine(psi, a, b, fa, fb, df=dpsi)
         if A_root > 0.0:
             z_root = _psi_and_z(lam, Lambda, mult, sign, A_root)[1]
             found.append((A_root, z_root, sign))

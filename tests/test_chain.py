@@ -263,16 +263,26 @@ def test_shape_mismatches():
         total_variation(np.ones(3), np.ones(4))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, -np.inf, (np.inf, -np.inf), (1e308, 1e308)],
+    ids=["nan", "inf", "-inf", "inf,-inf", "1e308,1e308"],
+)
 def test_non_finite_distribution_fails_the_check(bad):
+    # a pair sits on two states that step to 0, so both enter the hub
+    # column's sum, where a bare math.fsum raises: on +inf with -inf, and
+    # on 1e308 + 1e308 overflowing
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    for pos in (tm.index(0), tm.index(1), tm.index(-2)):
+    places = [(0,), (1,), (-2,)] if np.isscalar(bad) else [(-2, TAIL), (2, TAIL), (-2, 2)]
+    for labels in places:
         x = sd.probabilities.copy()
-        x[pos] = bad
-        with np.errstate(invalid="ignore"):
-            assert not verify_stationary(x, tm).passed
-            assert not verify_stationary(x, tm.matrix).passed
+        x[[tm.index(lab) for lab in labels]] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            for P in (tm, tm.matrix):
+                report = verify_stationary(x, P)
+                assert not report.passed
+                assert not np.isfinite(report.max_residual)
 
 
 def test_index_validation():
@@ -471,6 +481,30 @@ def test_chain_at_the_state_cap_stays_window_linear(tmp_path, monkeypatch):
     assert peak < 32 * 2**20
 
 
+def test_chain_csv_at_the_state_cap_streams_its_rows(tmp_path):
+    spec = tmp_path / "five.json"
+    spec.write_text(json.dumps({"loops": {"1": 9.0, "2": 9.0}, "tail_mass": 112.0}))
+    argv = ["chain", str(spec), "--format", "csv", "--window", str(_MAX_STATES // 2 - 1),
+            "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is 34 MB; joining it into one string held it twice over
+    assert peak < 16 * 2**20
+
+
+def test_csv_lines_share_the_unit_row_text():
+    tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 40)
+    lines = chain.matrix_csv_lines(tm)
+    assert "".join(lines) == matrix_to_csv(tm)
+    assert all(line.endswith("\n") for line in lines)
+    unit = lines[1 + tm.index(-40)]
+    assert sum(line is unit for line in lines) == len(tm.states) - 1 - len(tm.stays)
+
+
 def test_chain_json_encodes_the_shared_unit_row_once(wide_spec, capsys, monkeypatch):
     rows = []
 
@@ -485,15 +519,44 @@ def test_chain_json_encodes_the_shared_unit_row_once(wide_spec, capsys, monkeypa
     assert len(rows) == 1 + 3 * 3 == len(set(rows))
 
 
-def test_blocked_product_matches_the_dense_one():
-    # 602 and 622 states: five blocks, the last one partial
+def test_structural_product_matches_the_dense_one():
     for tm in _wide_kernels(300) + _wide_kernels(310):
         n = len(tm.states)
         x = np.random.default_rng(n).random(n)
-        # BLAS may order a column's sum differently for a block than for the
-        # whole matrix when it splits the work over threads
+        # the hub column's sum is rounded once here; BLAS rounds each of its
+        # n additions, in an order that follows its thread count
         np.testing.assert_allclose(chain._times_kernel(x, tm), x @ tm.matrix,
                                    rtol=n * np.finfo(float).eps, atol=0.0)
+
+
+def test_stationarity_and_power_iteration_read_no_dense_matrix(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense kernel was read")
+
+    kernels = [
+        (transition_matrix(sol, SPEC2, GRAPH2, window), stationary_closed_form(sol, SPEC2, GRAPH2, window))
+        for sol in SOLS2
+        for window in (2, 40)
+    ]
+    monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
+    for tm, sd in kernels:
+        assert verify_stationary(sd, tm).passed
+        y, _ = power_iteration(tm)
+        assert total_variation(y, sd) < 1e-8
+
+
+def test_power_iteration_at_the_state_cap_stays_window_linear():
+    tm = transition_matrix(SOLS2[1], SPEC2, GRAPH2, _MAX_STATES // 2 - 1)
+    sd = stationary_closed_form(SOLS2[1], SPEC2, GRAPH2, tm.window)
+    tracemalloc.start()
+    try:
+        y, _ = power_iteration(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total_variation(y, sd) < 1e-8
+    # the dense matrix alone is 128 MiB at the cap
+    assert peak < 8 * 2**20
 
 
 def test_chain_export_streams_its_json(wide_spec, tmp_path):

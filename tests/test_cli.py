@@ -265,6 +265,8 @@ SAMPLE_ARGS = ["--depth", "5", "--trees", "4", "--seed", "11"]
 
 # SHA-256 of json.dumps(parsed stdout, sort_keys=True), captured before the
 # compact JSON writer; only whitespace inside scalar arrays may change.
+# The PAIR `chain` digest was re-captured when `max_residual` moved to the
+# fixed summation order of the structural product; no other field moved.
 # The runs inherit the string hash seed: no output may depend on it.
 @pytest.mark.parametrize(
     "spec, argv, digest",
@@ -272,7 +274,7 @@ SAMPLE_ARGS = ["--depth", "5", "--trees", "4", "--seed", "11"]
         (NARROW, ["sample", *SAMPLE_ARGS], "08260b9386e98cd02b007084e5c62942bc1ddb0b93104552d434076d0b10378e"),
         (PAIR, ["sample", *SAMPLE_ARGS], "f87bc546a66d82f8170c52a5fc6df724d0d34ec0275d2a745ff714063c435114"),
         (NARROW, ["chain"], "bde187d273b0d99a1723cda1cc3a1ec8fc4ec4f972fb45c756f88605a68684aa"),
-        (PAIR, ["chain"], "e93db2e136db6be56dce6f641f78d63084bbcf49c299f60da13c6a7d93428c73"),
+        (PAIR, ["chain"], "c13bceb2caf0418e0b9e7dd21b8617a767f2546a612365bc1bf2d4e77e4fcf07"),
     ],
 )
 def test_parsed_output_frozen(tmp_path, spec, argv, digest):
@@ -293,32 +295,33 @@ FIVE = '{"loops":{"1":9.0,"2":9.0},"tail_mass":112.0}'
 
 
 # SHA-256 of the exact stdout bytes of `chain`, in JSON and in CSV for each
-# branch, captured before the row texts were memoized.  The WIDE and window
-# 300 cases span several column blocks of the stationarity product; they were
-# captured from the dense product under one BLAS thread, which every run here
-# pins, since the summation order of `max_residual` follows the thread count.
+# branch, captured before the row texts were memoized.  The JSON digests of
+# FIVE (default window and 300), PAIR (default window and 44) and WIDE were
+# re-captured when `max_residual` moved to the fixed summation order of the
+# structural product; no other field moved.  The runs pin one BLAS thread;
+# test_chain_bytes_ignore_the_blas_thread_count checks that two write the same.
 @pytest.mark.parametrize(
     "spec, argv, digest",
     [
         (NARROW, [], "601f594c874b4450f6dacec39274b19136650484ed802a445c6972771d51aed9"),
         (NARROW, ["--branch", "two-loop-g"], "b2251038f0c34b6a5ccae3ea30a9f8c3613ab2c37e467c6fe5247d1d72f678a7"),
-        (FIVE, [], "2c33ad73db1794dfdd194e93f35cb1ebeb37c54304ce0627acade775b16bef8e"),
+        (FIVE, [], "6a70349aa628543f511ea72ffaac541786c3057439ef7f92886441930898a2ed"),
         (FIVE, ["--branch", "symmetric"], "de5fdeebe679eb0b390315cf42593430a32b8a5588c00e1ec8181a4ed8bb5d46"),
         (FIVE, ["--branch", "asymmetric-A1"], "d8f21c35068de3c11235e2d1a15b62fd73687ec5066b983de2fb2a049ccabe3c"),
         (FIVE, ["--branch", "asymmetric-A1-swapped"], "9b0118a7841a7e73724cece6f0efc95586d752e7ef1d8b55d4dced22588f3724"),
         (FIVE, ["--branch", "asymmetric-A2"], "8db21da06c228a28227f4c4ddd0ec7914d8b86fb9553b19908a291d6e021dd98"),
         (FIVE, ["--branch", "asymmetric-A2-swapped"], "88278ec45b3a4f71b728f6300228b465603e2eeac855a093d4835470b33dee04"),
-        (PAIR, [], "d4df311266a0e31f9daa45b44a127740fcbaa53dab2885777084c3b8b13086db"),
+        (PAIR, [], "955b636b5c5031921e759a98d6de1171b8527f2cc3766191572147cdc2400a1f"),
         (PAIR, ["--branch", "symmetric"], "d699dd3dc0eebd3f6a5385899cdff682f910cecae9e6eb762c5721d15c21f84e"),
         (PAIR, ["--branch", "asymmetric-A1"], "47d9d7a0bdcc6a2072a6b6b1ba880afff97c084ceddddd66fbc43461a768ab2f"),
         (PAIR, ["--branch", "asymmetric-A1-swapped"], "740ab5e9bb5e6b73db3eebeaed2bebcb768c19592b1b07d44553b9a0fecfa27a"),
-        (PAIR, ["--window", "44"], "ff9e4511f39434c7fd0ac2384fc96b1d8a4cf06c2b53ba7b2c70913464bbb6a7"),
+        (PAIR, ["--window", "44"], "b9ecff12e1718c683df362ad7083956617e8b49237129b0e62cd629dbc6aa6c7"),
         (PAIR, ["--window", "44", "--branch", "symmetric"], "09076a8ea07d95ca32e0f0b4ac828ded1b337309e8a73707c13a14a8a2405398"),
         (PAIR, ["--window", "44", "--branch", "asymmetric-A1"], "4dcef048390e57a66940d095b70e61f578e6654371e614612d6086ae959b9aea"),
         (PAIR, ["--window", "44", "--branch", "asymmetric-A1-swapped"], "05ff725e39d54753a340151ebfde918ab24d17e59a3c1a8c686a83c13629973f"),
-        pytest.param(json.dumps(WIDE), [], "53b20f85863948bfd35126efec45c74206138aa39f951ddab70115aa548d8f5d", id="wide"),
+        pytest.param(json.dumps(WIDE), [], "0df900dfe7afdb1ef9b1787670c627dcaab8d5bc579fc4cc154e9bd993a21b34", id="wide"),
         pytest.param(json.dumps(WIDE), ["--branch", "asymmetric-A1"], "e965b06474f3d05e3b7163f81bd2ef11a9c9e9544fda90fc4810cdce2215d4d5", id="wide-asymmetric-A1"),
-        (FIVE, ["--window", "300"], "94c5a68582c13b858390f04d8ae465487d1b8d00a9c017ba53434520b09235ab"),
+        (FIVE, ["--window", "300"], "e582f6934fac821dfd442b01925bec8cb24ad7a99ebe182baff7d78bac1c2c28"),
         (FIVE, ["--window", "300", "--branch", "asymmetric-A2"], "ebf37a20edea852265629c37bddf2b99aa64ced007ca5f560ffe94381e23186d"),
     ],
 )
@@ -334,6 +337,23 @@ def test_chain_output_bytes_frozen(tmp_path, spec, argv, digest):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, argv", [(json.dumps(WIDE), []), (FIVE, ["--window", "300"])],
+                         ids=["wide", "five-window-300"])
+def test_chain_bytes_ignore_the_blas_thread_count(tmp_path, spec, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "hcgibbs", "chain", str(path), *argv],
+            capture_output=True,
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
 
 
 def test_sample_writes_from_index_arrays(capsys, monkeypatch, tmp_path):

@@ -4,14 +4,17 @@ Expected solution values were computed with the damped fixed-point oracle
 and frozen; see test_oracle for the cross-check at the same parameters.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hcgibbs.boundary_law import expand, residual
+from hcgibbs.cli import main
 from hcgibbs.errors import DivergentActivities, DomainError, InputError
 from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.oracle import multistart_count
 from hcgibbs.two_loop import (
     TwoLoopProblem,
     classify,
@@ -151,3 +154,22 @@ def test_classify():
     div = classify(divergent=True)
     assert div.count == 0
     assert div.case_label == "divergent"
+
+
+def test_one_loop_closed_form_is_not_always_unique(tmp_path, capsys):
+    # a known defect, pinned as it stands: past lam of about 9.27 the
+    # aggregate equation can have three roots.  At (20, 720) both branches
+    # carry one and the closed form refuses; at (20, 571.1458768) the
+    # scan's first step jumps over a close pair and it returns one.  The
+    # oracle finds all three at both points.
+    for tail_mass, rc, count in ((700.0, 4, None), (551.1458768, 0, 1)):
+        spec = ActivitySpec(loop_activities={1: 20.0}, tail_mass=tail_mass)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"loops": {"1": 20.0}, "tail_mass": tail_mass}))
+        assert main(["solve", str(path)]) == rc
+        out, err = capsys.readouterr()
+        if count is None:
+            assert err.startswith("numerical failure: both branches carry aggregate roots")
+        else:
+            assert len(json.loads(out)) == count
+        assert multistart_count(spec, graph_from_spec(spec), n_starts=60, seed=0).count == 3
