@@ -15,7 +15,11 @@ Randomness comes from a counter-based generator (Philox) keyed by the tree
 seed.  The stream-split rule is: the vertex with breadth-first index v
 consumes variate number v of the keyed stream.  Any worker can therefore
 reproduce any subtree independently, and samples are bit-identical for a
-fixed seed regardless of thread count.  The tail aggregate is sampled as
+fixed seed regardless of thread count.  A forest is drawn in blocks of
+trees, level by level: one root draw for the block, then one child draw
+per level over every tree of the block.  Each tree still reads its own
+keyed stream, so the output does not depend on how the trees are grouped,
+and sample_tree is a block of one.  The tail aggregate is sampled as
 the literal symbol "TAIL" and kept unresolved; every unlisted spin behaves
 identically, so statistics treat the aggregate as one state.
 
@@ -51,6 +55,11 @@ _MAX_VERTICES = 10
 
 # most vertices one sample_tree/sample_forest call may draw, over all trees
 _MAX_SAMPLE_VERTICES = 2**24
+
+# most vertices sample_forest draws in one block (at least one tree).  Of
+# 2**15, 2**16, 2**17 and one block per forest, 2**16 drew `sample` fastest;
+# a block that grows with the forest also grows its per-level temporaries
+_BLOCK_VERTICES = 1 << 16
 
 
 def num_vertices(k: int, depth: int) -> int:
@@ -189,31 +198,47 @@ class _Kernel:
         return self._inverse_cdf(self.cum_root, u)
 
     def draw_children(self, parent_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        stay = (self.stay_lo[parent_idx] <= u) & (u < self.stay_hi[parent_idx])
+        stay = (self.stay_lo.take(parent_idx) <= u) & (u < self.stay_hi.take(parent_idx))
         out = np.where(stay, parent_idx, self.hub)
-        from_hub = parent_idx == self.hub
-        out[from_hub] = self._inverse_cdf(self.cum_hub, u[from_hub])
+        from_hub = np.flatnonzero(parent_idx == self.hub)
+        out[from_hub] = self._inverse_cdf(self.cum_hub, u.take(from_hub))
         return out
 
 
-def _stream(seed, count: int) -> np.ndarray:
+def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise InputError(f"seed must be an integer, got {seed!r}")
+
+
+def _stream(seed, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first count variates of seed's keyed stream, written into out if given."""
+    _check_seed(seed)
     gen = np.random.Generator(np.random.Philox(key=int(seed) % _KEY_SPACE))
-    return gen.random(count)
+    return gen.random(count, out=out)
 
 
-def _sample_indices(kernel: _Kernel, depth: int, seed) -> np.ndarray:
+def _sample_block(kernel: _Kernel, depth: int, seeds) -> np.ndarray:
+    """Index arrays of one tree per seed, as the rows of one block.
+
+    Row t reads the keyed stream of seeds[t] alone, so a tree's spins do not
+    depend on the other trees of its block.  The block is drawn level by
+    level: one root draw, then one child draw per level over every row.
+    """
     n = num_vertices(kernel.k, depth)
-    u = _stream(seed, n)
-    spins_idx = np.empty(n, dtype=np.int64)
-    spins_idx[0] = kernel.draw_root(u[:1])[0]
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        # drawn in place: a temporary array per tree raised the peak RSS
+        # of the bench's sample-narrow workload by about 2.6 MB
+        _stream(seed, n, row)
+    idx = np.empty((len(seeds), n), dtype=np.int64)
+    idx[:, 0] = kernel.draw_root(u[:, 0])
     levels = level_slices(kernel.k, depth)
     for d in range(1, depth + 1):
         # each vertex of level d-1 parents k children, the root k + 1
-        above = np.repeat(spins_idx[levels[d - 1]], kernel.k + (d == 1))
-        spins_idx[levels[d]] = kernel.draw_children(above, u[levels[d]])
-    return spins_idx
+        above = np.repeat(idx[:, levels[d - 1]], kernel.k + (d == 1), axis=1)
+        drawn = kernel.draw_children(above.ravel(), u[:, levels[d]].ravel())
+        idx[:, levels[d]] = drawn.reshape(above.shape)
+    return idx
 
 
 def _check_vertex_budget(k: int, depth: int, trees: int) -> None:
@@ -237,9 +262,10 @@ def sample_tree(
     window: int | None = None,
 ) -> TreeSample:
     """Draw one configuration of the given depth, deterministically in seed."""
+    _check_seed(seed)
     _check_vertex_budget(spec.k, depth, 1)
     kernel = _Kernel(solution, spec, graph, window)
-    idx = _sample_indices(kernel, depth, seed)
+    idx = _sample_block(kernel, depth, [seed])[0]
     return TreeSample._drawn(depth, int(seed), idx, kernel.states, kernel.k)
 
 
@@ -254,18 +280,27 @@ def sample_forest(
 ) -> tuple[TreeSample, ...]:
     """Draw independent trees; tree t is reproducible from its own seed.
 
-    Per-tree seeds are spawned deterministically from the forest seed, so
-    trees can be sampled concurrently without sharing generator state.
+    Per-tree seeds are spawned deterministically from the forest seed.  The
+    trees are drawn in blocks of at most _BLOCK_VERTICES vertices (one tree
+    when a tree is larger), and each tree's index array is a row of its
+    block.
     """
     if isinstance(trees, bool) or not isinstance(trees, int) or trees < 1:
         raise InputError(f"need at least one tree, got {trees!r}")
+    _check_seed(seed)
     _check_vertex_budget(spec.k, depth, trees)
     kernel = _Kernel(solution, spec, graph, window)
-    tree_seeds = np.random.SeedSequence(int(seed) % _KEY_SPACE).generate_state(trees, np.uint64)
-    return tuple(
-        TreeSample._drawn(depth, t, _sample_indices(kernel, depth, t), kernel.states, kernel.k)
-        for t in map(int, tree_seeds)
-    )
+    spawn = np.random.SeedSequence(int(seed) % _KEY_SPACE)
+    tree_seeds = spawn.generate_state(trees, np.uint64).tolist()
+    per_block = max(1, _BLOCK_VERTICES // num_vertices(kernel.k, depth))
+    forest = []
+    for start in range(0, trees, per_block):
+        seeds = tree_seeds[start : start + per_block]
+        block = _sample_block(kernel, depth, seeds)
+        forest.extend(
+            TreeSample._drawn(depth, t, idx, kernel.states, kernel.k) for t, idx in zip(seeds, block)
+        )
+    return tuple(forest)
 
 
 @lru_cache(maxsize=1)

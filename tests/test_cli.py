@@ -356,6 +356,29 @@ def test_chain_bytes_ignore_the_blas_thread_count(tmp_path, spec, argv):
     assert outs[0] == outs[1]
 
 
+# SHA-256 of the exact stdout bytes of `sample` for forests that span three
+# draw blocks each, captured before the trees were drawn in blocks
+@pytest.mark.parametrize(
+    "spec, argv, digest",
+    [
+        pytest.param(NARROW, ["--depth", "12", "--trees", "12", "--seed", "5"],
+                     "34fcb61e710fb2f5cd0f548fde34edd32c82de53964bb936de14905182ab7c93", id="narrow"),
+        pytest.param(json.dumps(WIDE), ["--depth", "11", "--trees", "30", "--seed", "5"],
+                     "a0e5043f2fe94d3d31a9ea61f80ae4db7925e9b6a1fdee8bd6ad561f715fa68f", id="wide"),
+    ],
+)
+def test_sample_output_bytes_frozen(tmp_path, spec, argv, digest):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcgibbs", "sample", str(path), *argv],
+        capture_output=True,
+        env=_subprocess_env(OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_sample_writes_from_index_arrays(capsys, monkeypatch, tmp_path):
     def labels(self):
         raise AssertionError("the sample command read TreeSample.spins")

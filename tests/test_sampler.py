@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from hcgibbs.sampler import (
 )
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
+from test_chain import WIDE
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
 GRAPH = graph_from_spec(SPEC)
@@ -492,3 +494,54 @@ def test_sampling_refuses_oversized_requests():
         sample_forest(SOL, SPEC, GRAPH, depth=3, trees=1, seed=1, window=100_000)
     with pytest.raises(InputError):
         sample_tree(SOL, SPEC, GRAPH, depth=1.5, seed=1)
+
+
+def test_forest_seed_is_checked_before_drawing(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("allocated before the seed check")
+
+    monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
+    monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
+    for seed in (1.5, True, "7", "x", None):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            sample_forest(SOL, SPEC, GRAPH, depth=2, trees=2, seed=seed)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            sample_tree(SOL, SPEC, GRAPH, depth=2, seed=seed)
+
+
+def test_forest_accepts_a_numpy_integer_seed():
+    a = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=np.int64(7))
+    b = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=7)
+    assert [t.index.tobytes() for t in a] == [t.index.tobytes() for t in b]
+
+
+WIDE_SPEC = spec_from_json(WIDE)
+WIDE_SOL = enumerate_solutions(ThreeLoopProblem.from_spec(WIDE_SPEC))[0]
+
+
+@pytest.mark.parametrize("sol, spec", [(SOL, SPEC), (WIDE_SOL, WIDE_SPEC)], ids=["narrow", "wide"])
+def test_forest_does_not_depend_on_the_block_size(monkeypatch, sol, spec):
+    """Each tree reads its own stream, however the trees are grouped into blocks."""
+    graph, depth, trees = graph_from_spec(spec), 12, 12
+    n = num_vertices(spec.k, depth)
+    assert trees > 2 * (sampler._BLOCK_VERTICES // n)  # the default spans at least 3 blocks
+    forests = []
+    for block in (n, sampler._BLOCK_VERTICES, 1 << 24):
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", block)
+        forests.append(sample_forest(sol, spec, graph, depth=depth, trees=trees, seed=3))
+    alone = [sample_tree(sol, spec, graph, depth=depth, seed=t.seed).index for t in forests[0]]
+    for forest in forests:
+        assert [t.index.tobytes() for t in forest] == [idx.tobytes() for idx in alone]
+
+
+def test_forest_memory_is_bounded_by_the_block():
+    """Beyond the index arrays it returns, a forest holds one block's temporaries."""
+    tracemalloc.start()
+    try:
+        forest = sample_forest(SOL, SPEC, GRAPH, depth=12, trees=120, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.index.nbytes for t in forest)
+    assert held == 120 * num_vertices(2, 12) * 8  # 11.25 MiB
+    assert peak - held < 4 * 2**20
