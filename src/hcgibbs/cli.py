@@ -79,25 +79,37 @@ def _json_chunks(obj, indent: str = ""):
 
     Dicts, and lists that hold a container or _Encoded text, get
     json.dumps(indent=2)'s layout of one item a line (_Encoded text stands
-    for the value it encodes and is yielded as it is); every other list
-    goes on one line through the C encoder, which json.dumps bypasses
-    whenever indent is set.  Dict keys are strings, as in every command's
-    output.
+    for the value it encodes and is yielded as it is; a list of nothing
+    else is yielded as runs of its items joined with their separators);
+    every other list goes on one line through the C encoder, which
+    json.dumps bypasses whenever indent is set.  Dict keys are strings, as
+    in every command's output.
     """
     if isinstance(obj, _Encoded):
         yield obj
         return
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
+    types = set(map(type, obj)) if isinstance(obj, (list, tuple)) else None
+    if types == {_Encoded}:
+        # a run of encoded rows (a kernel of chain) goes out joined, in
+        # pieces of about one write buffer, not as a chunk per row
+        sep, head = ",\n" + inner, "[\n" + inner
+        batch, size = [], 0
+        for v in obj:
+            if size >= _OUT_BUFFER:
+                yield head + sep.join(batch)
+                head, batch, size = sep, [], 0
+            batch.append(v)
+            size += len(v)
+        yield head + sep.join(batch) + f"\n{indent}]"
+    elif isinstance(obj, dict) and obj:
         sep = "{\n"
         for key, v in obj.items():
             yield f"{sep}{inner}{json.dumps(key)}: "
             yield from _json_chunks(v, inner)
             sep = ",\n"
         yield f"\n{indent}}}"
-    elif isinstance(obj, (list, tuple)) and any(
-        issubclass(t, (dict, list, tuple, _Encoded)) for t in set(map(type, obj))
-    ):
+    elif types and any(issubclass(t, (dict, list, tuple, _Encoded)) for t in types):
         sep = "[\n"
         for v in obj:
             yield sep + inner
@@ -119,12 +131,36 @@ def _emit_json(obj, out: str) -> None:
 
 
 def _spins_json(forest) -> list:
-    """Each tree's spins as one JSON array, joined from one token per state.
+    """Each tree's spins as one JSON array, gathered from a table of tokens.
 
-    The trees of a forest share one state table, so the tokens are encoded once.
+    The trees of a forest share one state table, so each state's token,
+    its JSON text and the ", " that follows it, is encoded once into a
+    fixed-width bytes array; numpy pads the shorter tokens with NUL bytes.
+    A tree's index array picks its tokens in chunks of at most the
+    sampler's block size, and each chunk's bytes lose their padding, which
+    is exact because JSON text holds no raw NUL byte.  No Python object is
+    made per vertex, and a chunk's temporaries stay small whatever the tree.
     """
-    tokens = np.array([json.dumps(lab) for lab in forest[0].states], dtype=object)
-    return [_Encoded("[" + ", ".join(tokens[tree.index].tolist()) + "]") for tree in forest]
+    # one encoder call for the whole table; no label's text (an integer or
+    # "TAIL") holds the ", " it is split on
+    texts = json.dumps(forest[0].states)[1:-1].encode().split(b", ")
+    tokens = np.char.add(np.array(texts), b", ")
+    return [_Encoded(_tree_json(tokens, tree.index)) for tree in forest]
+
+
+def _tree_json(tokens: np.ndarray, index: np.ndarray) -> str:
+    """The JSON array of tokens[index], without the last token's ", ".
+
+    A function of its own, so that its chunks are freed before _Encoded
+    copies the text it returns.
+    """
+    step = sampler_mod._BLOCK_VERTICES
+    parts = [
+        tokens[index[i : i + step]].tobytes().translate(None, b"\0").decode()
+        for i in range(0, len(index), step)
+    ]
+    parts[-1] = parts[-1][:-2]
+    return "".join(["[", *parts, "]"])
 
 
 def _json_row(row: np.ndarray) -> _Encoded:

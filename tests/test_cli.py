@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hcgibbs
-from hcgibbs import two_loop
+from hcgibbs import sampler, two_loop
 from hcgibbs.chain import (
     distribution_to_csv,
     matrix_to_csv,
@@ -20,10 +21,10 @@ from hcgibbs.chain import (
     stationary_closed_form,
     transition_matrix,
 )
-from hcgibbs.cli import _MAX_CURVE_POINTS, main
-from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution
+from hcgibbs.cli import _MAX_CURVE_POINTS, _solve_spec, _spins_json, main
+from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution, spec_from_json
 from hcgibbs.oracle import _MAX_STARTS
-from hcgibbs.sampler import TreeSample
+from hcgibbs.sampler import TreeSample, sample_forest
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 from test_chain import WIDE
@@ -391,6 +392,62 @@ def test_sample_writes_from_index_arrays(capsys, monkeypatch, tmp_path):
     spins_lines = [line for line in out.split("\n") if '"spins": [' in line]
     assert len(spins_lines) == 4
     assert all(line.endswith("]") for line in spins_lines)
+
+
+# the widest integer tokens the state cap allows, beside "TAIL"
+EDGES = '{"loops":{"1":1.0},"tail":{"-2047":1.0,"2047":1.0},"tail_mass":1.0}'
+
+
+def _forest(spec_text, depth, trees, seed=3, window=None):
+    """The forest `sample` draws for these flags, on the spec's first solution."""
+    spec = spec_from_json(json.loads(spec_text))
+    graph = graph_from_spec(spec)
+    window = minimal_window(spec) if window is None else window
+    sol = _solve_spec(spec, graph, None)[0]
+    return sample_forest(sol, spec, graph, depth, trees, seed, window=window)
+
+
+@pytest.mark.parametrize(
+    "spec, depth, trees, window",
+    [
+        pytest.param(NARROW, 6, 5, None, id="narrow"),
+        pytest.param(json.dumps(WIDE), 6, 5, 300, id="wide"),
+        pytest.param(EDGES, 6, 5, 2047, id="labels-2047"),
+        pytest.param(NARROW, 0, 3, None, id="depth-0"),
+        pytest.param(NARROW, 15, 1, None, id="over-one-chunk"),
+    ],
+)
+def test_spins_json_matches_json_dumps(spec, depth, trees, window):
+    forest = _forest(spec, depth, trees, window=window)
+    texts = _spins_json(forest)
+    assert len(texts) == trees
+    for tree, text in zip(forest, texts):
+        assert text == json.dumps(list(tree.spins))
+    if window == 2047:
+        assert {-2047, 2047, "TAIL"} <= {s for tree in forest for s in tree.spins}
+    if depth == 15:
+        assert len(forest[0].index) > sampler._BLOCK_VERTICES
+
+
+def test_sample_spins_parse_to_the_drawn_labels(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(EDGES)
+    argv = ["--depth", "6", "--trees", "3", "--seed", "4", "--window", "2047"]
+    data = run_json(capsys, ["sample", str(path), *argv])
+    forest = _forest(EDGES, 6, 3, seed=4, window=2047)
+    assert [s["spins"] for s in data["samples"]] == [list(tree.spins) for tree in forest]
+
+
+def test_spins_json_memory_is_small_beside_its_text():
+    """Encoding a deep tree holds little beyond the text it returns."""
+    forest = _forest(NARROW, 20, 1)
+    tracemalloc.start()
+    try:
+        texts = _spins_json(forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(texts[0])  # 10 MiB of text
 
 
 def test_solve_two_loop(capsys, spec2):
