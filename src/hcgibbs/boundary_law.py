@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,15 @@ def _pow(base, k: int):
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The closed (z_loops, A) system for one parameter point."""
+    """The closed (z_loops, A) system for one parameter point.
+
+    A point is the row (z_loops..., A).  linearise is the one evaluation of
+    the defect and its Jacobian at a point or a stack of them; defect,
+    jacobian and residual_at read their part of it (defect and residual_at
+    stop before the Jacobian).  It takes the powers (1 + z, 1 + A)**k in
+    one _pow call and (1 + z)**(k - 1) in a second, and the loop
+    activities and tail_lambda are computed once per system.
+    """
 
     k: int
     loop_labels: tuple[int, ...]
@@ -49,57 +58,84 @@ class ReducedSystem:
     def dim(self) -> int:
         return len(self.loop_labels) + 1
 
-    @property
+    @cached_property
     def tail_lambda(self) -> float:
         """Aggregate activity of all non-loop vertices."""
         return self.Lambda - sum(self.loop_lams)
 
-    def _loop_image(self, z, A):
-        """(z, A, (1 + A)**k, loop part of F) as float arrays."""
-        z, A = np.asarray(z, dtype=float), np.asarray(A, dtype=float)
-        q = _pow(1.0 + A, self.k)
-        return z, A, q, np.asarray(self.loop_lams) * _pow(1.0 + z, self.k) / q[..., None]
+    @cached_property
+    def _lams(self) -> np.ndarray:
+        return np.asarray(self.loop_lams, dtype=float)
+
+    def _loop_image(self, V):
+        """(1 + V, (1 + V)**k, loop part of F) at the points V."""
+        W = 1.0 + V
+        P = _pow(W, self.k)
+        return W, P, self._lams * P[..., :-1] / P[..., -1:]
 
     def picard(self, z, A):
         """The fixed-point map (z, A) -> F(z, A), at one point or a stack.
 
-        z has shape (m,) or (n, m) and A is a scalar or has shape (n,); the
-        image has the same shapes.  Overflow follows numpy's float rules.
+        z has shape (m,) with a scalar A, or shape (n, m) with A of shape
+        (n,); the image has the same shapes.  Overflow follows numpy's float
+        rules.
         """
-        z, A, q, Fz = self._loop_image(z, A)
-        return Fz, z.sum(axis=-1) + self.tail_lambda / q
+        V = _points(z, A)
+        _, P, Fz = self._loop_image(V)
+        return Fz, V[..., :-1].sum(axis=-1) + self.tail_lambda / P[..., -1]
+
+    def _defect(self, V):
+        """(1 + V, (1 + V)**k, the defect) at the points V."""
+        m = len(self.loop_lams)
+        W, P, Fz = self._loop_image(V)
+        R = np.empty(V.shape)
+        R[..., :m] = V[..., :m] - Fz
+        R[..., m] = V[..., m] - V[..., :m].sum(axis=-1) - self.tail_lambda / P[..., m]
+        return W, P, R
+
+    def linearise(self, V) -> tuple[np.ndarray, np.ndarray]:
+        """The defect at the points V, shape (m+1,) or (n, m+1), and its
+        Jacobian with respect to (z_loops, A).
+
+        The defect holds the loop equations, then the aggregate identity,
+        and has V's shape; the Jacobian has shape (m+1, m+1) or
+        (n, m+1, m+1).  Each row is computed from its own point only, so its
+        bits do not depend on the rest of the stack.
+        """
+        V = np.asarray(V, dtype=float)
+        m, k = len(self.loop_lams), self.k
+        W, P, R = self._defect(V)
+        q1 = W[..., m] * P[..., m]  # (1 + A)**(k + 1)
+        klams = k * self._lams
+        J = np.zeros(V.shape + (m + 1,))
+        # each J's entries in row-major order: the loop diagonal is every
+        # (m+2)-th from 0, column m every (m+1)-th from m, row m the last m+1
+        flat = J.reshape(V.shape[:-1] + ((m + 1) ** 2,))
+        flat[..., 0:m * (m + 2):m + 2] = 1.0 - klams * _pow(W[..., :m], k - 1) / P[..., m:]
+        flat[..., m:m * (m + 1):m + 1] = klams * P[..., :m] / q1[..., None]
+        flat[..., m * (m + 1):-1] = -1.0
+        flat[..., -1] = 1.0 + k * self.tail_lambda / q1
+        return R, J
 
     def defect(self, z, A):
-        """Residual vector (loop equations, then the aggregate identity).
+        """The defect of linearise at (z, A), without the Jacobian; shapes
+        as in picard."""
+        return self._defect(_points(z, A))[2]
 
-        Shapes as in picard; the result has shape (m+1,) or (n, m+1).
-        """
-        z, A, q, Fz = self._loop_image(z, A)
-        dA = A - z.sum(axis=-1) - self.tail_lambda / q
-        return np.concatenate([z - Fz, dA[..., None]], axis=-1)
+    def jacobian(self, z, A) -> np.ndarray:
+        """The Jacobian of linearise at (z, A); shapes as in picard."""
+        return self.linearise(_points(z, A))[1]
 
     def residual_at(self, z, A: float) -> float:
         """Max absolute defect at one point."""
         return float(np.abs(self.defect(z, A)).max())
 
-    def jacobian(self, z, A) -> np.ndarray:
-        """Analytic Jacobian of the defect with respect to (z_loops, A).
 
-        Shapes as in picard; the result has shape (m+1, m+1) or
-        (n, m+1, m+1).
-        """
-        z, A = np.asarray(z, dtype=float), np.asarray(A, dtype=float)
-        m, k = len(self.loop_lams), self.k
-        lams = np.asarray(self.loop_lams)
-        q = _pow(1.0 + A, k)
-        q1 = ((1.0 + A) * q)[..., None]  # (1 + A)**(k + 1)
-        J = np.zeros(A.shape + (m + 1, m + 1))
-        diag = np.arange(m)
-        J[..., diag, diag] = 1.0 - lams * k * _pow(1.0 + z, k - 1) / q[..., None]
-        J[..., :m, m] = lams * k * _pow(1.0 + z, k) / q1
-        J[..., m, :m] = -1.0
-        J[..., m, m] = 1.0 + k * self.tail_lambda / q1[..., 0]
-        return J
+def _points(z, A) -> np.ndarray:
+    """z (shape (m,) or (n, m)) and A (a scalar or shape (n,)) as the
+    points (z_loops..., A)."""
+    return np.concatenate([np.asarray(z, dtype=float), np.asarray(A, dtype=float)[..., None]],
+                          axis=-1)
 
 
 def reduce(spec: ActivitySpec, graph: AdmissibilityGraph) -> ReducedSystem:

@@ -24,13 +24,14 @@ residual, then by cluster); every other cluster keeps its leader.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary_law import ReducedSystem, reduce
 from .errors import InputError, TooLarge
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution
+from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_float
 
 TOL = 1e-11  # residual gate for a confirmed point
 MAX_STEPS = 60  # Newton steps per start
@@ -39,6 +40,7 @@ MAX_HALVINGS = 40  # step halvings that may keep a start in the positive orthant
 CLUSTER_TOL = 1e-6  # relative distance under which two points are one solution
 HINT_JITTER = 1e-4  # relative spread of the three jittered copies of each hint
 _MAX_STARTS = 100_000  # most random starts one multistart_count call may run
+_TINY = np.finfo(float).tiny  # least positive normal double
 
 # Distinctness resolution at a symmetric branch point.  Exactly where the
 # asymmetric solution family is born from the symmetric one, the defect is
@@ -97,16 +99,24 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
     the aggregate.  The residual is max |(z, A) - F(z, A)|.  Non-convergence
     (blow-up, bounded oscillation, or an exhausted budget) is reported in
     the result, never raised.  An init that already solves the system
-    returns with iterations == 0.
+    returns with iterations == 0.  max_iter must be an integer >= 0 and tol
+    a finite number > 0: any other budget or gate could never end the loop.
     """
     system = reduce(spec, graph)
+    damping = _as_float(damping, "damping")
     if not 0.0 < damping <= 1.0:
         raise InputError(f"damping must lie in (0, 1], got {damping}")
+    _require_int(max_iter, "max_iter", 0)
+    tol = _as_float(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tol must be finite and > 0, got {tol!r}")
+    if not isinstance(init, Mapping):
+        raise InputError(f"init must map each loop vertex to a value, got {init!r}")
     missing = set(system.loop_labels) - set(init)
     if missing:
         raise InputError(f"init is missing loop components {sorted(missing)}")
-    z = np.array([float(init[lab]) for lab in system.loop_labels])
-    A = float(A_init)
+    z = np.array([_as_float(init[lab], f"init[{lab}]") for lab in system.loop_labels])
+    A = _as_float(A_init, "A_init")
     if not (np.isfinite(z).all() and (z > 0.0).all() and math.isfinite(A) and A > 0.0):
         raise InputError("init values and A_init must be positive and finite")
     it = 0
@@ -128,61 +138,96 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
 def _newton(system: ReducedSystem, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the defect from every row of V (shape (n, m+1)) at once.
 
-    Each step solves J step = defect for all live rows and halves each
-    row's step until the row stays positive.  A row retires once its best
-    residual is below TOL and the last step did not halve it (double roots
-    converge only linearly, so polishing goes on while each step still
-    gains a factor two), once it has gone STALL_STEPS steps without a new
-    best residual, once its defect or step is non-finite, or once
-    MAX_HALVINGS cannot keep it positive.  Returns the best point and
-    residual of each row.
+    Each step linearises the system once at all live rows
+    (ReducedSystem.linearise), solves J step = defect for the rows still
+    live in one batched np.linalg.solve (np.linalg.pinv for the whole batch
+    if any J is singular), and halves each row's step until the row stays
+    positive.  A row retires once its best residual is below TOL and the
+    last step did not halve it (double roots converge only linearly, so
+    polishing goes on while each step still gains a factor two), once it
+    has gone STALL_STEPS steps without a new best residual, once its defect
+    or step is non-finite, or once MAX_HALVINGS cannot keep it positive.
+    The live rows' points and bookkeeping are compacted only on a step
+    where some row retires, and the loop ends as soon as none is live.
+    Returns the best point and residual of each row.
     """
-    m = V.shape[1] - 1
     best_v, best_r = V.copy(), np.full(len(V), np.inf)
-    gained = np.zeros(len(V), dtype=int)  # step of each row's last new best
-    live = np.arange(len(V))
+    live, v = np.arange(len(V)), V  # each live row's index in V, and its point
+    was = best_r.copy()  # each live row's best residual
+    gained = np.zeros(len(V), dtype=int)  # step of each live row's last new best
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(MAX_STEPS + 1):
-            v = V[live]
-            R = system.defect(v[:, :m], v[:, m])
-            r = np.abs(R).max(axis=1)
-            improving = r < 0.5 * best_r[live]
-            better = r < best_r[live]
-            best_r[live[better]] = r[better]
-            best_v[live[better]] = v[better]
-            gained[live[better]] = it
-            polished = (best_r[live] < TOL) & ~improving
-            stalled = it - gained[live] >= STALL_STEPS
-            keep = np.isfinite(r) & ~polished & ~stalled
-            live, v, R = live[keep], v[keep], R[keep]
-            if live.size == 0 or it == MAX_STEPS:
+            R, J = system.linearise(v)
+            r = _fold_columns(np.maximum, np.abs(R))
+            better = r < was
+            won = live[better]
+            best_r[won] = r[better]
+            best_v[won] = v[better]
+            gained[better] = it
+            now = np.fmin(r, was)  # a NaN residual is no new best
+            polished = (now < TOL) & (r >= 0.5 * was)
+            keep = np.isfinite(r) & ~polished & (it - gained < STALL_STEPS)
+            was = now
+            if not keep.all():
+                live, v, R, J, was, gained = _compress(keep, live, v, R, J, was, gained)
+                if live.size == 0:
+                    break
+            if it == MAX_STEPS:
                 break
-            J = system.jacobian(v[:, :m], v[:, m])
             try:
                 step = np.linalg.solve(J, R[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 step = (np.linalg.pinv(J) @ R[..., None])[..., 0]
             # halve each step until the row stays positive: the first power
-            # of two below v_i / step_i over the coordinates moving down
-            ratio = np.where(step > 0.0, v / step, np.inf).min(axis=1)
-            mant, expo = np.frexp(np.clip(ratio, np.finfo(float).tiny, 1.0))
-            halvings = np.where(ratio > 1.0, 0, 1 - expo + (mant == 0.5))
+            # of two below v_i / step_i over the coordinates moving down.
+            # A ratio above 1 needs none; clipped to 2, frexp gives it none.
+            ratio = _fold_columns(np.minimum, np.where(step > 0.0, v / step, np.inf))
+            mant, expo = np.frexp(np.minimum(np.maximum(ratio, _TINY), 2.0))
+            halvings = 1 - expo + (mant == 0.5)
             keep = np.isfinite(step).all(axis=1) & (halvings <= MAX_HALVINGS)
-            live = live[keep]
-            V[live] = v[keep] - np.ldexp(step[keep], -halvings[keep, None])
+            if not keep.all():
+                live, v, step, halvings, was, gained = _compress(
+                    keep, live, v, step, halvings, was, gained)
+                if live.size == 0:
+                    break
+            v = v - np.ldexp(step, -halvings[:, None])
     return best_v, best_r
 
 
+def _fold_columns(ufunc, X: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(X, axis=1) as a fold over X's few columns, in the same
+    order and so with the same bits; for two or three columns numpy's
+    reduction along the short axis takes about twice as long."""
+    out = X[:, 0]
+    for j in range(1, X.shape[1]):
+        out = ufunc(out, X[:, j])
+    return out
+
+
+def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows of each array where keep is true."""
+    return [a.compress(keep, axis=0) for a in arrays]
+
+
+def _require_int(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _normalise_hint(hint, labels) -> np.ndarray:
-    """A hint as the point (z_loops..., A)."""
+    """A hint, a BoundaryLawSolution or a (z map, A) pair, as the point
+    (z_loops..., A)."""
     if isinstance(hint, BoundaryLawSolution):
         z_map, A = hint.loop_z, hint.A
-    else:
+    elif isinstance(hint, (tuple, list)) and len(hint) == 2 and isinstance(hint[0], Mapping):
         z_map, A = hint
+    else:
+        raise InputError(f"a hint must be a BoundaryLawSolution or a (z, A) pair, got {hint!r}")
     missing = set(labels) - set(z_map)
     if missing:
         raise InputError(f"hint is missing loop components {sorted(missing)}")
-    return np.array([*(float(z_map[lab]) for lab in labels), float(A)])
+    return np.array([*(_as_float(z_map[lab], f"hint z[{lab}]") for lab in labels),
+                     _as_float(A, "hint A")])
 
 
 def _leaders(P: np.ndarray, tol: float) -> np.ndarray:
@@ -192,18 +237,20 @@ def _leaders(P: np.ndarray, tol: float) -> np.ndarray:
     relative to max(1, |row|max, |leader|max); otherwise it leads a new
     group.  Returns the index of each row's leader (a leader's is its own).
     Memory is linear in the rows: each row is compared with the leaders only.
+    The rows are few and short, so the comparisons run on Python floats.
     """
-    size = np.abs(P).max(axis=1)
-    lead = np.arange(len(P))
-    heads = np.empty(0, dtype=int)
-    for i in range(len(P)):
-        close = np.abs(P[heads] - P[i]).max(axis=1) <= tol * np.maximum(
-            np.maximum(size[heads], size[i]), 1.0)
-        if close.any():
-            lead[i] = heads[close.argmax()]
+    rows = P.tolist()
+    size = [max(map(abs, row)) for row in rows]
+    lead = list(range(len(rows)))
+    heads = []
+    for i, row in enumerate(rows):
+        for h in heads:
+            if max(abs(a - b) for a, b in zip(rows[h], row)) <= tol * max(size[h], size[i], 1.0):
+                lead[i] = h
+                break
         else:
-            heads = np.append(heads, i)
-    return lead
+            heads.append(i)
+    return np.array(lead, dtype=int)
 
 
 def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: int = 100,
@@ -219,23 +266,30 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     start and reaches attracting and repelling fixed points alike.  Points
     with residual below TOL are grouped as the module docstring describes:
     clusters at CLUSTER_TOL, then the pitchfork merge at PITCHFORK_TOL.
-    More than _MAX_STARTS starts raise TooLarge before any is drawn.
+    Every argument is checked before any start is drawn: n_starts must be
+    an integer >= 50, seed an integer >= 0 and hints None or an iterable of
+    hints (see _normalise_hint), else InputError; more than _MAX_STARTS
+    starts raise TooLarge.
     """
-    if n_starts < 50:
-        raise InputError(f"n_starts must be at least 50, got {n_starts}")
+    _require_int(n_starts, "n_starts", 50)
     if n_starts > _MAX_STARTS:
         raise TooLarge(f"n_starts {n_starts} exceeds the cap of {_MAX_STARTS}")
+    _require_int(seed, "seed", 0)
     system = reduce(spec, graph)
     labels = system.loop_labels
     m = len(labels)
+    try:
+        hints = [] if hints is None else list(hints)
+    except TypeError:
+        raise InputError(f"hints must be None or an iterable of hints, got {hints!r}") from None
+    hint_points = [_normalise_hint(hint, labels) for hint in hints]
     rng = np.random.default_rng(seed)
     Z0 = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_starts, m))
     A0 = 10.0 ** rng.uniform(-3.0, 3.0, size=n_starts)
     if m == 2:
         Z0[n_starts // 2:, 1] = Z0[n_starts // 2:, 0]
     starts = [np.column_stack([Z0, A0])]  # one (z_loops..., A) per row
-    for hint in hints or []:
-        v = _normalise_hint(hint, labels)
+    for v in hint_points:
         starts += [v[None, :], v * (1.0 + HINT_JITTER * rng.standard_normal((3, m + 1)))]
     V = np.concatenate(starts)
     source = np.where(np.arange(len(V)) < n_starts, "newton", "hint")

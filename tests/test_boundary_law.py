@@ -114,6 +114,9 @@ def test_stacked_map_matches_scalar_arithmetic():
             assert Fz[i].tolist() == [lam * (1.0 + zi) ** 2 / q for zi, lam in zip(z, lams)]
             assert FA[i] == sum(z) + sys_.tail_lambda / q
             assert np.array_equal(J[i], sys_.jacobian(z, a))
+        # an empty stack is a stack too
+        assert sys_.defect(Z[:0], A[:0]).shape == (0, len(lams) + 1)
+        assert sys_.jacobian(Z[:0], A[:0]).shape == (0, len(lams) + 1, len(lams) + 1)
 
 
 def test_normalisable():

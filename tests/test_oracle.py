@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from hcgibbs import boundary_law
 from hcgibbs.errors import DivergentActivities, InputError, TooLarge
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.oracle import _MAX_STARTS, fixed_point_iterate, multistart_count
@@ -71,6 +72,25 @@ def test_iterate_input_validation():
         fixed_point_iterate(SPEC12, GRAPH12, {}, 1.0)
     with pytest.raises(InputError):
         fixed_point_iterate(SPEC12, GRAPH12, {1: -1.0}, 1.0)
+    for init, A_init in (({1: "a"}, 1.0), ({1: None}, 1.0), ({1: 1.0}, "x"), ({1: 1.0}, 10**400),
+                         (5, 1.0)):
+        with pytest.raises(InputError):
+            fixed_point_iterate(SPEC12, GRAPH12, init, A_init)
+    with pytest.raises(InputError):
+        fixed_point_iterate(SPEC12, GRAPH12, {1: 1.0}, 1.0, damping="0.5")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": -1}, {"max_iter": 1.5}, {"max_iter": True},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": "1e-11"},
+], ids=["max_iter=-1", "max_iter=1.5", "max_iter=True", "tol=nan", "tol=inf", "tol=0",
+        "tol=str"])
+def test_iterate_rejects_a_budget_or_gate_that_cannot_end(kwargs):
+    # SPEC12 converges, so none of these hangs even where it is let through;
+    # on a non-convergent orbit max_iter=-1 or 1.5 never returns, and
+    # tol=nan runs the whole budget
+    with pytest.raises(InputError):
+        fixed_point_iterate(SPEC12, GRAPH12, {1: 1.0}, 1.0, **kwargs)
 
 
 def test_divergent_spec_raises():
@@ -102,14 +122,27 @@ def test_multistart_three_loop_bare_discovery():
     assert res.count == 3
 
 
-def test_multistart_caps_starts_before_drawing(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("starts were drawn")
+def _no_draw(*args, **kwargs):
+    raise AssertionError("starts were drawn")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
+
+def test_multistart_caps_starts_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
     spec, graph = three_loop_setup(130.0)
     with pytest.raises(TooLarge):
         multistart_count(spec, graph, n_starts=_MAX_STARTS + 1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_starts": 60.5}, {"n_starts": "60"}, {"n_starts": None},
+    {"seed": 1.5}, {"seed": "x"}, {"seed": -1},
+    {"hints": 5}, {"hints": [5]}, {"hints": [({1: "a"}, 1.0)]},
+], ids=["n_starts=60.5", "n_starts=str", "n_starts=None", "seed=1.5", "seed=str", "seed=-1",
+        "hints=5", "hint=5", "hint-z=str"])
+def test_multistart_rejects_bad_arguments_before_drawing(kwargs, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    with pytest.raises(InputError):
+        multistart_count(SPEC12, GRAPH12, **{"n_starts": 60, **kwargs})
 
 
 def test_multistart_finds_repelling_points_without_hints():
@@ -210,3 +243,140 @@ def test_merge_representatives_frozen(lam, factor, digest):
             runs.append([res.count] + [[sorted(r.z.items()), r.A, r.residual, r.members, r.source]
                                        for r in res.representatives])
     assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == digest
+
+
+def _draws(n):
+    """Criterion 1's single-loop draws (lam1 < 20, Lambda < 50)."""
+    rng = np.random.default_rng(20260823)
+    out = []
+    for _ in range(n):
+        lam1 = float(rng.uniform(0.1, 20.0))
+        out.append((lam1, float(rng.uniform(lam1 + 0.1, 50.0))))
+    return out
+
+
+# multistart_count runs beyond MERGE_DIGESTS' equal loops at k = 2: each
+# case is (loop activities, tail mass, k, n_starts, seeds).  A case runs
+# once per seed without hints and once with hints: the closed-form solution
+# for one loop at k = 2, else the representatives of the run without them.
+BATTERY = {
+    "single-loop-draws": [({1: lam1}, Lam - lam1, 2, 50, (7,)) for lam1, Lam in _draws(4)],
+    "unequal-loops": [({1: 9.0, 2: 12.0}, 100.0, 2, 60, (0, 1)),
+                      ({1: 8.0, 2: 10.0}, 60.0, 2, 60, (0,))],
+    "k1": [({1: 3.0}, 2.0, 1, 50, (0,)), ({1: 3.0, 2: 4.0}, 20.0, 1, 60, (0, 1))],
+    "k3": [({1: 2.0}, 5.0, 3, 50, (0,)), ({1: 20.0, 2: 20.0}, 400.0, 3, 60, (0, 1)),
+           ({1: 5.0, 2: 6.0}, 100.0, 3, 60, (0,))],
+}
+
+
+def _battery_runs(name):
+    """(spec, graph, n_starts, seed, hints) of every run of one battery case."""
+    for loops, tail, k, n_starts, seeds in BATTERY[name]:
+        spec = ActivitySpec(loop_activities=loops, tail_mass=tail, k=k)
+        graph = graph_from_spec(spec)
+        for seed in seeds:
+            if len(loops) == 1 and k == 2:
+                hints = [solve_unique(TwoLoopProblem(loops[1], loops[1] + tail))]
+            else:
+                bare = multistart_count(spec, graph, n_starts=n_starts, seed=seed)
+                hints = [(r.z, r.A) for r in bare.representatives]
+            yield spec, graph, n_starts, seed, None
+            yield spec, graph, n_starts, seed, hints
+
+
+def _summary(res):
+    return [res.count] + [[sorted(r.z.items()), r.A, r.residual, r.members, r.source]
+                          for r in res.representatives]
+
+
+def _digest(runs):
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+# SHA-256 of every representative of each battery case's runs, and the
+# np.linalg.solve calls (one per Newton step) of each run, frozen from the
+# Newton loop that evaluated the defect and the Jacobian separately.
+BATTERY_DIGESTS = {
+    "single-loop-draws": "c0668379b6dab15d43176095c5df365ff10f689e1041dab4e9670e8340a38fa5",
+    "unequal-loops": "09494d31f1b6358b7fccbd76a271e4834a71c420bb6b5976560110563936e0b6",
+    "k1": "381343e6687fb28f8d2cb6c69996b20a2d4a6448d5aaf071f1253f1fd58bf2b2",
+    "k3": "68b7b7fd7760749519881ca79aa97fd1b31d56674337a1fecfab593e1626192b",
+}
+BATTERY_SOLVES = {
+    "single-loop-draws": [25, 25, 26, 26, 28, 28, 32, 32],
+    "unequal-loops": [35, 35, 27, 27, 30, 30],
+    "k1": [33, 33, 29, 29, 28, 28],
+    "k3": [27, 27, 37, 37, 30, 30, 37, 37],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_battery_representatives_frozen(name):
+    runs = [_summary(multistart_count(spec, graph, n_starts=n, seed=seed, hints=h))
+            for spec, graph, n, seed, h in _battery_runs(name)]
+    assert _digest(runs) == BATTERY_DIGESTS[name]
+
+
+def _counting(monkeypatch, obj, attr):
+    """Wrap obj.attr so that each call is counted; returns the call list."""
+    calls, inner = [], getattr(obj, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(obj, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_battery_newton_steps_frozen(name, monkeypatch):
+    # bit identity alone does not catch a loop that keeps stepping after
+    # every row has retired; the number of solves does
+    runs = list(_battery_runs(name))
+    solves = _counting(monkeypatch, np.linalg, "solve")
+    counts = []
+    for spec, graph, n, seed, h in runs:
+        before = len(solves)
+        multistart_count(spec, graph, n_starts=n, seed=seed, hints=h)
+        counts.append(len(solves) - before)
+    assert counts == BATTERY_SOLVES[name]
+
+
+def test_newton_step_linearises_once(monkeypatch):
+    # one evaluation per Newton step takes (1 + z, 1 + A)**k and
+    # (1 + z)**(k - 1); a separate defect and Jacobian took five powers
+    runs = [r for name in sorted(BATTERY) for r in _battery_runs(name)]
+    solves = _counting(monkeypatch, np.linalg, "solve")
+    pows = _counting(monkeypatch, boundary_law, "_pow")
+    for spec, graph, n, seed, h in runs:
+        solves.clear()
+        pows.clear()
+        multistart_count(spec, graph, n_starts=n, seed=seed, hints=h)
+        assert len(pows) <= 3 * (len(solves) + 1)
+
+
+# SHA-256 of the battery's "unequal-loops" and "k3" runs with the third
+# np.linalg.solve call of each run raising LinAlgError, so that step takes
+# the whole-batch pinv fallback.
+PINV_DIGEST = "f7814397efe94deb62c4ce99be0036d442660cc02f40df5082333dba5e879c17"
+
+
+def test_pinv_fallback_frozen(monkeypatch):
+    runs = [r for name in ("unequal-loops", "k3") for r in _battery_runs(name)]
+    solve, pinvs = np.linalg.solve, _counting(monkeypatch, np.linalg, "pinv")
+    summaries = []
+    for spec, graph, n, seed, h in runs:
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        before = len(pinvs)
+        summaries.append(_summary(multistart_count(spec, graph, n_starts=n, seed=seed, hints=h)))
+        assert len(pinvs) - before == 1
+    assert _digest(summaries) == PINV_DIGEST
