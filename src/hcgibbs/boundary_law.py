@@ -25,6 +25,8 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    _as_positive,
+    _positive_values,
     check_spec_graph,
     require_finite,
 )
@@ -157,14 +159,11 @@ def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float],
     Unlisted vertices only enter through the aggregate identity.
     """
     system = reduce(spec, graph)
-    if not (isinstance(A, (int, float)) and math.isfinite(A) and A > 0.0):
-        raise InputError(f"aggregate A must be positive and finite, got {A!r}")
+    A = _as_positive(A, "aggregate A")
     missing = (set(graph.loops) | set(spec.explicit_tail)) - set(z)
     if missing:
         raise InputError(f"z is missing components for {sorted(missing)}")
-    for lab, val in z.items():
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0.0):
-            raise InputError(f"z[{lab}] must be positive and finite, got {val!r}")
+    z = _positive_values(z, "z")
     q = (1.0 + A) ** spec.k
     tail = (abs(z[lab] - lam / q) for lab, lam in spec.explicit_tail.items())
     return max([system.residual_at([z[lab] for lab in graph.loops], A), *tail])

@@ -40,6 +40,7 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    _as_int,
     check_spec_graph,
     relabel_solution,
 )
@@ -64,8 +65,7 @@ def _state_index(window: int, label) -> int:
     """Position of a label in state_labels(window); InputError off the window."""
     if label == TAIL:
         return 2 * window + 1
-    if isinstance(label, bool) or not isinstance(label, int):
-        raise InputError(f"state label {label!r} is not an integer or {TAIL!r}")
+    label = _as_int(label, f"state label other than {TAIL!r}")
     if abs(label) > window:
         raise InputError(f"state label {label} lies outside the window {window}")
     return label + window
@@ -158,14 +158,13 @@ def _window_weights(
     spec: ActivitySpec,
     graph: AdmissibilityGraph,
     window: int,
-) -> tuple[dict[int, float], float]:
-    """Per-state weights lambda*z over the window, plus the tail weight.
+) -> tuple[int, dict[int, float], float]:
+    """The window as an int, the weights lambda*z over it, and the tail weight.
 
     Validates the window, the spec/graph pairing, and that the solution
     closes the consistency system before any kernel is built from it.
     """
-    if isinstance(window, bool) or not isinstance(window, int) or window < 0:
-        raise InputError(f"window must be an integer >= 0, got {window!r}")
+    window = _as_int(window, "window", 0)
     if 2 * window + 2 > _MAX_STATES:
         raise TooLarge(f"window {window} needs {2 * window + 2} states, over the cap of {_MAX_STATES}")
     check_spec_graph(spec, graph)
@@ -181,7 +180,7 @@ def _window_weights(
     if outside:
         raise WindowTooSmall(f"listed states {outside} lie outside the window {window}")
     weights = {lab: listed[lab] * z[lab] for lab in listed}
-    return weights, spec.tail_mass * tail_z
+    return window, weights, spec.tail_mass * tail_z
 
 
 def _on_window(window: int, hub, values: dict, tail, dtype=float) -> np.ndarray:
@@ -208,7 +207,7 @@ def transition_matrix(
     by its own sum and two-entry rows are completed by subtraction.  Only
     row 0 and the stay probabilities are computed here, not the dense matrix.
     """
-    weights, w_tail = _window_weights(solution, spec, graph, window)
+    window, weights, w_tail = _window_weights(solution, spec, graph, window)
     return _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0)
 
 
@@ -241,7 +240,7 @@ def stationary_closed_form(
     """
     if window is None:
         window = minimal_window(spec)
-    weights, w_tail = _window_weights(solution, spec, graph, window)
+    window, weights, w_tail = _window_weights(solution, spec, graph, window)
     return _stationary(window, weights, w_tail, graph.loops)
 
 
@@ -261,7 +260,7 @@ def _kernel_and_stationary(
     window: int,
 ) -> tuple[TransitionMatrix, StationaryDistribution]:
     """transition_matrix and stationary_closed_form at one window, validating the solution once."""
-    weights, w_tail = _window_weights(solution, spec, graph, window)
+    window, weights, w_tail = _window_weights(solution, spec, graph, window)
     return (
         _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0),
         _stationary(window, weights, w_tail, graph.loops),

@@ -32,15 +32,39 @@ def _as_float(value, name: str) -> float:
         raise InputError(f"{name} is beyond double precision range") from None
 
 
-def _check_activity(label: int, value: float) -> float:
-    if isinstance(label, bool) or not isinstance(label, int):
-        raise InputError(f"spin label {label!r} is not an integer")
+def _as_positive(value, name: str) -> float:
+    """_as_float(value) that must also be finite and > 0."""
+    # a float skips the type checks: specs list hundreds of values
+    out = value if type(value) is float else _as_float(value, name)
+    if not 0.0 < out < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+    return out
+
+
+def _positive_values(mapping, name: str) -> dict:
+    """The mapping with each value read by _as_positive as name[key]; a
+    positive finite float passes without a call or a name."""
+    return {key: value if type(value) is float and 0.0 < value < math.inf
+            else _as_positive(value, f"{name}[{key}]") for key, value in mapping.items()}
+
+
+def _as_int(value, name: str, least: int | None = None) -> int:
+    """int(value) of any integer type but bool, and >= least when given; a Python int,
+    so arithmetic on it never wraps as a fixed-width numpy integer does."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_activity(label, value) -> tuple[int, float]:
+    label = _as_int(label, "spin label")
     if label == 0:
         raise InputError("spin label 0 carries the hub; it cannot be listed")
-    value = _as_float(value, f"activity at {label}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise InputError(f"activity at {label} must be positive and finite, got {value!r}")
-    return value
+    return label, _as_positive(value, f"activity at {label}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +85,9 @@ class ActivitySpec:
     divergent: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise InputError(f"tree order k must be an integer >= 1, got {self.k!r}")
-        loops = {lab: _check_activity(lab, val) for lab, val in self.loop_activities.items()}
-        tail = {lab: _check_activity(lab, val) for lab, val in self.explicit_tail.items()}
+        k = _as_int(self.k, "tree order k", 1)
+        loops = dict(_check_activity(lab, val) for lab, val in self.loop_activities.items())
+        tail = dict(_check_activity(lab, val) for lab, val in self.explicit_tail.items())
         if not loops:
             raise InputError("at least one nonzero loop vertex is required")
         overlap = set(loops) & set(tail)
@@ -75,6 +98,7 @@ class ActivitySpec:
             raise InputError(f"tail_mass must be finite and >= 0, got {self.tail_mass!r}")
         if not isinstance(self.divergent, bool):
             raise InputError("divergent must be a boolean")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "loop_activities", loops)
         object.__setattr__(self, "explicit_tail", tail)
         object.__setattr__(self, "tail_mass", mass)
@@ -100,14 +124,13 @@ class AdmissibilityGraph:
     loops: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        loops = tuple(sorted(self.loops))
+        loops = tuple(sorted(_as_int(lab, "loop vertex") for lab in self.loops))
         if not 1 <= len(loops) <= 2:
             raise InputError(f"need one or two nonzero loop vertices, got {len(loops)}")
         if len(set(loops)) != len(loops):
             raise InputError("loop vertices must be distinct")
-        for lab in loops:
-            if isinstance(lab, bool) or not isinstance(lab, int) or lab == 0:
-                raise InputError(f"loop vertex {lab!r} must be a nonzero integer")
+        if 0 in loops:
+            raise InputError("loop vertex 0 is the hub; it must be a nonzero integer")
         object.__setattr__(self, "loops", loops)
 
     def adjacency(self, i, j) -> int:
@@ -210,7 +233,7 @@ def spec_from_json(data: dict) -> ActivitySpec:
 
     Schema: {"k": 2, "loops": {"1": 5.0}, "tail": {"3": 0.5}, "tail_mass": 0.5,
     "divergent": false}.  "loops" is required, everything else has defaults.
-    Map keys are decimal integer strings.
+    Map keys are decimal integer strings; ActivitySpec reads the values.
     """
     if not isinstance(data, dict):
         raise InputError("activity spec must be a JSON object")
@@ -220,24 +243,20 @@ def spec_from_json(data: dict) -> ActivitySpec:
     if "loops" not in data:
         raise InputError('activity spec needs a "loops" map')
 
-    def parse_map(obj, name: str) -> dict[int, float]:
+    def parse_map(obj, name: str) -> dict:
         if not isinstance(obj, dict):
             raise InputError(f'"{name}" must be a map of integer strings to numbers')
-        out: dict[int, float] = {}
-        for key, val in obj.items():
-            try:
-                lab = int(key)
-            except (TypeError, ValueError):
-                raise InputError(f'"{name}" key {key!r} is not a decimal integer string')
-            out[lab] = _as_float(val, f'"{name}" value for {key!r}')
-        return out
+        try:
+            return {int(key): val for key, val in obj.items()}
+        except (TypeError, ValueError) as exc:
+            raise InputError(f'"{name}" keys must be decimal integer strings: {exc}') from None
 
     k = data.get("k", 2)
     divergent = data.get("divergent", False)
     return ActivitySpec(
         loop_activities=parse_map(data["loops"], "loops"),
         explicit_tail=parse_map(data.get("tail", {}), "tail"),
-        tail_mass=_as_float(data.get("tail_mass", 0.0), '"tail_mass"'),
+        tail_mass=data.get("tail_mass", 0.0),
         k=k,
         divergent=divergent,
     )

@@ -31,7 +31,14 @@ import numpy as np
 
 from .boundary_law import ReducedSystem, reduce
 from .errors import InputError, TooLarge
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_float
+from .model import (
+    ActivitySpec,
+    AdmissibilityGraph,
+    BoundaryLawSolution,
+    _as_float,
+    _as_int,
+    _as_positive,
+)
 
 TOL = 1e-11  # residual gate for a confirmed point
 MAX_STEPS = 60  # Newton steps per start
@@ -106,19 +113,15 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
     damping = _as_float(damping, "damping")
     if not 0.0 < damping <= 1.0:
         raise InputError(f"damping must lie in (0, 1], got {damping}")
-    _require_int(max_iter, "max_iter", 0)
-    tol = _as_float(tol, "tol")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tol must be finite and > 0, got {tol!r}")
+    max_iter = _as_int(max_iter, "max_iter", 0)
+    tol = _as_positive(tol, "tol")
     if not isinstance(init, Mapping):
         raise InputError(f"init must map each loop vertex to a value, got {init!r}")
     missing = set(system.loop_labels) - set(init)
     if missing:
         raise InputError(f"init is missing loop components {sorted(missing)}")
-    z = np.array([_as_float(init[lab], f"init[{lab}]") for lab in system.loop_labels])
-    A = _as_float(A_init, "A_init")
-    if not (np.isfinite(z).all() and (z > 0.0).all() and math.isfinite(A) and A > 0.0):
-        raise InputError("init values and A_init must be positive and finite")
+    z = np.array([_as_positive(init[lab], f"init[{lab}]") for lab in system.loop_labels])
+    A = _as_positive(A_init, "A_init")
     it = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
@@ -209,11 +212,6 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.compress(keep, axis=0) for a in arrays]
 
 
-def _require_int(value, name: str, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _normalise_hint(hint, labels) -> np.ndarray:
     """A hint, a BoundaryLawSolution or a (z map, A) pair, as the point
     (z_loops..., A)."""
@@ -271,10 +269,10 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     hints (see _normalise_hint), else InputError; more than _MAX_STARTS
     starts raise TooLarge.
     """
-    _require_int(n_starts, "n_starts", 50)
+    n_starts = _as_int(n_starts, "n_starts", 50)
     if n_starts > _MAX_STARTS:
         raise TooLarge(f"n_starts {n_starts} exceeds the cap of {_MAX_STARTS}")
-    _require_int(seed, "seed", 0)
+    seed = _as_int(seed, "seed", 0)
     system = reduce(spec, graph)
     labels = system.loop_labels
     m = len(labels)

@@ -44,7 +44,7 @@ from .chain import (
     transition_matrix,
 )
 from .errors import InputError, TooLarge
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution
+from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_int
 
 _KEY_SPACE = 1 << 128
 
@@ -64,8 +64,7 @@ _BLOCK_VERTICES = 1 << 16
 
 def num_vertices(k: int, depth: int) -> int:
     """Vertices of the rooted Cayley tree: root plus k+1 branches of depth n."""
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise InputError(f"depth must be an integer >= 0, got {depth!r}")
+    depth = _as_int(depth, "depth", 0)
     if k == 1:
         return 1 + 2 * depth
     return 1 + (k + 1) * (k**depth - 1) // (k - 1)
@@ -121,15 +120,13 @@ class TreeSample:
     """
 
     def __init__(self, depth: int, seed: int, spins, k: int = 2) -> None:
-        spins = tuple(spins)
+        spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
+        depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
         want = num_vertices(k, depth)
         if len(spins) != want:
             raise InputError(
                 f"depth {depth} on a tree of order {k} needs {want} spins, got {len(spins)}"
             )
-        for s in spins:
-            if s != TAIL and (isinstance(s, bool) or not isinstance(s, int)):
-                raise InputError(f"spin {s!r} is neither an integer nor {TAIL!r}")
         states = tuple(dict.fromkeys(spins))
         row = {lab: i for i, lab in enumerate(states)}
         self.depth, self.seed, self.k, self.states = depth, seed, k, states
@@ -205,15 +202,9 @@ class _Kernel:
         return out
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InputError(f"seed must be an integer, got {seed!r}")
-
-
 def _stream(seed, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The first count variates of seed's keyed stream, written into out if given."""
-    _check_seed(seed)
-    gen = np.random.Generator(np.random.Philox(key=int(seed) % _KEY_SPACE))
+    gen = np.random.Generator(np.random.Philox(key=_as_int(seed, "seed") % _KEY_SPACE))
     return gen.random(count, out=out)
 
 
@@ -246,7 +237,7 @@ def _check_vertex_budget(k: int, depth: int, trees: int) -> None:
 
     A tree of order k >= 2 has over 2**depth vertices, so a depth of at least
     the cap's bit length is refused before k**depth is computed."""
-    if k > 1 and isinstance(depth, int) and depth >= _MAX_SAMPLE_VERTICES.bit_length():
+    if k > 1 and depth >= _MAX_SAMPLE_VERTICES.bit_length():
         raise TooLarge(f"depth {depth} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
     total = trees * num_vertices(k, depth)
     if total > _MAX_SAMPLE_VERTICES:
@@ -262,11 +253,11 @@ def sample_tree(
     window: int | None = None,
 ) -> TreeSample:
     """Draw one configuration of the given depth, deterministically in seed."""
-    _check_seed(seed)
+    depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
     _check_vertex_budget(spec.k, depth, 1)
     kernel = _Kernel(solution, spec, graph, window)
     idx = _sample_block(kernel, depth, [seed])[0]
-    return TreeSample._drawn(depth, int(seed), idx, kernel.states, kernel.k)
+    return TreeSample._drawn(depth, seed, idx, kernel.states, kernel.k)
 
 
 def sample_forest(
@@ -285,12 +276,11 @@ def sample_forest(
     when a tree is larger), and each tree's index array is a row of its
     block.
     """
-    if isinstance(trees, bool) or not isinstance(trees, int) or trees < 1:
-        raise InputError(f"need at least one tree, got {trees!r}")
-    _check_seed(seed)
+    depth, trees = _as_int(depth, "depth", 0), _as_int(trees, "trees", 1)
+    seed = _as_int(seed, "seed")
     _check_vertex_budget(spec.k, depth, trees)
     kernel = _Kernel(solution, spec, graph, window)
-    spawn = np.random.SeedSequence(int(seed) % _KEY_SPACE)
+    spawn = np.random.SeedSequence(seed % _KEY_SPACE)
     tree_seeds = spawn.generate_state(trees, np.uint64).tolist()
     per_block = max(1, _BLOCK_VERTICES // num_vertices(kernel.k, depth))
     forest = []
@@ -427,8 +417,7 @@ def finite_gibbs_oracle(
     to fixed spins.  Raises TooLarge beyond the enumeration caps.
     """
     alphabet, activity = _oracle_alphabet(spec)
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise InputError(f"depth must be an integer >= 0, got {depth!r}")
+    depth = _as_int(depth, "depth", 0)
     if depth > _MAX_DEPTH:
         raise TooLarge(f"depth {depth} exceeds the enumeration cap of {_MAX_DEPTH}")
     n = num_vertices(spec.k, depth)
@@ -440,8 +429,9 @@ def finite_gibbs_oracle(
     pinned: dict[int, object] = {}
     if boundary:
         for v, s in boundary.items():
-            if not isinstance(v, int) or not leaf_start <= v < n:
-                raise InputError(f"boundary vertex {v!r} is not a leaf index")
+            v = _as_int(v, "boundary vertex")
+            if not leaf_start <= v < n:
+                raise InputError(f"boundary vertex {v} is not a leaf index")
             if s not in alphabet:
                 raise InputError(f"boundary spin {s!r} is not in the alphabet")
             pinned[v] = s
@@ -544,8 +534,7 @@ def conditional_diagnostic(
     has no per-vertex reproducibility contract), groups them by the
     multiset of children spins, and reports one TV row per pattern.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials!r}")
+    trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed")
     _check_vertex_budget(spec.k, 1, trials)  # a depth-1 star has k + 2 vertices
     kernel = _Kernel(solution, spec, graph, window)
     fanout = kernel.k + 1

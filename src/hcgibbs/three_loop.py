@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import two_loop
 from .boundary_law import ReducedSystem
-from .errors import DivergentActivities, DomainError, InputError
-from .model import ActivitySpec, BoundaryLawSolution, RegimeReport
+from .errors import DomainError, InputError
+from .model import ActivitySpec, BoundaryLawSolution, RegimeReport, _as_positive
 from .rootfind import refine, root_right
-from .two_loop import checked_curve, loop_z_branches, solve_loop_aggregate
 
 LAMBDA_STAR = 49.0 / 9.0
 THRESHOLD_RTOL = 1e-9
@@ -46,36 +46,17 @@ class ThreeLoopProblem:
     Lambda: float
 
     def __post_init__(self) -> None:
-        lam = float(self.lam)
-        Lambda = float(self.Lambda)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise InputError(f"loop activity must be positive and finite, got {self.lam!r}")
-        if math.isnan(Lambda):
-            raise InputError("total activity is NaN")
-        if math.isinf(Lambda):
-            raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
-        if Lambda < 2.0 * lam:
-            raise InputError(f"total activity {Lambda} must be >= twice the loop activity {lam}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "Lambda", Lambda)
+        two_loop._check_problem(self, "lam", 2)
 
     @classmethod
     def from_spec(cls, spec: ActivitySpec) -> "ThreeLoopProblem":
-        if spec.k != 2:
-            raise InputError(f"closed-form solver requires tree order k = 2, got k = {spec.k}")
-        if len(spec.loop_activities) != 2:
-            raise InputError(
-                f"two-nonzero-loop solver needs exactly two loops, got {len(spec.loop_activities)}"
-            )
-        if spec.divergent:
-            raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
-        lam_a, lam_b = spec.loop_activities.values()
+        (lam_a, lam_b), Lambda = two_loop._spec_loops(spec, 2)
         if lam_a != lam_b:
             raise InputError(
                 f"closed-form solver needs equal loop activities, got {lam_a} and {lam_b}; "
                 "the numerical oracle handles the general case"
             )
-        return cls(lam=lam_a, Lambda=spec.total_activity())
+        return cls(lam=lam_a, Lambda=Lambda)
 
 
 def thresholds(lam: float) -> tuple[float, float]:
@@ -84,9 +65,7 @@ def thresholds(lam: float) -> tuple[float, float]:
     Raises DomainError when Lambda2 overflows double precision, which
     happens for lam above about 1.9e102.
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise InputError(f"loop activity must be positive and finite, got {lam!r}")
-    lam = float(lam)
+    lam = _as_positive(lam, "loop activity")
     try:
         Lambda1 = 8.0 * lam ** 1.5 - 10.0 * lam
         w = 9.0 * lam * lam + 32.0 * lam
@@ -98,24 +77,20 @@ def thresholds(lam: float) -> tuple[float, float]:
     return Lambda1, Lambda2
 
 
-@checked_curve
+@two_loop.checked_curve
 def h_curve(lam: float, x: float, Lambda: float) -> float:
     """Symmetric-family branch condition (plus branch) at aggregate x = A."""
     y = 1.0 + x
-    r = y * y - 4.0 * lam
-    if r < 0.0:
-        raise DomainError(f"negative radicand: lambda = {lam} exceeds (1+x)^2/4 = {y * y / 4.0}")
-    return y ** 4 + y ** 3 * math.sqrt(r) - lam * y * y * (x + 2.0) + lam * (Lambda - 2.0 * lam)
+    s = math.sqrt(two_loop._radicand(lam, y))
+    return y ** 4 + y ** 3 * s - lam * y * y * (x + 2.0) + lam * (Lambda - 2.0 * lam)
 
 
-@checked_curve
+@two_loop.checked_curve
 def delta_curve(lam: float, x: float, Lambda: float) -> float:
     """Symmetric-family branch condition (minus branch) at aggregate x = A."""
     y = 1.0 + x
-    r = y * y - 4.0 * lam
-    if r < 0.0:
-        raise DomainError(f"negative radicand: lambda = {lam} exceeds (1+x)^2/4 = {y * y / 4.0}")
-    return y ** 4 - y ** 3 * math.sqrt(r) - lam * y * y * (x + 2.0) + lam * (Lambda - 2.0 * lam)
+    s = math.sqrt(two_loop._radicand(lam, y))
+    return y ** 4 - y ** 3 * s - lam * y * y * (x + 2.0) + lam * (Lambda - 2.0 * lam)
 
 
 def q_poly(lam: float, Lambda: float, x: float) -> float:
@@ -135,8 +110,7 @@ def q_critical_points(lam: float) -> tuple[float, float, float]:
     q'(x) = 4(x+1)(x - x2)(x - x3) with x2 < -1 < x3; only x3 can enter the
     admissible ray, and it does exactly when lam > 49/9.
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise InputError(f"loop activity must be positive and finite, got {lam!r}")
+    lam = _as_positive(lam, "loop activity")
     s = math.sqrt(9.0 * lam * lam + 32.0 * lam)
     x2 = (3.0 * lam - 8.0 - s) / 8.0
     x3 = (3.0 * lam - 8.0 + s) / 8.0
@@ -190,11 +164,7 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
 
 def solve_symmetric(problem: ThreeLoopProblem) -> BoundaryLawSolution:
     """The unique symmetric (z_1 = z_2) translation-invariant boundary law."""
-    A, z, _sign = solve_loop_aggregate(problem.lam, problem.Lambda, mult=2)
-    system = ReducedSystem(k=2, loop_labels=(1, 2), loop_lams=(problem.lam, problem.lam),
-                           Lambda=problem.Lambda)
-    residual = system.residual_at((z, z), A)
-    return BoundaryLawSolution(A=A, loop_z={1: z, 2: z}, branch="symmetric", residual=residual)
+    return two_loop._loop_solution(problem.lam, problem.Lambda, 2, ("symmetric", "symmetric"))
 
 
 def enumerate_solutions(problem: ThreeLoopProblem) -> list[BoundaryLawSolution]:
@@ -205,7 +175,7 @@ def enumerate_solutions(problem: ThreeLoopProblem) -> list[BoundaryLawSolution]:
                            Lambda=problem.Lambda)
     out = [solve_symmetric(problem)]
     for idx, A in enumerate(solve_asymmetric(problem), start=1):
-        z_plus, z_minus = loop_z_branches(problem.lam, A)
+        z_plus, z_minus = two_loop.loop_z_branches(problem.lam, A)
         for tag, pair in ((f"asymmetric-A{idx}", (z_plus, z_minus)),
                           (f"asymmetric-A{idx}-swapped", (z_minus, z_plus))):
             residual = system.residual_at(pair, A)

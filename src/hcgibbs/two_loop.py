@@ -24,8 +24,42 @@ from dataclasses import dataclass
 
 from .boundary_law import ReducedSystem
 from .errors import DivergentActivities, DomainError, InputError, NumericalFailure
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, RegimeReport
+from .model import (
+    ActivitySpec,
+    BoundaryLawSolution,
+    RegimeReport,
+    _as_float,
+    _as_positive,
+    require_finite,
+)
 from .rootfind import root_right
+
+
+def _check_problem(problem, lam_field: str, mult: int) -> None:
+    """Check a problem with mult equal loops and store its activities as
+    floats: the loop activity (field lam_field) positive and finite, Lambda
+    at least mult times it; Lambda = inf raises DivergentActivities."""
+    lam = _as_positive(getattr(problem, lam_field), "loop activity")
+    Lambda = _as_float(problem.Lambda, "total activity")
+    if math.isnan(Lambda):
+        raise InputError("total activity is NaN")
+    if math.isinf(Lambda):
+        raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
+    if Lambda < mult * lam:
+        raise InputError(f"total activity {Lambda} must be >= {mult} times the loop activity {lam}")
+    object.__setattr__(problem, lam_field, lam)
+    object.__setattr__(problem, "Lambda", Lambda)
+
+
+def _spec_loops(spec: ActivitySpec, n: int) -> tuple[tuple[float, ...], float]:
+    """The n loop activities and the total activity of a spec that a
+    closed-form solver for n loops can take."""
+    lams = tuple(spec.loop_activities.values())
+    if spec.k != 2:
+        raise InputError(f"closed-form solver requires tree order k = 2, got k = {spec.k}")
+    if len(lams) != n:
+        raise InputError(f"closed-form solver needs {n} nonzero loop(s), got {len(lams)}")
+    return lams, require_finite(spec)
 
 
 @dataclass(frozen=True)
@@ -36,37 +70,18 @@ class TwoLoopProblem:
     Lambda: float
 
     def __post_init__(self) -> None:
-        lam1 = float(self.lam1)
-        Lambda = float(self.Lambda)
-        if not (math.isfinite(lam1) and lam1 > 0.0):
-            raise InputError(f"loop activity must be positive and finite, got {self.lam1!r}")
-        if math.isnan(Lambda):
-            raise InputError("total activity is NaN")
-        if math.isinf(Lambda):
-            raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
-        if Lambda < lam1:
-            raise InputError(f"total activity {Lambda} must be >= the loop activity {lam1}")
-        object.__setattr__(self, "lam1", lam1)
-        object.__setattr__(self, "Lambda", Lambda)
+        _check_problem(self, "lam1", 1)
 
     @classmethod
     def from_spec(cls, spec: ActivitySpec) -> "TwoLoopProblem":
-        if spec.k != 2:
-            raise InputError(f"closed-form solver requires tree order k = 2, got k = {spec.k}")
-        if len(spec.loop_activities) != 1:
-            raise InputError(
-                f"single-loop solver needs exactly one nonzero loop, got {len(spec.loop_activities)}"
-            )
-        if spec.divergent:
-            raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
-        (lam1,) = spec.loop_activities.values()
-        return cls(lam1=lam1, Lambda=spec.total_activity())
+        (lam1,), Lambda = _spec_loops(spec, 1)
+        return cls(lam1=lam1, Lambda=Lambda)
 
 
 def _radicand(lam: float, x: float) -> float:
     r = x * x - 4.0 * lam
     if r < 0.0:
-        raise DomainError(f"negative radicand: lambda = {lam} exceeds x^2/4 = {x * x / 4.0}")
+        raise DomainError(f"negative radicand: lambda = {lam} exceeds {x}^2/4 = {x * x / 4.0}")
     return r
 
 
@@ -201,13 +216,21 @@ def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, f
     return found[0]
 
 
+def _loop_solution(lam: float, Lambda: float, mult: int, branches: tuple[str, str]):
+    """The BoundaryLawSolution with mult equal loops (canonical labels
+    1..mult) at the aggregate root of solve_loop_aggregate; branches names
+    the z_plus and the z_minus branch."""
+    A, z, sign = solve_loop_aggregate(lam, Lambda, mult)
+    labels = tuple(range(1, mult + 1))
+    system = ReducedSystem(k=2, loop_labels=labels, loop_lams=(lam,) * mult, Lambda=Lambda)
+    residual = system.residual_at((z,) * mult, A)
+    branch = branches[0] if sign > 0 else branches[1]
+    return BoundaryLawSolution(A, dict.fromkeys(labels, z), branch, residual)
+
+
 def solve_unique(problem: TwoLoopProblem) -> BoundaryLawSolution:
     """The unique translation-invariant boundary law of a single-loop instance."""
-    A, z, sign = solve_loop_aggregate(problem.lam1, problem.Lambda, mult=1)
-    system = ReducedSystem(k=2, loop_labels=(1,), loop_lams=(problem.lam1,), Lambda=problem.Lambda)
-    residual = system.residual_at((z,), A)
-    branch = "two-loop-f" if sign > 0 else "two-loop-g"
-    return BoundaryLawSolution(A=A, loop_z={1: z}, branch=branch, residual=residual)
+    return _loop_solution(problem.lam1, problem.Lambda, 1, ("two-loop-f", "two-loop-g"))
 
 
 def classify(problem: TwoLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:

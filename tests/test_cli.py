@@ -701,6 +701,24 @@ def test_sweep_curve_pair_names(capsys):
     assert main(["sweep", "--emit-curves", "f,g", "--Lambda", "10"]) == 2
 
 
+# SHA-256 of the exact stdout bytes of `sweep --emit-curves` at 200 points,
+# captured before h_curve and delta_curve shared two_loop's radicand; the
+# last row of each sits on the radicand's zero
+@pytest.mark.parametrize(
+    "pair, x, Lambda, digest",
+    [
+        ("f,g", "2.5", "6", "d77ec6a3b034aa7310e0021c4fd8800f55b8572384db07368a6ed7adf03371cf"),
+        ("f,g", "37.25", "1e5", "5abc8ca575d94e0c5ff554aab3852a9163dcf44dbb7ab6b0ec6673e7b765d432"),
+        ("h,delta", "2.0", "10", "81f17533a5a46f32c818f3ff321fee2d9290fdf69150dc565939ed228b8cf33c"),
+        ("h,delta", "13.5", "500", "69388814b5e4ba8b7400c8b62089a4277e8fa6355188c2f50d7cebd2d8e06804"),
+    ],
+)
+def test_sweep_curve_bytes_frozen(capsys, pair, x, Lambda, digest):
+    argv = ["sweep", "--emit-curves", pair, "--x", x, "--Lambda", Lambda, "--points", "200"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("points", [0, -3, _MAX_CURVE_POINTS + 1])
 def test_sweep_curve_points_out_of_range(capsys, monkeypatch, points):
     def no_rows(*args):

@@ -309,6 +309,26 @@ def test_conditional_diagnostic_budget(monkeypatch):
         conditional_diagnostic(SOL, SPEC, GRAPH, trials=10**30)
 
 
+def test_numpy_integer_sizes_are_capped_before_drawing(monkeypatch):
+    """Sizes are read as Python ints: in int64, num_vertices(2, 64) wraps to
+    -2 and 2 * 2**62 + 2 to a negative state count, both under the caps."""
+    def allocate(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
+    monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
+    monkeypatch.setattr("hcgibbs.chain._kernel", allocate)
+    with pytest.raises(TooLarge):
+        sample_forest(SOL, SPEC, GRAPH, depth=np.int64(64), trees=1, seed=1)
+    with pytest.raises(TooLarge):
+        sample_forest(SOL, SPEC, GRAPH, depth=2, trees=np.int64(2**62), seed=1)
+    with pytest.raises(TooLarge):
+        sample_tree(SOL, SPEC, GRAPH, depth=np.int64(64), seed=1)
+    for window in (np.int64(2048), np.int64(2**62)):
+        with pytest.raises(TooLarge):
+            transition_matrix(SOL, SPEC, GRAPH, window)
+
+
 def _reference_admissibility(sample, graph) -> float:
     spins, parents = sample.spins, parent_array(sample.k, sample.depth)
     if len(spins) == 1:
@@ -507,6 +527,8 @@ def test_forest_seed_is_checked_before_drawing(monkeypatch):
             sample_forest(SOL, SPEC, GRAPH, depth=2, trees=2, seed=seed)
         with pytest.raises(InputError, match="seed must be an integer"):
             sample_tree(SOL, SPEC, GRAPH, depth=2, seed=seed)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            conditional_diagnostic(SOL, SPEC, GRAPH, trials=2, seed=seed)
 
 
 def test_forest_accepts_a_numpy_integer_seed():
