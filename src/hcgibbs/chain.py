@@ -41,6 +41,8 @@ from .model import (
     AdmissibilityGraph,
     BoundaryLawSolution,
     _as_int,
+    _as_nonnegative,
+    _as_positive,
     check_spec_graph,
     relabel_solution,
 )
@@ -299,6 +301,7 @@ def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
     they must agree.  A TransitionMatrix is multiplied from its structural
     form, never as the dense matrix.
     """
+    tol = _as_nonnegative(tol, "tol")
     x = _as_vector(X)
     if isinstance(X, StationaryDistribution) and isinstance(P, TransitionMatrix) and X.states != P.states:
         raise ShapeMismatch("distribution and matrix are on different state sets")
@@ -375,6 +378,8 @@ def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
     supplied start is normalized.  Raises NumericalFailure when max_iter
     sweeps do not reach the tolerance.
     """
+    max_iter = _as_int(max_iter, "max_iter", 0)
+    tol = _as_positive(tol, "tol")
     n, times = _product(P)
     if start is None:
         x = np.full(n, 1.0 / n)

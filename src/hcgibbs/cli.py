@@ -16,6 +16,7 @@ translation-invariant Gibbs measure exists), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -486,9 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

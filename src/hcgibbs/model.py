@@ -41,6 +41,25 @@ def _as_positive(value, name: str) -> float:
     return out
 
 
+def _as_nonnegative(value, name: str) -> float:
+    """_as_float(value) that must also be finite and >= 0."""
+    out = _as_float(value, name)
+    if not 0.0 <= out < math.inf:
+        raise InputError(f"{name} must be finite and >= 0, got {value!r}")
+    return out
+
+
+def _as_total(value) -> float:
+    """A total activity read as a real; +inf, the divergent total, raises
+    DivergentActivities, and NaN is bad input."""
+    Lambda = _as_float(value, "total activity")
+    if Lambda == math.inf:
+        raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
+    if math.isnan(Lambda):
+        raise InputError("total activity is NaN")
+    return Lambda
+
+
 def _positive_values(mapping, name: str) -> dict:
     """The mapping with each value read by _as_positive as name[key]; a
     positive finite float passes without a call or a name."""
@@ -93,9 +112,7 @@ class ActivitySpec:
         overlap = set(loops) & set(tail)
         if overlap:
             raise InputError(f"labels {sorted(overlap)} appear as both loop and tail states")
-        mass = _as_float(self.tail_mass, "tail_mass")
-        if not math.isfinite(mass) or mass < 0.0:
-            raise InputError(f"tail_mass must be finite and >= 0, got {self.tail_mass!r}")
+        mass = _as_nonnegative(self.tail_mass, "tail_mass")
         if not isinstance(self.divergent, bool):
             raise InputError("divergent must be a boolean")
         object.__setattr__(self, "k", k)
@@ -273,8 +290,5 @@ def spec_to_json(spec: ActivitySpec) -> dict:
 
 
 def require_finite(spec: ActivitySpec) -> float:
-    """Total activity of a spec that must be finite; raises otherwise."""
-    Lambda = spec.total_activity()
-    if not math.isfinite(Lambda):
-        raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
-    return Lambda
+    """Total activity of a spec, read by _as_total."""
+    return _as_total(spec.total_activity())

@@ -351,6 +351,7 @@ def _tally(samples, level: int | None = None) -> dict:
 
 def level_counts(samples, level: int) -> dict:
     """Spin counts over the vertices at one depth level of every sample."""
+    level = _as_int(level, "level", 0)
     if not samples:
         raise InputError("no samples")
     reaching = [sample for sample in samples if level <= sample.depth]

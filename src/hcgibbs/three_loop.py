@@ -14,10 +14,11 @@ on the open ray x > 2*sqrt(lam) - 1.  The regime thresholds
     Lambda2 = ((9*lam^2+32*lam)^(3/2) + 27*lam^3 + 144*lam^2 + 1152*lam)/512
 
 satisfy q(2*sqrt(lam)-1) = lam*(Lambda - Lambda1) and q(x3) = lam*(Lambda -
-Lambda2) at the right critical point x3, identities this module uses to
-decide root existence so the solvers and the classifier can never disagree
-through rounding.  The solution count is 1, 3 or 5; the tangency
-lam = 49/9 is where Lambda1 and Lambda2 meet.  All formulas assume k = 2.
+Lambda2) at the right critical point x3.  _regime places (lam, Lambda) in
+one of six cases from these thresholds and the tangency lam = 49/9, where
+Lambda1 and Lambda2 meet; it alone compares against them.  classify reads
+the solution count (1, 3 or 5) off the case, and solve_asymmetric the
+number of asymmetric roots.  All formulas assume k = 2.
 
 h_curve and delta_curve are the symmetric-family branch conditions written
 as functions of the aggregate x = A; they are kept as test instruments.
@@ -25,6 +26,7 @@ as functions of the aggregate x = A; they are kept as test instruments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,7 @@ from .rootfind import refine, root_right
 
 LAMBDA_STAR = 49.0 / 9.0
 THRESHOLD_RTOL = 1e-9
+_COUNTS = {"i": 3, "ii": 1, "iii": 3, "iv": 5, "v": 3, "vi": 1}
 
 
 @dataclass(frozen=True)
@@ -117,49 +120,53 @@ def q_critical_points(lam: float) -> tuple[float, float, float]:
     return x2, -1.0, x3
 
 
-def _near(value: float, target: float, rtol: float = THRESHOLD_RTOL) -> bool:
-    return abs(value - target) <= rtol * max(1.0, abs(target))
+def _regime(lam: float, Lambda: float) -> tuple[str, float, float]:
+    """The regime case of (lam, Lambda), with the thresholds (Lambda1, Lambda2).
+
+    Cases: (i) lam <= 49/9, Lambda < Lambda1; (ii) lam <= 49/9, Lambda >=
+    Lambda1; (iii) lam > 49/9, Lambda <= Lambda1; (iv) lam > 49/9, Lambda1 <
+    Lambda < Lambda2; (v) lam > 49/9, Lambda = Lambda2 within THRESHOLD_RTOL;
+    (vi) lam > 49/9, Lambda > Lambda2.
+    """
+    Lambda1, Lambda2 = thresholds(lam)
+    if lam <= LAMBDA_STAR:
+        case = "i" if Lambda < Lambda1 else "ii"
+    elif abs(Lambda - Lambda2) <= THRESHOLD_RTOL * max(1.0, abs(Lambda2)):
+        case = "v"
+    elif Lambda <= Lambda1:
+        case = "iii"
+    else:
+        case = "iv" if Lambda < Lambda2 else "vi"
+    return case, Lambda1, Lambda2
 
 
 def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
     """Aggregate values of all asymmetric solutions, in increasing order.
 
-    Roots of q on the open ray x > 2*sqrt(lam) - 1.  A double root at the
-    critical point x3 (total activity on the upper threshold) is returned
-    once.  Boundary-sign decisions go through the exact identities
-    q(2*sqrt(lam)-1) = lam*(Lambda - Lambda1), q(x3) = lam*(Lambda - Lambda2).
+    Roots of q on the open ray x > 2*sqrt(lam) - 1: one in cases i and iii,
+    two in iv, the double root at the critical point x3 once in v, none in
+    ii and vi (see _regime).
     """
     lam, Lambda = problem.lam, problem.Lambda
-    Lambda1, Lambda2 = thresholds(lam)
-    lo = 2.0 * math.sqrt(lam) - 1.0
-
-    def q(x):
-        return q_poly(lam, Lambda, x)
-
-    def dq(x):
-        return _q_derivative(lam, x)
-
-    if lam <= LAMBDA_STAR:
-        # q is nondecreasing on the ray, so there is a root iff q(lo) < 0
-        if Lambda >= Lambda1:
-            return []
-        q_lo = lam * (Lambda - Lambda1)
-        return [root_right(q, dq, lo, q_lo)]
-
-    x3 = q_critical_points(lam)[2]
-    if _near(Lambda, Lambda2):
-        return [x3]
-    if Lambda > Lambda2:
+    case, Lambda1, Lambda2 = _regime(lam, Lambda)
+    if case in ("ii", "vi"):
         return []
+    lo = 2.0 * math.sqrt(lam) - 1.0
+    q, dq = functools.partial(q_poly, lam, Lambda), functools.partial(_q_derivative, lam)
+    if case == "i":
+        # q is nondecreasing on the ray and q(lo) < 0
+        return [root_right(q, dq, lo, lam * (Lambda - Lambda1))]
+    x3 = q_critical_points(lam)[2]
+    if case == "v":
+        return [x3]
     q_x3 = lam * (Lambda - Lambda2)
     roots = []
-    if Lambda > Lambda1:
+    if case == "iv":
         # q decreases from q(lo) > 0 to q(x3) < 0: one root inside (lo, x3)
-        q_lo = lam * (Lambda - Lambda1)
-        roots.append(refine(q, dq, lo, x3, q_lo, q_x3))
+        roots.append(refine(q, dq, lo, x3, lam * (Lambda - Lambda1), q_x3))
     # q increases without bound beyond x3: always one root out there
     roots.append(root_right(q, dq, x3, q_x3))
-    return sorted(roots)
+    return roots
 
 
 def solve_symmetric(problem: ThreeLoopProblem) -> BoundaryLawSolution:
@@ -185,34 +192,10 @@ def enumerate_solutions(problem: ThreeLoopProblem) -> list[BoundaryLawSolution]:
 
 
 def classify(problem: ThreeLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:
-    """Solution count and regime case for a two-nonzero-loop instance.
-
-    Cases: (i) lam <= 49/9, Lambda < Lambda1 -> 3; (ii) lam <= 49/9,
-    Lambda >= Lambda1 -> 1; (iii) lam > 49/9, Lambda <= Lambda1 -> 3;
-    (iv) lam > 49/9, Lambda1 < Lambda < Lambda2 -> 5; (v) lam > 49/9,
-    Lambda = Lambda2 -> 3; (vi) lam > 49/9, Lambda > Lambda2 -> 1.
-    Divergent input -> 0.
-    """
-    if divergent:
-        lam = problem.lam if problem is not None else None
-        return RegimeReport(lam=lam, Lambda=None, Lambda1=None, Lambda2=None,
-                            count=0, case_label="divergent")
-    if problem is None:
-        raise InputError("classify needs a problem unless divergent=True")
-    lam, Lambda = problem.lam, problem.Lambda
-    Lambda1, Lambda2 = thresholds(lam)
-    if lam <= LAMBDA_STAR:
-        if Lambda < Lambda1:
-            count, case = 3, "i"
-        else:
-            count, case = 1, "ii"
-    elif _near(Lambda, Lambda2):
-        count, case = 3, "v"
-    elif Lambda <= Lambda1:
-        count, case = 3, "iii"
-    elif Lambda < Lambda2:
-        count, case = 5, "iv"
-    else:
-        count, case = 1, "vi"
-    return RegimeReport(lam=lam, Lambda=Lambda, Lambda1=Lambda1, Lambda2=Lambda2,
-                        count=count, case_label=case)
+    """Solution count and regime case (see _regime) of a two-loop instance; 0 when divergent."""
+    report = two_loop._divergent_report(problem, "lam", divergent)
+    if report is not None:
+        return report
+    case, Lambda1, Lambda2 = _regime(problem.lam, problem.Lambda)
+    return RegimeReport(problem.lam, problem.Lambda, Lambda1, Lambda2,
+                        count=_COUNTS[case], case_label=case)

@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass
 
 from .boundary_law import ReducedSystem
-from .errors import DivergentActivities, DomainError, InputError, NumericalFailure
+from .errors import DomainError, InputError, NumericalFailure
 from .model import (
     ActivitySpec,
     BoundaryLawSolution,
     RegimeReport,
-    _as_float,
     _as_positive,
+    _as_total,
     require_finite,
 )
 from .rootfind import root_right
@@ -38,13 +38,9 @@ from .rootfind import root_right
 def _check_problem(problem, lam_field: str, mult: int) -> None:
     """Check a problem with mult equal loops and store its activities as
     floats: the loop activity (field lam_field) positive and finite, Lambda
-    at least mult times it; Lambda = inf raises DivergentActivities."""
+    read by _as_total and at least mult times it."""
     lam = _as_positive(getattr(problem, lam_field), "loop activity")
-    Lambda = _as_float(problem.Lambda, "total activity")
-    if math.isnan(Lambda):
-        raise InputError("total activity is NaN")
-    if math.isinf(Lambda):
-        raise DivergentActivities("total activity diverges: no translation-invariant Gibbs measure")
+    Lambda = _as_total(problem.Lambda)
     if Lambda < mult * lam:
         raise InputError(f"total activity {Lambda} must be >= {mult} times the loop activity {lam}")
     object.__setattr__(problem, lam_field, lam)
@@ -233,13 +229,18 @@ def solve_unique(problem: TwoLoopProblem) -> BoundaryLawSolution:
     return _loop_solution(problem.lam1, problem.Lambda, 1, ("two-loop-f", "two-loop-g"))
 
 
-def classify(problem: TwoLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:
-    """Solution count for the single-loop graph: 1 when finite, 0 when divergent."""
+def _divergent_report(problem, lam_field: str, divergent: bool) -> RegimeReport | None:
+    """The count-0 report of divergent input, with the problem's loop activity
+    (field lam_field) when given; None when there is a problem to classify."""
     if divergent:
-        lam = problem.lam1 if problem is not None else None
-        return RegimeReport(lam=lam, Lambda=None, Lambda1=None, Lambda2=None,
-                            count=0, case_label="divergent")
+        lam = None if problem is None else getattr(problem, lam_field)
+        return RegimeReport(lam, None, None, None, count=0, case_label="divergent")
     if problem is None:
         raise InputError("classify needs a problem unless divergent=True")
-    return RegimeReport(lam=problem.lam1, Lambda=problem.Lambda, Lambda1=None, Lambda2=None,
-                        count=1, case_label="unique")
+    return None
+
+
+def classify(problem: TwoLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:
+    """Solution count for the single-loop graph: 1 when finite, 0 when divergent."""
+    return _divergent_report(problem, "lam1", divergent) or RegimeReport(
+        problem.lam1, problem.Lambda, None, None, count=1, case_label="unique")

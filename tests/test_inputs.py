@@ -6,6 +6,7 @@ scalar gives the same result as the Python number of the same value.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,21 @@ import pytest
 
 import hcgibbs
 from hcgibbs.boundary_law import residual
-from hcgibbs.chain import TransitionMatrix, transition_matrix
-from hcgibbs.errors import InputError
-from hcgibbs.model import ActivitySpec, AdmissibilityGraph, graph_from_spec
+from hcgibbs.chain import (
+    TransitionMatrix,
+    power_iteration,
+    stationary_closed_form,
+    transition_matrix,
+    verify_stationary,
+)
+from hcgibbs.errors import DivergentActivities, InputError, NumericalFailure
+from hcgibbs.model import ActivitySpec, AdmissibilityGraph, graph_from_spec, require_finite
 from hcgibbs.oracle import fixed_point_iterate, multistart_count
 from hcgibbs.sampler import (
     TreeSample,
     conditional_diagnostic,
     finite_gibbs_oracle,
+    level_counts,
     num_vertices,
     sample_forest,
     sample_tree,
@@ -32,6 +40,8 @@ SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
 GRAPH = graph_from_spec(SPEC)
 SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
 TM = transition_matrix(SOL, SPEC, GRAPH, 2)
+SD = stationary_closed_form(SOL, SPEC, GRAPH, 2)
+FOREST = sample_forest(SOL, SPEC, GRAPH, 2, 2, 7)
 
 
 def _residual(A=0.5, z1=0.25):
@@ -82,6 +92,10 @@ def _diagnostic(trials=20, seed=4):
     return conditional_diagnostic(SOL, SPEC, GRAPH, trials, seed)
 
 
+def _power(tol=2.0**-40, max_iter=10_000):
+    return power_iteration(TM, tol=tol, max_iter=max_iter)
+
+
 # (entry point, argument, Python value): every other argument keeps its
 # default; each value is exact in float32, so np.float32 reads as the same
 # double
@@ -121,6 +135,10 @@ CASES = {
     "fixed_point_iterate-A_init": (_fixed_point, "A_init", 0.5),
     "multistart_count-n_starts": (_multistart, "n_starts", 50),
     "multistart_count-seed": (_multistart, "seed", 3),
+    "level_counts-level": (lambda level: level_counts(FOREST, level), "level", 1),
+    "power_iteration-max_iter": (_power, "max_iter", 10_000),
+    "power_iteration-tol": (_power, "tol", 2.0**-40),
+    "verify_stationary-tol": (lambda tol: verify_stationary(SD, TM, tol), "tol", 2.0**-30),
 }
 
 
@@ -132,6 +150,8 @@ def _key(result):
         return repr((result.depth, result.seed, result.k, result.spins)), result.index.tobytes()
     if isinstance(result, tuple) and result and isinstance(result[0], TreeSample):
         return tuple(map(_key, result))
+    if isinstance(result, tuple) and result and isinstance(result[0], np.ndarray):
+        return result[0].tobytes(), repr(result[1:])
     return repr(result)
 
 
@@ -170,4 +190,61 @@ def test_only_model_decides_what_a_number_is():
     modules = sorted(Path(hcgibbs.__file__).parent.glob("*.py"))
     found = {path.name: _number_type_checks(path) for path in modules}
     assert found.pop("model.py")  # the scan sees the readers it guards
+    assert [line for lines in found.values() for line in lines] == []
+
+
+def test_level_below_zero_is_bad_input():
+    with pytest.raises(InputError):
+        level_counts(FOREST, -1)  # used to count the deepest level
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_a_tolerance_that_is_not_a_finite_bound_is_bad_input(tol):
+    with pytest.raises(InputError):
+        _power(tol=tol)  # NaN used to run every sweep, then fail
+    with pytest.raises(InputError):
+        verify_stationary(SD, TM, tol)  # NaN and -1 used to report passed=False
+
+
+def test_sweep_count_and_zero_tolerance():
+    with pytest.raises(InputError):
+        _power(max_iter=-1)
+    with pytest.raises(NumericalFailure):
+        _power(max_iter=0)
+    assert verify_stationary(SD, TM, 0.0).max_residual >= 0.0  # zero is a bound
+
+
+@pytest.mark.parametrize("problem", [_two_loop, _three_loop], ids=["one-loop", "two-loop"])
+def test_one_total_activity_rule(problem):
+    """NaN and -inf are bad input and +inf is the divergent total."""
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(InputError):
+            problem(Lambda=bad)
+    with pytest.raises(DivergentActivities):
+        problem(Lambda=math.inf)
+
+
+def test_a_divergent_spec_has_no_finite_total():
+    with pytest.raises(DivergentActivities):
+        require_finite(ActivitySpec(loop_activities={1: 1.0}, divergent=True))
+    huge = ActivitySpec(loop_activities={1: 1e308, 2: 1e308})  # the sum overflows
+    with pytest.raises(DivergentActivities):
+        require_finite(huge)
+
+
+def _raises_of(path: Path, exc: str) -> list[str]:
+    """Each raise statement in a module that raises the named exception."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(target).split(".")[-1] == exc:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_model_decides_what_diverges():
+    modules = sorted(Path(hcgibbs.__file__).parent.glob("*.py"))
+    found = {path.name: _raises_of(path, "DivergentActivities") for path in modules}
+    assert found.pop("model.py")  # the scan sees the rule it guards
     assert [line for lines in found.values() for line in lines] == []

@@ -6,13 +6,16 @@ checked both against frozen floats and against their defining property
 that the quartic's interior minimum touches zero.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hcgibbs import three_loop, two_loop
 from hcgibbs.boundary_law import expand, residual
-from hcgibbs.errors import DivergentActivities, DomainError, InputError
+from hcgibbs.errors import DivergentActivities, DomainError, InputError, NumericalFailure
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.three_loop import (
     LAMBDA_STAR,
@@ -229,3 +232,73 @@ def test_from_spec_shape_checks():
     div = ActivitySpec(loop_activities={1: 9.0, 2: 9.0}, divergent=True)
     with pytest.raises(DivergentActivities):
         ThreeLoopProblem.from_spec(div)
+
+
+def test_classify_counts_what_enumerate_finds_near_the_thresholds():
+    # lam log-uniform in [0.1, 100]; Lambda within 1e-13 to 1e-1 (relative)
+    # of Lambda1 or Lambda2, or spread above 2*lam
+    rng = np.random.default_rng(20231)
+    checked = refused = 0
+    for _ in range(3000):
+        lam = float(10 ** rng.uniform(-1, 2))
+        mode = rng.integers(3)
+        if mode == 2:
+            Lambda = 2 * lam * float(10 ** rng.uniform(0, 3))
+        else:
+            offset = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-13, -1))
+            Lambda = thresholds(lam)[mode] * (1 + offset)
+        if not Lambda >= 2 * lam:
+            continue
+        problem = ThreeLoopProblem(lam, Lambda)
+        try:
+            sols = enumerate_solutions(problem)
+        except NumericalFailure:
+            refused += 1
+            continue
+        assert classify(problem).count == len(sols), (lam, Lambda)
+        checked += 1
+    assert checked == 2489
+    # the symmetric solve refuses 75 points of its three-root window (the
+    # "not always unique" Known defect in ROADMAP) and 5 points just below
+    # Lambda1, where its root nears the branch point; pinned as they stand
+    assert refused == 80
+
+
+_THRESHOLD_NAMES = {"LAMBDA_STAR", "Lambda1", "Lambda2"}
+
+
+def _threshold_compares(path: Path) -> list[str]:
+    """The function around each comparison in a module that reads
+    LAMBDA_STAR, Lambda1 or Lambda2."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) in _THRESHOLD_NAMES
+                for n in ast.walk(node)):
+            found.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_regime_compares_against_the_thresholds():
+    modules = sorted(Path(three_loop.__file__).parent.glob("*.py"))
+    found = [line for path in modules for line in _threshold_compares(path)]
+    assert found and set(found) == {"three_loop.py:_regime"}
+
+
+def test_both_classifiers_share_the_divergent_report():
+    one, two = two_loop.TwoLoopProblem(9.0, 20.0), ThreeLoopProblem(9.0, 20.0)
+    assert (two_loop.classify(one, divergent=True).to_json_dict()
+            == classify(two, divergent=True).to_json_dict()
+            == {"lambda": 9.0, "Lambda": None, "Lambda1": None, "Lambda2": None,
+                "count": 0, "case": "divergent"})
+    for fn in (two_loop.classify, classify):
+        assert fn(divergent=True).lam is None
+        with pytest.raises(InputError):
+            fn()
