@@ -154,8 +154,9 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
     lo = 2.0 * math.sqrt(lam) - 1.0
     q, dq = functools.partial(q_poly, lam, Lambda), functools.partial(_q_derivative, lam)
     if case == "i":
-        # q is nondecreasing on the ray and q(lo) < 0
-        return [root_right(q, dq, lo, lam * (Lambda - Lambda1))]
+        # q is nondecreasing on the ray and q(lo) < 0, so the root lies past
+        # lo; near Lambda1, where q(lo) is nearly 0, it can round below lo
+        return [max(lo, root_right(q, dq, lo, lam * (Lambda - Lambda1)))]
     x3 = q_critical_points(lam)[2]
     if case == "v":
         return [x3]

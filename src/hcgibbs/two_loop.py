@@ -74,9 +74,18 @@ class TwoLoopProblem:
         return cls(lam1=lam1, Lambda=Lambda)
 
 
+# how far below zero x^2 - 4 lam may round at the branch point x = 2 sqrt(lam),
+# in units of x^2: at x = 1 + (2 sqrt(lam) - 1), the start of the closed
+# forms' ray, it read down to -1 ulp over 200,000 values of lam in [0.3, 5.5]
+_RADICAND_ROUNDING = 4.0 * math.ulp(1.0)
+
+
 def _radicand(lam: float, x: float) -> float:
+    """x^2 - 4 lam, clamped to 0 within its rounding below zero."""
     r = x * x - 4.0 * lam
     if r < 0.0:
+        if r >= -_RADICAND_ROUNDING * x * x:
+            return 0.0
         raise DomainError(f"negative radicand: lambda = {lam} exceeds {x}^2/4 = {x * x / 4.0}")
     return r
 

@@ -10,6 +10,7 @@ from scipy import stats
 
 from hcgibbs import sampler
 from hcgibbs.chain import (
+    _MAX_STATES,
     TAIL,
     TransitionMatrix,
     minimal_window,
@@ -72,6 +73,8 @@ SHORT = spec_from_json(
     }
 )
 SHORT_SOL = solve_unique(TwoLoopProblem.from_spec(SHORT))
+WIDE_SPEC = spec_from_json(WIDE)
+WIDE_SOL = enumerate_solutions(ThreeLoopProblem.from_spec(WIDE_SPEC))[0]
 LARGEST_VARIATE = 1.0 - 2.0**-53
 
 
@@ -296,6 +299,14 @@ def test_conditional_diagnostic_report():
         conditional_diagnostic(SOL, SPEC, GRAPH, trials=0)
 
 
+def test_conditional_diagnostic_frozen():
+    """The strided-column child draws of the diagnostic, pinned bit for bit."""
+    report = conditional_diagnostic(SOL, SPEC, GRAPH, trials=3000, seed=4, window=5)
+    text = json.dumps(report.to_json_dict(), separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "afb732bce7be203e39bf8bfc39e48570e3c4c81074c18e7a444f89d334d2cd47"
+
+
 def test_conditional_diagnostic_budget(monkeypatch):
     def allocate(*args):
         raise AssertionError("allocated before the budget check")
@@ -404,6 +415,40 @@ def test_edge_masks_built_once_per_state_table(monkeypatch):
     assert [edge_admissibility(t, graph) for t in forest] == [1.0] * 50
     assert 0 < calls <= len(forest[0].states)
 
+
+# 4096 states at the window cap: the narrow spec (3 active states, its hub
+# row in the cut table) and every label of the window listed (the hub's
+# children drawn by searchsorted)
+CAP = _MAX_STATES // 2 - 1
+CAP_LISTED = ActivitySpec(
+    loop_activities={1: 9.0, 2: 9.0},
+    explicit_tail={lab: 0.01 for lab in range(-CAP, CAP + 1) if lab not in (0, 1, 2)},
+    tail_mass=22.2,
+)
+
+
+@pytest.mark.parametrize(
+    "sol, spec",
+    [(SOL, SPEC), (enumerate_solutions(ThreeLoopProblem.from_spec(CAP_LISTED))[0], CAP_LISTED)],
+    ids=["narrow", "listed"],
+)
+def test_kernel_and_edge_check_stay_linear_at_the_state_cap(sol, spec):
+    """One states x states table at the cap is 16 MiB of bool; the bound is 4 MiB."""
+    graph = graph_from_spec(spec)
+    tree = sample_tree(sol, spec, graph, depth=8, seed=1, window=CAP)
+    sampler._edge_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        kernel = _Kernel(sol, spec, graph, CAP)
+        assert edge_admissibility(tree, graph) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kernel.states) == _MAX_STATES
+    assert kernel.gather_hub == (spec is CAP_LISTED)
+    assert peak < 4 * 2**20
+
+
 def _forest_digest(forest) -> str:
     text = json.dumps([t.to_json_dict() for t in forest], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -434,7 +479,7 @@ KERNEL_CASES = [
     (SOL, SPEC, 5),
     (LISTED_SOL, LISTED, 6),
     (SHORT_SOL, SHORT, None),
-] + [(sol, PAIR, 5) for sol in PAIR_SOLS]
+] + [(sol, PAIR, 5) for sol in PAIR_SOLS] + [(WIDE_SOL, WIDE_SPEC, None)]
 
 
 @pytest.mark.parametrize("sol, spec, window", KERNEL_CASES)
@@ -442,6 +487,11 @@ def test_structural_draws_match_dense_rows(sol, spec, window):
     """Every child draw equals the dense inverse CDF, breakpoints included."""
     graph = graph_from_spec(spec)
     kernel = _Kernel(sol, spec, graph, window)
+    # the hub row is in the cut table up to sampler._HUB_TABLE_STATES
+    # active states (3 to 7 here); WIDE's 602 are past that bound, and its
+    # hub's children are drawn by searchsorted
+    assert kernel.gather_hub == (spec is WIDE_SPEC)
+    assert kernel.gather_hub == (len(kernel.active) > sampler._HUB_TABLE_STATES)
     window = minimal_window(spec) if window is None else window
     rows = np.cumsum(transition_matrix(sol, spec, graph, window).matrix, axis=1)
     cum_root = np.cumsum(stationary_closed_form(sol, spec, graph, window).probabilities)
@@ -457,11 +507,14 @@ def test_structural_draws_match_dense_rows(sol, spec, window):
         ]
     )
     u = u[(u >= 0.0) & (u < 1.0)]
+    dense_of = {}  # the dense draws of each distinct row, as most states share one
     for p in range(n):
         below = u[u < rows[p, -1]]
-        dense = np.minimum((rows[p] <= below[:, None]).sum(axis=1), n - 1)
+        key = rows[p].tobytes()
+        if key not in dense_of:
+            dense_of[key] = np.minimum((rows[p] <= below[:, None]).sum(axis=1), n - 1)
         got = kernel.draw_children(np.full(len(below), p), below)
-        assert np.array_equal(got, dense), kernel.states[p]
+        assert np.array_equal(got, dense_of[key]), kernel.states[p]
     below = u[u < cum_root[-1]]
     dense = np.minimum(np.searchsorted(cum_root, below, side="right"), n - 1)
     assert np.array_equal(kernel.draw_root(below), dense)
@@ -535,10 +588,6 @@ def test_forest_accepts_a_numpy_integer_seed():
     a = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=np.int64(7))
     b = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=7)
     assert [t.index.tobytes() for t in a] == [t.index.tobytes() for t in b]
-
-
-WIDE_SPEC = spec_from_json(WIDE)
-WIDE_SOL = enumerate_solutions(ThreeLoopProblem.from_spec(WIDE_SPEC))[0]
 
 
 @pytest.mark.parametrize("sol, spec", [(SOL, SPEC), (WIDE_SOL, WIDE_SPEC)], ids=["narrow", "wide"])

@@ -191,6 +191,31 @@ def test_enumeration_at_tangency_point():
     assert classify(prob).count == 1
 
 
+# case i points within a few ulps of Lambda1, where the asymmetric root
+# rounded 1 and 341 ulps below the ray start 2 sqrt(lam) - 1 and the branch
+# values refused it with "negative radicand"
+@pytest.mark.parametrize(
+    "lam, Lambda",
+    [(2.3550230992804946, 5.362075819436568), (5.432305530438648, 46.96687425769785)],
+)
+def test_enumeration_a_few_ulps_below_the_lower_threshold(lam, Lambda):
+    prob = ThreeLoopProblem(lam, Lambda)
+    assert classify(prob).case_label == "i"
+    sols = enumerate_solutions(prob)
+    assert len(sols) == 3
+    spec = ActivitySpec(loop_activities={1: lam, 2: lam}, tail_mass=Lambda - 2.0 * lam)
+    graph = graph_from_spec(spec)
+    lo = 2.0 * math.sqrt(lam) - 1.0
+    assert all(s.A >= lo for s in sols if s.branch.startswith("asymmetric"))
+    for s in sols:
+        assert s.residual < 1e-10
+        assert residual(spec, graph, expand(s, spec)[0], s.A) < 1e-10
+    # a point genuinely off the ray is still refused
+    for A in (lo * (1.0 - 1e-12), 0.5 * lo):
+        with pytest.raises(DomainError):
+            two_loop.loop_z_branches(lam, A)
+
+
 def test_curve_difference_identity():
     x, Lambda = 2.0, 10.0
     bound = (1.0 + x) ** 2 / 4.0
