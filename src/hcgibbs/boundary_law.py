@@ -69,29 +69,13 @@ class ReducedSystem:
     def _lams(self) -> np.ndarray:
         return np.asarray(self.loop_lams, dtype=float)
 
-    def _loop_image(self, V):
-        """(1 + V, (1 + V)**k, loop part of F) at the points V."""
-        W = 1.0 + V
-        P = _pow(W, self.k)
-        return W, P, self._lams * P[..., :-1] / P[..., -1:]
-
-    def picard(self, z, A):
-        """The fixed-point map (z, A) -> F(z, A), at one point or a stack.
-
-        z has shape (m,) with a scalar A, or shape (n, m) with A of shape
-        (n,); the image has the same shapes.  Overflow follows numpy's float
-        rules.
-        """
-        V = _points(z, A)
-        _, P, Fz = self._loop_image(V)
-        return Fz, V[..., :-1].sum(axis=-1) + self.tail_lambda / P[..., -1]
-
     def _defect(self, V):
         """(1 + V, (1 + V)**k, the defect) at the points V."""
         m = len(self.loop_lams)
-        W, P, Fz = self._loop_image(V)
+        W = 1.0 + V
+        P = _pow(W, self.k)
         R = np.empty(V.shape)
-        R[..., :m] = V[..., :m] - Fz
+        R[..., :m] = V[..., :m] - self._lams * P[..., :m] / P[..., m:]
         R[..., m] = V[..., m] - V[..., :m].sum(axis=-1) - self.tail_lambda / P[..., m]
         return W, P, R
 
@@ -120,12 +104,17 @@ class ReducedSystem:
         return R, J
 
     def defect(self, z, A):
-        """The defect of linearise at (z, A), without the Jacobian; shapes
-        as in picard."""
+        """The defect of linearise at (z, A), without the Jacobian.
+
+        z has shape (m,) with a scalar A, or shape (n, m) with A of shape
+        (n,); the defect is the point (z, A) minus its image under the
+        consistency map, shape (m+1,) or (n, m+1).  Overflow follows
+        numpy's float rules.
+        """
         return self._defect(_points(z, A))[2]
 
     def jacobian(self, z, A) -> np.ndarray:
-        """The Jacobian of linearise at (z, A); shapes as in picard."""
+        """The Jacobian of linearise at (z, A); shapes as in defect."""
         return self.linearise(_points(z, A))[1]
 
     def residual_at(self, z, A: float) -> float:

@@ -8,7 +8,8 @@ the consistency map as readily as to attracting ones, so discovery needs
 no hints.  Hint points (e.g. closed-form solutions) are optional extra
 starts: a genuine hint is confirmed, a wrong one is rejected or pulled onto
 a genuine solution.  fixed_point_iterate keeps the plain damped Picard
-iteration as a single-start instrument.
+iteration as a single-start instrument; it steps on the same defect
+(ReducedSystem.defect) that Newton reads.
 
 Confirmed points are grouped by one greedy leader rule (_leaders): taken
 in order, a point joins the first earlier leader within a relative
@@ -100,14 +101,15 @@ class MultistartResult:
 def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dict[int, float],
                         A_init: float, damping: float = 0.5, max_iter: int = 100_000,
                         tol: float = 1e-11) -> FixedPointResult:
-    """Damped Picard iteration (z, A) <- (1-theta)(z, A) + theta F(z, A).
+    """Damped Picard iteration V <- V - theta R(V) on the point V = (z, A).
 
-    init maps each loop vertex to a positive starting value; A_init starts
-    the aggregate.  The residual is max |(z, A) - F(z, A)|.  Non-convergence
-    (blow-up, bounded oscillation, or an exhausted budget) is reported in
-    the result, never raised.  An init that already solves the system
-    returns with iterations == 0.  max_iter must be an integer >= 0 and tol
-    a finite number > 0: any other budget or gate could never end the loop.
+    R is ReducedSystem.defect, V - F(V), as in _newton; the residual is
+    max |R(V)|.  init maps each loop vertex to a positive starting value;
+    A_init starts the aggregate.  Non-convergence (blow-up, bounded
+    oscillation, or an exhausted budget) is reported in the result, never
+    raised.  An init that already solves the system returns with
+    iterations == 0.  max_iter must be an integer >= 0 and tol a finite
+    number > 0: any other budget or gate could never end the loop.
     """
     system = reduce(spec, graph)
     damping = _as_float(damping, "damping")
@@ -120,22 +122,21 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
     missing = set(system.loop_labels) - set(init)
     if missing:
         raise InputError(f"init is missing loop components {sorted(missing)}")
-    z = np.array([_as_positive(init[lab], f"init[{lab}]") for lab in system.loop_labels])
-    A = _as_positive(A_init, "A_init")
+    V = np.array([*(_as_positive(init[lab], f"init[{lab}]") for lab in system.loop_labels),
+                  _as_positive(A_init, "A_init")])
     it = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            Fz, FA = system.picard(z, A)
-            res = float(np.abs(np.append(z - Fz, A - FA)).max())
+            R = system.defect(V[:-1], V[-1])
+            res = float(np.abs(R).max())
             # NaN means the orbit left the domain for good (inf - inf)
             if res < tol or it == max_iter or math.isnan(res):
                 break
-            z = (1.0 - damping) * z + damping * Fz
-            A = (1.0 - damping) * A + damping * float(FA)
+            V = V - damping * R
             it += 1
     return FixedPointResult(converged=res < tol,
-                            z={lab: float(v) for lab, v in zip(system.loop_labels, z)},
-                            A=A, iterations=it, residual=res)
+                            z={lab: float(v) for lab, v in zip(system.loop_labels, V)},
+                            A=float(V[-1]), iterations=it, residual=res)
 
 
 def _newton(system: ReducedSystem, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,19 +268,21 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     Every argument is checked before any start is drawn: n_starts must be
     an integer >= 50, seed an integer >= 0 and hints None or an iterable of
     hints (see _normalise_hint), else InputError; more than _MAX_STARTS
-    starts raise TooLarge.
+    starts in all, n_starts plus four per hint, raise TooLarge before any
+    hint is read.
     """
     n_starts = _as_int(n_starts, "n_starts", 50)
-    if n_starts > _MAX_STARTS:
-        raise TooLarge(f"n_starts {n_starts} exceeds the cap of {_MAX_STARTS}")
     seed = _as_int(seed, "seed", 0)
-    system = reduce(spec, graph)
-    labels = system.loop_labels
-    m = len(labels)
     try:
         hints = [] if hints is None else list(hints)
     except TypeError:
         raise InputError(f"hints must be None or an iterable of hints, got {hints!r}") from None
+    if n_starts + 4 * len(hints) > _MAX_STARTS:
+        raise TooLarge(f"n_starts {n_starts} plus four starts per hint for {len(hints)} hints "
+                       f"exceeds the cap of {_MAX_STARTS}")
+    system = reduce(spec, graph)
+    labels = system.loop_labels
+    m = len(labels)
     hint_points = [_normalise_hint(hint, labels) for hint in hints]
     rng = np.random.default_rng(seed)
     Z0 = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_starts, m))

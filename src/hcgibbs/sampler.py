@@ -126,14 +126,22 @@ class TreeSample:
     index is an int64 array giving each vertex's position in the state
     table states; trees of one forest share their kernel's table.  spins,
     the tuple of labels, is built from the two on first read and cached.
-    A tree built by hand from labels has every spin checked; the sampler
+    A tree built by hand from labels has every spin checked, its depth and
+    order k read as integers >= 0 and >= 1, and its size held to the
+    sampler's vertex cap before any k**depth is computed; the sampler
     builds its trees from the index arrays it drew, unchecked.
     """
 
     def __init__(self, depth: int, seed: int, spins, k: int = 2) -> None:
-        spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
         depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
+        k = _as_int(k, "tree order k", 1)
+        _check_vertex_budget(k, depth, 1)
         want = num_vertices(k, depth)
+        try:
+            spins = tuple(spins)
+        except TypeError:
+            raise InputError(f"spins must be a sequence, got {type(spins).__name__}") from None
+        spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
         if len(spins) != want:
             raise InputError(
                 f"depth {depth} on a tree of order {k} needs {want} spins, got {len(spins)}"
@@ -161,7 +169,7 @@ class TreeSample:
 def tree_sample_from_json(data: dict, k: int = 2) -> TreeSample:
     if not isinstance(data, dict) or not {"depth", "seed", "spins"} <= set(data):
         raise InputError('tree sample JSON needs keys "depth", "seed", "spins"')
-    return TreeSample(data["depth"], data["seed"], tuple(data["spins"]), k=k)
+    return TreeSample(data["depth"], data["seed"], data["spins"], k=k)
 
 
 class _Kernel:
@@ -276,10 +284,13 @@ def _sample_block(kernel: _Kernel, depth: int, seeds) -> np.ndarray:
 def _check_vertex_budget(k: int, depth: int, trees: int) -> None:
     """Raise TooLarge when the trees exceed _MAX_SAMPLE_VERTICES vertices.
 
-    A tree of order k >= 2 has over 2**depth vertices, so a depth of at least
-    the cap's bit length is refused before k**depth is computed."""
+    A tree of order k >= 2 has over 2**depth vertices, and one of depth >= 1
+    over k, so a depth of at least the cap's bit length, or an order of at
+    least the cap, is refused before k**depth is computed."""
     if k > 1 and depth >= _MAX_SAMPLE_VERTICES.bit_length():
         raise TooLarge(f"depth {depth} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
+    if depth > 0 and k >= _MAX_SAMPLE_VERTICES:
+        raise TooLarge(f"order {k} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
     total = trees * num_vertices(k, depth)
     if total > _MAX_SAMPLE_VERTICES:
         raise TooLarge(f"{total} vertices exceed the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
@@ -568,10 +579,6 @@ class ConditionalReport:
         }
 
 
-def _pattern_key(spins) -> tuple:
-    return tuple(sorted(spins, key=lambda s: (s == TAIL, s if s != TAIL else 0)))
-
-
 def conditional_diagnostic(
     solution: BoundaryLawSolution,
     spec: ActivitySpec,
@@ -588,25 +595,26 @@ def conditional_diagnostic(
     """
     trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed")
     _check_vertex_budget(spec.k, 1, trials)  # a depth-1 star has k + 2 vertices
+    _oracle_alphabet(spec)  # the single-site law's cap, which bounds the patterns too
     kernel = _Kernel(solution, spec, graph, window)
-    fanout = kernel.k + 1
+    fanout, n = kernel.k + 1, len(kernel.states)
     u = _stream(seed, trials * (fanout + 1)).reshape(trials, fanout + 1)
     roots = kernel.draw_root(u[:, 0])
-    children = np.empty((trials, fanout), dtype=np.int64)
-    for c in range(fanout):
-        children[:, c] = kernel.draw_children(roots, u[:, c + 1])
-
-    by_pattern: dict[tuple, dict] = {}
-    for t in range(trials):
-        pat = _pattern_key(kernel.states[i] for i in children[t])
-        root_counts = by_pattern.setdefault(pat, {})
-        root_spin = kernel.states[roots[t]]
-        root_counts[root_spin] = root_counts.get(root_spin, 0) + 1
+    # the state table is in label order with TAIL last, so a sorted row of
+    # indices lists its pattern's labels in that order
+    children = np.sort(kernel.draw_children(_repeat_each(roots[:, None], fanout), u[:, 1:]))
+    # number the patterns one column at a time, so no key exceeds trials * n
+    group = np.zeros(trials, dtype=np.int64)
+    for col in children.T:
+        _, first, group = np.unique(group * n + col, return_index=True, return_inverse=True)
+    per_root = np.bincount(group * n + roots, minlength=len(first) * n).reshape(len(first), n)
 
     rows = []
-    for pat, root_counts in by_pattern.items():
-        count = sum(root_counts.values())
-        empirical = {lab: c / count for lab, c in root_counts.items()}
+    for g in np.argsort(first):  # patterns in order of first appearance
+        pat = tuple(kernel.states[i] for i in children[first[g]].tolist())
+        row = per_root[g].tolist()
+        count = sum(row)
+        empirical = {kernel.states[i]: c / count for i, c in enumerate(row) if c}
         target = single_site_conditional(spec, graph, pat)
         rows.append(ConditionalRow(pat, count, marginal_tv(empirical, target)))
     rows.sort(key=lambda r: -r.count)

@@ -171,7 +171,10 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
 
 
 def solve_symmetric(problem: ThreeLoopProblem) -> BoundaryLawSolution:
-    """The unique symmetric (z_1 = z_2) translation-invariant boundary law."""
+    """The closed form's one symmetric (z_1 = z_2) translation-invariant
+    boundary law.  It is the only symmetric one below a loop activity of
+    about 33.55; past that there can be three, and this returns one of them
+    or raises NumericalFailure (see two_loop.solve_loop_aggregate)."""
     return two_loop._loop_solution(problem.lam, problem.Lambda, 2, ("symmetric", "symmetric"))
 
 

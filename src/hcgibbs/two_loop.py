@@ -6,9 +6,10 @@ Lambda, the loop equation at aggregate A has the two explicit branches
     z_pm(A) = ((1+A)^2 - 2 lam +- (1+A) sqrt((1+A)^2 - 4 lam)) / (2 lam)
 
 whose product is exactly 1, and the aggregate identity becomes a scalar
-equation psi(A) = 0 per branch.  Exactly one branch carries a root, and the
-unique translation-invariant Gibbs measure sits there.  All formulas assume
-tree order k = 2.
+equation psi(A) = 0 per branch.  The closed form looks for one root on one
+branch.  That is not always all of them: past a loop activity of about
+9.27 (about 33.55 for two equal loops) the system can have three fixed
+points.  All formulas assume tree order k = 2.
 
 f_curve and g_curve are the same two branch conditions written as quartic
 expressions in x = 1 + A; they are kept as test instruments.  Every such
@@ -169,12 +170,14 @@ def _psi_derivative(lam: float, Lambda: float, mult: int, sign: int, A: float) -
 
 
 def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, float, int]:
-    """Unique root of the aggregate equation A(1+A)^2 = Lambda + mult*lam*z(2+z).
+    """One root of the aggregate equation A(1+A)^2 = Lambda + mult*lam*z(2+z).
 
     mult is the number of identical nonzero loop vertices sharing activity
     lam (1 or 2).  Returns (A, z, sign) where sign is +1 for the z_plus
-    branch and -1 for z_minus.  Exactly one branch carries the root; finding
-    none or more than one is reported as NumericalFailure.
+    branch and -1 for z_minus.  It looks for one root on one branch; finding
+    none, or roots on both branches, is reported as NumericalFailure.  Past
+    lam of about 9.27 for one loop (about 33.55 for two) there can be three
+    roots, and the scan may step over a close pair.
     """
     A_lo = max(0.0, 2.0 * math.sqrt(lam) - 1.0)
     found: list[tuple[float, float, int]] = []
@@ -234,7 +237,10 @@ def _loop_solution(lam: float, Lambda: float, mult: int, branches: tuple[str, st
 
 
 def solve_unique(problem: TwoLoopProblem) -> BoundaryLawSolution:
-    """The unique translation-invariant boundary law of a single-loop instance."""
+    """The closed form's one translation-invariant boundary law of a
+    single-loop instance.  It is the only one below a loop activity of
+    about 9.27; past that there can be three, and this returns one of them
+    or raises NumericalFailure (see solve_loop_aggregate)."""
     return _loop_solution(problem.lam1, problem.Lambda, 1, ("two-loop-f", "two-loop-g"))
 
 

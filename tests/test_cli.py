@@ -826,6 +826,18 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_model_import_loads_only_model_and_errors():
+    # the package root re-exports nothing, so importing one submodule
+    # loads that submodule's own imports only
+    code = ("import sys, hcgibbs.model; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('hcgibbs', 'numpy')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["hcgibbs", "hcgibbs.errors", "hcgibbs.model"])
+
+
 def test_python_dash_m():
     proc = subprocess.run(
         [sys.executable, "-m", "hcgibbs", "thresholds", "--lambda", "9"],

@@ -133,6 +133,20 @@ def test_multistart_caps_starts_before_drawing(monkeypatch):
         multistart_count(spec, graph, n_starts=_MAX_STARTS + 1)
 
 
+def test_multistart_counts_hint_starts_against_the_cap(monkeypatch):
+    # each hint adds four starts, so a long hint list passes the cap alone
+    def no_newton(*args):
+        raise AssertionError("Newton ran")
+
+    monkeypatch.setattr("hcgibbs.oracle._newton", no_newton)
+    spec, graph = three_loop_setup(130.0)
+    sol = enumerate_solutions(ThreeLoopProblem(9.0, 130.0))[0]
+    with pytest.raises(TooLarge):
+        multistart_count(spec, graph, n_starts=50, hints=[sol] * 10**6)
+    with pytest.raises(TooLarge):
+        multistart_count(spec, graph, n_starts=_MAX_STARTS - 200, hints=[sol] * 51)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 60.5}, {"n_starts": "60"}, {"n_starts": None},
     {"seed": 1.5}, {"seed": "x"}, {"seed": -1},

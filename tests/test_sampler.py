@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,29 @@ def test_tree_sample_json_round_trip():
     assert back.seed == t.seed
     with pytest.raises(InputError):
         tree_sample_from_json({"depth": 1, "spins": [0]})
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.0])
+def test_tree_sample_reads_its_order_by_the_input_rule(k):
+    # each spin count is the one the vertex formula gives for that k
+    count = {0: 2, -1: 1, True: 3, 2.0: 4}[k]
+    with pytest.raises(InputError):
+        TreeSample(1, 0, (0,) * count, k=k)
+
+
+def test_tree_sample_refuses_a_deep_tree_before_building_it():
+    # unchecked, the first formats a 6000-digit vertex count (ValueError)
+    # and the second computes 2**(10**9)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        TreeSample(20000, 0, (0,))
+    with pytest.raises(TooLarge):
+        tree_sample_from_json({"depth": 10**9, "seed": 0, "spins": [0]})
+    with pytest.raises(TooLarge):
+        TreeSample(2, 0, (0,), k=10**400)
+    with pytest.raises(InputError):
+        tree_sample_from_json({"depth": 0, "seed": 0, "spins": 5})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_level_counts_validation(forest):
