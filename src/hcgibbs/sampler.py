@@ -140,7 +140,7 @@ class TreeSample:
         try:
             spins = tuple(spins)
         except TypeError:
-            raise InputError(f"spins must be a sequence, got {type(spins).__name__}") from None
+            raise InputError(f"spins must be iterable, got {type(spins).__name__}") from None
         spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
         if len(spins) != want:
             raise InputError(

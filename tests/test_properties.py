@@ -10,9 +10,10 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hcgibbs.chain import TAIL
 from hcgibbs.cli import main
 from hcgibbs.errors import InputError
-from hcgibbs.sampler import TAIL, TreeSample, num_vertices, tree_sample_from_json
+from hcgibbs.sampler import TreeSample, num_vertices, tree_sample_from_json
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
