@@ -27,6 +27,7 @@ from .model import (
     BoundaryLawSolution,
     _as_positive,
     _positive_values,
+    _shown,
     check_spec_graph,
     require_finite,
 )
@@ -151,7 +152,7 @@ def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float],
     A = _as_positive(A, "aggregate A")
     missing = (set(graph.loops) | set(spec.explicit_tail)) - set(z)
     if missing:
-        raise InputError(f"z is missing components for {sorted(missing)}")
+        raise InputError(f"z is missing components for {_shown(sorted(missing))}")
     z = _positive_values(z, "z")
     q = (1.0 + A) ** spec.k
     tail = (abs(z[lab] - lam / q) for lab, lam in spec.explicit_tail.items())
@@ -168,8 +169,8 @@ def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int,
     require_finite(spec)
     if set(solution.loop_z) != set(spec.loop_activities):
         raise InputError(
-            f"solution labels {sorted(solution.loop_z)} do not match spec loops "
-            f"{sorted(spec.loop_activities)}"
+            f"solution labels {_shown(sorted(solution.loop_z))} do not match spec loops "
+            f"{_shown(sorted(spec.loop_activities))}"
         )
     q = (1.0 + solution.A) ** spec.k
     z = dict(solution.loop_z)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary_law import expand, residual
-from .errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
+from .errors import InputError, NumericalFailure, ShapeMismatch, WindowTooSmall
 from .model import (
     ActivitySpec,
     AdmissibilityGraph,
@@ -43,6 +43,7 @@ from .model import (
     _as_int,
     _as_nonnegative,
     _as_positive,
+    _shown,
     check_spec_graph,
     relabel_solution,
 )
@@ -69,7 +70,7 @@ def _state_index(window: int, label) -> int:
         return 2 * window + 1
     label = _as_int(label, f"state label other than {TAIL!r}")
     if abs(label) > window:
-        raise InputError(f"state label {label} lies outside the window {window}")
+        raise InputError(f"state label {_shown(label)} lies outside the window {window}")
     return label + window
 
 
@@ -166,9 +167,7 @@ def _window_weights(
     Validates the window, the spec/graph pairing, and that the solution
     closes the consistency system before any kernel is built from it.
     """
-    window = _as_int(window, "window", 0)
-    if 2 * window + 2 > _MAX_STATES:
-        raise TooLarge(f"window {window} needs {2 * window + 2} states, over the cap of {_MAX_STATES}")
+    window = _as_int(window, "window", 0, most=_MAX_STATES // 2 - 1)  # 2 * window + 2 states
     check_spec_graph(spec, graph)
     solution = relabel_solution(solution, graph)
     z, tail_z = expand(solution, spec)
@@ -180,7 +179,7 @@ def _window_weights(
     listed = spec.listed()
     outside = sorted(lab for lab in listed if abs(lab) > window)
     if outside:
-        raise WindowTooSmall(f"listed states {outside} lie outside the window {window}")
+        raise WindowTooSmall(f"listed states {_shown(outside)} lie outside the window {window}")
     weights = {lab: listed[lab] * z[lab] for lab in listed}
     return window, weights, spec.tail_mass * tail_z
 

@@ -34,6 +34,7 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    _as_int,
     graph_from_spec,
     relabel_solution,
     spec_from_json,
@@ -171,13 +172,10 @@ def _json_row(row: np.ndarray) -> _Encoded:
 
 def _load_spec(path: str) -> ActivitySpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read spec file {path}: {exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"spec file {path} is not valid JSON: {exc}")
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad JSON, undecodable bytes and a 4301-digit literal are ValueErrors
+        raise InputError(f"cannot read spec file {path} as JSON: {exc}")
     return spec_from_json(data)
 
 
@@ -367,9 +365,7 @@ def _sweep_curves(args) -> int:
         raise InputError(f'--emit-curves takes "f,g" or "h,delta", got {pair!r}')
     if args.x is None or args.Lambda is None:
         raise InputError("--emit-curves needs --x and --Lambda")
-    n = args.points
-    if not 1 <= n <= _MAX_CURVE_POINTS:
-        raise InputError(f"--points must be between 1 and {_MAX_CURVE_POINTS}, got {n}")
+    n = _as_int(args.points, "--points", 1, most=_MAX_CURVE_POINTS)
     x = _positive(args.x, "--x")
     Lambda = _positive(args.Lambda, "--Lambda")
     if pair == "f,g":
@@ -397,8 +393,7 @@ def cmd_sweep(args) -> int:
         return _sweep_curves(args)
     if args.lambda_grid is None or args.Lambda_grid is None:
         raise InputError("sweep needs --lambda-grid and --Lambda-grid (or --emit-curves)")
-    if args.seed < 0:
-        raise InputError(f"--seed must be non-negative, got {args.seed}")
+    _as_int(args.seed, "--seed", 0)
     lams = _parse_grid(args.lambda_grid, "--lambda-grid", allow_inf=False)
     # Lambda = +inf is the paper's divergent case: no TIGM, exit 3
     Lambdas = _parse_grid(args.Lambda_grid, "--Lambda-grid", allow_inf=True)

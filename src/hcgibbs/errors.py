@@ -24,7 +24,7 @@ class WindowTooSmall(InputError):
 
 
 class TooLarge(InputError):
-    """Request over a size cap: enumeration alphabet or depth, states, vertices."""
+    """Request over a size cap (states, vertices, starts, ...); model._as_int alone raises it."""
 
 
 class ShapeMismatch(InputError):

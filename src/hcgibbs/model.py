@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .errors import DivergentActivities, InputError
+from .errors import DivergentActivities, InputError, TooLarge
 
 _SCHEMA_KEYS = {"k", "loops", "tail", "tail_mass", "divergent"}
 
@@ -25,7 +25,7 @@ def _as_float(value, name: str) -> float:
     beyond double range is an InputError."""
     # int and float ahead of the ABC, whose check costs about 1 us a value
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise InputError(f"{name} must be a number, got {value!r}")
+        raise InputError(f"{name} must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -37,7 +37,7 @@ def _as_positive(value, name: str) -> float:
     # a float skips the type checks: specs list hundreds of values
     out = value if type(value) is float else _as_float(value, name)
     if not 0.0 < out < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value!r}")
+        raise InputError(f"{name} must be positive and finite, got {_shown(value)}")
     return out
 
 
@@ -45,7 +45,7 @@ def _as_nonnegative(value, name: str) -> float:
     """_as_float(value) that must also be finite and >= 0."""
     out = _as_float(value, name)
     if not 0.0 <= out < math.inf:
-        raise InputError(f"{name} must be finite and >= 0, got {value!r}")
+        raise InputError(f"{name} must be finite and >= 0, got {_shown(value)}")
     return out
 
 
@@ -64,18 +64,32 @@ def _positive_values(mapping, name: str) -> dict:
     """The mapping with each value read by _as_positive as name[key]; a
     positive finite float passes without a call or a name."""
     return {key: value if type(value) is float and 0.0 < value < math.inf
-            else _as_positive(value, f"{name}[{key}]") for key, value in mapping.items()}
+            else _as_positive(value, f"{name}[{_shown(key)}]") for key, value in mapping.items()}
 
 
-def _as_int(value, name: str, least: int | None = None) -> int:
-    """int(value) of any integer type but bool, and >= least when given; a Python int,
-    so arithmetic on it never wraps as a fixed-width numpy integer does."""
+def _shown(value) -> str:
+    """repr(value) for a refusal; a list item by item, an int too long to print by its size."""
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
+    try:
+        return repr(value)
+    except ValueError:  # such an int, or a container that holds one
+        if isinstance(value, int):
+            return f"<{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} too long to print>"
+
+
+def _as_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """int(value) of any integer type but bool, as a Python int, which never wraps as numpy's
+    do; one below least is InputError, and one above most, a size cap, TooLarge."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+            raise InputError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
     if least is not None and value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InputError(f"{name} must be an integer >= {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise TooLarge(f"{name} must be at most {most}, got {_shown(value)}")
     return value
 
 
@@ -83,7 +97,7 @@ def _check_activity(label, value) -> tuple[int, float]:
     label = _as_int(label, "spin label")
     if label == 0:
         raise InputError("spin label 0 carries the hub; it cannot be listed")
-    return label, _as_positive(value, f"activity at {label}")
+    return label, _as_positive(value, f"activity at {_shown(label)}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,7 @@ class ActivitySpec:
             raise InputError("at least one nonzero loop vertex is required")
         overlap = set(loops) & set(tail)
         if overlap:
-            raise InputError(f"labels {sorted(overlap)} appear as both loop and tail states")
+            raise InputError(f"labels {_shown(sorted(overlap))} appear as both loop and tail states")
         mass = _as_nonnegative(self.tail_mass, "tail_mass")
         if not isinstance(self.divergent, bool):
             raise InputError("divergent must be a boolean")
@@ -167,7 +181,8 @@ def check_spec_graph(spec: ActivitySpec, graph: AdmissibilityGraph) -> None:
     """Raise unless the spec's loop set and the graph's loop set agree."""
     if set(spec.loop_activities) != set(graph.loops):
         raise InputError(
-            f"spec loops {sorted(spec.loop_activities)} do not match graph loops {sorted(graph.loops)}"
+            f"spec loops {_shown(sorted(spec.loop_activities))} do not match graph loops "
+            f"{_shown(sorted(graph.loops))}"
         )
 
 
@@ -210,8 +225,8 @@ def relabel_solution(solution: BoundaryLawSolution, graph: AdmissibilityGraph) -
     canonical = tuple(range(1, len(graph.loops) + 1))
     if set(solution.loop_z) != set(canonical):
         raise InputError(
-            f"solution labels {sorted(solution.loop_z)} match neither the graph loops "
-            f"{sorted(graph.loops)} nor the canonical labels {list(canonical)}"
+            f"solution labels {_shown(sorted(solution.loop_z))} match neither the graph loops "
+            f"{_shown(sorted(graph.loops))} nor the canonical labels {list(canonical)}"
         )
     mapping = dict(zip(canonical, graph.loops))
     z = {mapping[lab]: val for lab, val in solution.loop_z.items()}
@@ -256,7 +271,7 @@ def spec_from_json(data: dict) -> ActivitySpec:
         raise InputError("activity spec must be a JSON object")
     unknown = set(data) - _SCHEMA_KEYS
     if unknown:
-        raise InputError(f"unknown keys in activity spec: {sorted(unknown)}")
+        raise InputError(f"unknown keys in activity spec: {_shown(sorted(unknown))}")
     if "loops" not in data:
         raise InputError('activity spec needs a "loops" map')
 

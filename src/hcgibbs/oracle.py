@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_law import ReducedSystem, reduce
-from .errors import InputError, TooLarge
+from .errors import InputError
 from .model import (
     ActivitySpec,
     AdmissibilityGraph,
@@ -39,6 +39,7 @@ from .model import (
     _as_float,
     _as_int,
     _as_positive,
+    _shown,
 )
 
 TOL = 1e-11  # residual gate for a confirmed point
@@ -118,11 +119,11 @@ def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dic
     max_iter = _as_int(max_iter, "max_iter", 0)
     tol = _as_positive(tol, "tol")
     if not isinstance(init, Mapping):
-        raise InputError(f"init must map each loop vertex to a value, got {init!r}")
+        raise InputError(f"init must map each loop vertex to a value, got {_shown(init)}")
     missing = set(system.loop_labels) - set(init)
     if missing:
-        raise InputError(f"init is missing loop components {sorted(missing)}")
-    V = np.array([*(_as_positive(init[lab], f"init[{lab}]") for lab in system.loop_labels),
+        raise InputError(f"init is missing loop components {_shown(sorted(missing))}")
+    V = np.array([*(_as_positive(init[lab], f"init[{_shown(lab)}]") for lab in system.loop_labels),
                   _as_positive(A_init, "A_init")])
     it = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -221,11 +222,11 @@ def _normalise_hint(hint, labels) -> np.ndarray:
     elif isinstance(hint, (tuple, list)) and len(hint) == 2 and isinstance(hint[0], Mapping):
         z_map, A = hint
     else:
-        raise InputError(f"a hint must be a BoundaryLawSolution or a (z, A) pair, got {hint!r}")
+        raise InputError(f"a hint must be a BoundaryLawSolution or a (z, A) pair, got {_shown(hint)}")
     missing = set(labels) - set(z_map)
     if missing:
-        raise InputError(f"hint is missing loop components {sorted(missing)}")
-    return np.array([*(_as_float(z_map[lab], f"hint z[{lab}]") for lab in labels),
+        raise InputError(f"hint is missing loop components {_shown(sorted(missing))}")
+    return np.array([*(_as_float(z_map[lab], f"hint z[{_shown(lab)}]") for lab in labels),
                      _as_float(A, "hint A")])
 
 
@@ -276,10 +277,8 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     try:
         hints = [] if hints is None else list(hints)
     except TypeError:
-        raise InputError(f"hints must be None or an iterable of hints, got {hints!r}") from None
-    if n_starts + 4 * len(hints) > _MAX_STARTS:
-        raise TooLarge(f"n_starts {n_starts} plus four starts per hint for {len(hints)} hints "
-                       f"exceeds the cap of {_MAX_STARTS}")
+        raise InputError(f"hints must be None or an iterable of hints, got {_shown(hints)}") from None
+    _as_int(n_starts + 4 * len(hints), "n_starts plus four per hint", most=_MAX_STARTS)
     system = reduce(spec, graph)
     labels = system.loop_labels
     m = len(labels)

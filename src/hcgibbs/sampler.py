@@ -48,8 +48,8 @@ from .chain import (
     stationary_closed_form,
     transition_matrix,
 )
-from .errors import InputError, TooLarge
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_int
+from .errors import InputError
+from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_int, _shown
 
 _KEY_SPACE = 1 << 128
 
@@ -135,8 +135,7 @@ class TreeSample:
     def __init__(self, depth: int, seed: int, spins, k: int = 2) -> None:
         depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
         k = _as_int(k, "tree order k", 1)
-        _check_vertex_budget(k, depth, 1)
-        want = num_vertices(k, depth)
+        want = _check_vertex_budget(k, depth, 1)
         try:
             spins = tuple(spins)
         except TypeError:
@@ -144,7 +143,7 @@ class TreeSample:
         spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
         if len(spins) != want:
             raise InputError(
-                f"depth {depth} on a tree of order {k} needs {want} spins, got {len(spins)}"
+                f"depth {depth} on a tree of order {_shown(k)} needs {want} spins, got {len(spins)}"
             )
         states = tuple(dict.fromkeys(spins))
         row = {lab: i for i, lab in enumerate(states)}
@@ -281,19 +280,15 @@ def _sample_block(kernel: _Kernel, depth: int, seeds) -> np.ndarray:
     return idx
 
 
-def _check_vertex_budget(k: int, depth: int, trees: int) -> None:
-    """Raise TooLarge when the trees exceed _MAX_SAMPLE_VERTICES vertices.
-
-    A tree of order k >= 2 has over 2**depth vertices, and one of depth >= 1
-    over k, so a depth of at least the cap's bit length, or an order of at
-    least the cap, is refused before k**depth is computed."""
-    if k > 1 and depth >= _MAX_SAMPLE_VERTICES.bit_length():
-        raise TooLarge(f"depth {depth} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
-    if depth > 0 and k >= _MAX_SAMPLE_VERTICES:
-        raise TooLarge(f"order {k} exceeds the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
-    total = trees * num_vertices(k, depth)
-    if total > _MAX_SAMPLE_VERTICES:
-        raise TooLarge(f"{total} vertices exceed the cap of {_MAX_SAMPLE_VERTICES} sampled vertices")
+def _check_vertex_budget(k: int, depth: int, trees: int) -> int:
+    """The vertex count of the trees, read by _as_int against _MAX_SAMPLE_VERTICES.  A tree
+    of order k >= 2 has over 2**depth vertices, and one of depth >= 1 over k, so a depth of at
+    least the cap's bit length, or an order of at least the cap, is refused before k**depth."""
+    if k > 1:
+        _as_int(depth, "depth", most=_MAX_SAMPLE_VERTICES.bit_length() - 1)
+    if depth > 0:
+        _as_int(k, "tree order k", most=_MAX_SAMPLE_VERTICES - 1)
+    return _as_int(trees * num_vertices(k, depth), "sampled vertices", most=_MAX_SAMPLE_VERTICES)
 
 
 def sample_tree(
@@ -418,7 +413,7 @@ def level_counts(samples, level: int) -> dict:
         raise InputError("no samples")
     reaching = [sample for sample in samples if level <= sample.depth]
     if not reaching:
-        raise InputError(f"no sample reaches level {level}")
+        raise InputError(f"no sample reaches level {_shown(level)}")
     return _tally(reaching, level)
 
 
@@ -459,8 +454,7 @@ def _oracle_alphabet(spec: ActivitySpec) -> tuple[list, dict]:
     if spec.tail_mass > 0.0:
         alphabet.append(TAIL)
         activity[TAIL] = spec.tail_mass
-    if len(alphabet) > _MAX_SYMBOLS:
-        raise TooLarge(f"alphabet of {len(alphabet)} symbols exceeds the cap of {_MAX_SYMBOLS}")
+    _as_int(len(alphabet), "enumeration alphabet size", most=_MAX_SYMBOLS)
     return alphabet, activity
 
 
@@ -480,12 +474,8 @@ def finite_gibbs_oracle(
     to fixed spins.  Raises TooLarge beyond the enumeration caps.
     """
     alphabet, activity = _oracle_alphabet(spec)
-    depth = _as_int(depth, "depth", 0)
-    if depth > _MAX_DEPTH:
-        raise TooLarge(f"depth {depth} exceeds the enumeration cap of {_MAX_DEPTH}")
-    n = num_vertices(spec.k, depth)
-    if n > _MAX_VERTICES:
-        raise TooLarge(f"{n} vertices exceed the enumeration cap of {_MAX_VERTICES}")
+    depth = _as_int(depth, "enumeration depth", 0, most=_MAX_DEPTH)
+    n = _as_int(num_vertices(spec.k, depth), "enumerated vertices", most=_MAX_VERTICES)
     parents = parent_array(spec.k, depth)
     leaf_start = level_slices(spec.k, depth)[depth].start
 
@@ -494,9 +484,9 @@ def finite_gibbs_oracle(
         for v, s in boundary.items():
             v = _as_int(v, "boundary vertex")
             if not leaf_start <= v < n:
-                raise InputError(f"boundary vertex {v} is not a leaf index")
+                raise InputError(f"boundary vertex {_shown(v)} is not a leaf index")
             if s not in alphabet:
-                raise InputError(f"boundary spin {s!r} is not in the alphabet")
+                raise InputError(f"boundary spin {_shown(s)} is not in the alphabet")
             pinned[v] = s
 
     table: dict[tuple, float] = {}
@@ -533,7 +523,7 @@ def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neigh
     neighbors = list(neighbor_spins)
     for s in neighbors:
         if s not in alphabet:
-            raise InputError(f"neighbour spin {s!r} is not in the alphabet")
+            raise InputError(f"neighbour spin {_shown(s)} is not in the alphabet")
     weights = {}
     for i in alphabet:
         if all(graph.adjacency(i, s) for s in neighbors):

@@ -31,6 +31,7 @@ from .model import (
     RegimeReport,
     _as_positive,
     _as_total,
+    _shown,
     require_finite,
 )
 from .rootfind import root_right
@@ -53,7 +54,7 @@ def _spec_loops(spec: ActivitySpec, n: int) -> tuple[tuple[float, ...], float]:
     closed-form solver for n loops can take."""
     lams = tuple(spec.loop_activities.values())
     if spec.k != 2:
-        raise InputError(f"closed-form solver requires tree order k = 2, got k = {spec.k}")
+        raise InputError(f"closed-form solver requires tree order k = 2, got k = {_shown(spec.k)}")
     if len(lams) != n:
         raise InputError(f"closed-form solver needs {n} nonzero loop(s), got {len(lams)}")
     return lams, require_finite(spec)

@@ -5,7 +5,7 @@ import pytest
 
 from hcgibbs.boundary_law import expand, normalisable, reduce, residual
 from hcgibbs.errors import DivergentActivities, InputError
-from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 0.5}, tail_mass=0.5)
@@ -110,3 +110,11 @@ def test_stacked_map_matches_scalar_arithmetic():
 def test_normalisable():
     assert normalisable(SPEC)
     assert not normalisable(ActivitySpec(loop_activities={1: 1.0}, divergent=True))
+
+
+@pytest.mark.parametrize("labels", [(2,), (1, 2), ()])
+def test_expand_refuses_labels_other_than_the_spec_loops(labels):
+    spec = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
+    sol = BoundaryLawSolution(1.0, {lab: 0.5 for lab in labels}, "unique", 0.0)
+    with pytest.raises(InputError, match="do not match spec loops"):
+        expand(sol, spec)

@@ -603,3 +603,9 @@ def test_encoded_rows_keep_the_nested_list_layout():
     encoded = _json_text({"matrix": [_json_row(row) for row in rows], "states": [-1, 0, 1]})
     assert encoded == plain
     assert _json_text([_Encoded("[1]"), _Encoded("[2]")]) == _json_text([[1], [2]])
+
+
+@pytest.mark.parametrize("dtype", [float, int, bool])
+def test_irreducible_refuses_an_empty_state_set(dtype):
+    with pytest.raises(InputError, match="empty state set"):
+        irreducible(np.zeros((0, 0), dtype=dtype))

@@ -489,6 +489,34 @@ def test_solve_missing_file(capsys, tmp_path):
     assert main(["solve", str(broken)]) == 2
 
 
+# spec files that json.loads or the read refuse with other than a JSONDecodeError
+BAD_SPEC_FILES = {
+    "not UTF-8": b"\xff\xfe",
+    "nested past the recursion limit": b'{"loops": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    "a 5001-digit integer": b'{"loops": {"1": 1' + b"0" * 5000 + b"}}",
+}
+
+
+@pytest.mark.parametrize("content", BAD_SPEC_FILES.values(), ids=BAD_SPEC_FILES.keys())
+def test_unreadable_spec_file_is_bad_input(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read spec file")
+
+
+def test_solve_graph_two_loop_on_a_two_loop_spec(capsys, spec3):
+    assert main(["solve", spec3, "--graph", "two-loop"]) == 2
+    assert capsys.readouterr().err.startswith("error: --graph two-loop")
+
+
+def test_sweep_grid_that_is_not_numbers_is_bad_input(capsys):
+    assert main(["sweep", "--lambda-grid", "abc", "--Lambda-grid", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: --lambda-grid")
+
+
 def test_classify(capsys):
     data = run_json(capsys, ["classify", "--lambda", "9", "--Lambda", "130"])
     assert data["case"] == "iv"
@@ -824,6 +852,15 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # the bench times this import (setup_s), so the modules it loads are pinned too
+    code = "import sys, hcgibbs.cli; print(sorted(m for m in sys.modules if m.startswith('hcgibbs')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = ["boundary_law", "chain", "cli", "errors", "model", "oracle", "rootfind", "sampler",
+               "three_loop", "two_loop"]
+    assert proc.stdout.strip() == str(["hcgibbs", *(f"hcgibbs.{m}" for m in modules)])
 
 
 def test_model_import_loads_only_model_and_errors():

@@ -7,6 +7,7 @@ scalar gives the same result as the Python number of the same value.
 
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,27 @@ import pytest
 import hcgibbs
 from hcgibbs.boundary_law import residual
 from hcgibbs.chain import (
+    _MAX_STATES,
     TransitionMatrix,
     power_iteration,
     stationary_closed_form,
     transition_matrix,
     verify_stationary,
 )
-from hcgibbs.errors import DivergentActivities, InputError, NumericalFailure
-from hcgibbs.model import ActivitySpec, AdmissibilityGraph, graph_from_spec, require_finite
-from hcgibbs.oracle import fixed_point_iterate, multistart_count
+from hcgibbs.cli import _MAX_CURVE_POINTS, build_parser
+from hcgibbs.errors import DivergentActivities, InputError, NumericalFailure, TooLarge
+from hcgibbs.model import (
+    ActivitySpec,
+    AdmissibilityGraph,
+    BoundaryLawSolution,
+    graph_from_spec,
+    require_finite,
+)
+from hcgibbs.oracle import _MAX_STARTS, fixed_point_iterate, multistart_count
 from hcgibbs.sampler import (
+    _MAX_DEPTH,
+    _MAX_SAMPLE_VERTICES,
+    _MAX_SYMBOLS,
     TreeSample,
     conditional_diagnostic,
     finite_gibbs_oracle,
@@ -248,3 +260,155 @@ def test_only_model_decides_what_diverges():
     found = {path.name: _raises_of(path, "DivergentActivities") for path in modules}
     assert found.pop("model.py")  # the scan sees the rule it guards
     assert [line for lines in found.values() for line in lines] == []
+
+
+def test_only_model_raises_too_large():
+    # every size cap is read by model._as_int(..., most=cap)
+    modules = sorted(Path(hcgibbs.__file__).parent.glob("*.py"))
+    found = {path.name: _raises_of(path, "TooLarge") for path in modules}
+    assert found.pop("model.py")  # the scan sees the rule it guards
+    assert [line for lines in found.values() for line in lines] == []
+
+
+class _PastTheCap(Exception):
+    """Raised by a stub of the step that follows a cap check."""
+
+
+def _past_the_cap(*args, **kwargs):
+    raise _PastTheCap
+
+
+def _window_cap(n, monkeypatch):
+    return transition_matrix(SOL, SPEC, GRAPH, n)
+
+
+def _starts_cap(n, monkeypatch):
+    monkeypatch.setattr("hcgibbs.oracle.reduce", _past_the_cap)
+    return multistart_count(SPEC, GRAPH, n_starts=n)
+
+
+def _hint_starts_cap(n, monkeypatch):
+    monkeypatch.setattr("hcgibbs.oracle.reduce", _past_the_cap)
+    return multistart_count(SPEC, GRAPH, n_starts=n - 8, hints=[({1: 0.5}, 0.5)] * 2)
+
+
+def _points_cap(n, monkeypatch):
+    monkeypatch.setattr("hcgibbs.cli._write", _past_the_cap)  # every row is computed first
+    for name in ("f_curve", "g_curve"):
+        monkeypatch.setattr(f"hcgibbs.two_loop.{name}", lambda lam, x, Lambda: 1.0)
+    argv = ["sweep", "--emit-curves", "f,g", "--x", "2.5", "--Lambda", "6", "--points", str(n)]
+    args = build_parser().parse_args(argv)
+    return args.func(args)  # main would map TooLarge to exit code 2
+
+
+def _depth_cap(n, monkeypatch):
+    return finite_gibbs_oracle(SPEC, GRAPH, n)
+
+
+def _alphabet_cap(n, monkeypatch):
+    # the hub, n - 2 listed spins and the tail symbol
+    spec = ActivitySpec({1: 1.0}, {lab: 1.0 for lab in range(2, n - 1)}, tail_mass=1.0)
+    return finite_gibbs_oracle(spec, graph_from_spec(spec), 0)
+
+
+def _vertices_cap(n, monkeypatch):
+    monkeypatch.setattr("hcgibbs.sampler._Kernel", _past_the_cap)
+    return sample_forest(SOL, SPEC, GRAPH, depth=0, trees=n, seed=1)
+
+
+# each cap and a call that asks for that count
+CAPS = {
+    "window": (_MAX_STATES // 2 - 1, _window_cap),
+    "starts": (_MAX_STARTS, _starts_cap),
+    "hint starts": (_MAX_STARTS, _hint_starts_cap),
+    "--points": (_MAX_CURVE_POINTS, _points_cap),
+    "enumeration depth": (_MAX_DEPTH, _depth_cap),
+    "enumeration alphabet": (_MAX_SYMBOLS, _alphabet_cap),
+    "sampled vertices": (_MAX_SAMPLE_VERTICES, _vertices_cap),
+}
+
+
+@pytest.mark.parametrize("cap, call", CAPS.values(), ids=CAPS.keys())
+def test_a_cap_admits_its_value_and_refuses_one_more(monkeypatch, cap, call):
+    try:
+        call(cap, monkeypatch)
+    except _PastTheCap:
+        pass  # the call passed its cap and went on to the stubbed next step
+    with pytest.raises(TooLarge):
+        call(cap + 1, monkeypatch)
+
+
+HUGE = 10**5000  # more digits than Python converts to text
+
+
+def _on_loop(label):
+    """A spec with its loop at label, and its graph."""
+    spec = ActivitySpec(loop_activities={label: 1.0}, tail_mass=1.0)
+    return spec, graph_from_spec(spec)
+
+
+def _with_tail(label):
+    return ActivitySpec(loop_activities={1: 1.0}, explicit_tail={label: 1.0})
+
+
+# an entry point with one integer or label slot; every other argument is
+# small and valid
+HUGE_CASES = {
+    "ActivitySpec-k": lambda n: _spec(k=n),
+    "ActivitySpec-loop label": lambda n: _spec(label=n),
+    "ActivitySpec-tail label": _with_tail,
+    "ActivitySpec-label twice": lambda n: ActivitySpec({n: 1.0}, {n: 1.0}),
+    "ActivitySpec-bad activity": lambda n: ActivitySpec({n: -1.0}),
+    "AdmissibilityGraph-loop": lambda n: AdmissibilityGraph((n,)),
+    "TreeSample-depth": lambda n: _hand_tree(depth=n),
+    "TreeSample-seed": lambda n: _hand_tree(seed=n),
+    "TreeSample-spin": lambda n: _hand_tree(spin=n),
+    "TreeSample-k": lambda n: TreeSample(1, 0, (0,) * 4, k=n),
+    "TreeSample-k at depth 0": lambda n: TreeSample(0, 0, (0,), k=n),
+    "TreeSample-k, one spin too many": lambda n: TreeSample(0, 0, (0, 0), k=n),
+    "sample_tree-depth": lambda n: _tree(depth=n),
+    "sample_tree-seed": lambda n: _tree(seed=n),
+    "sample_forest-depth": lambda n: _forest(depth=n),
+    "sample_forest-trees": lambda n: _forest(trees=n),
+    "sample_forest-seed": lambda n: _forest(seed=n),
+    "conditional_diagnostic-trials": lambda n: _diagnostic(trials=n),
+    "conditional_diagnostic-seed": lambda n: _diagnostic(seed=n),
+    "finite_gibbs_oracle-depth": lambda n: _enumerate(depth=n),
+    "finite_gibbs_oracle-vertex": lambda n: _enumerate(vertex=n),
+    "finite_gibbs_oracle-spin": lambda n: finite_gibbs_oracle(SPEC, GRAPH, 1, {3: n}),
+    "level_counts-level": lambda n: level_counts(FOREST, n),
+    "transition_matrix-window": _kernel,
+    "transition_matrix-tail label": lambda n: transition_matrix(
+        SOL, _with_tail(n), graph_from_spec(_with_tail(n)), 2),
+    "transition_matrix-spec label": lambda n: transition_matrix(SOL, _on_loop(n)[0], GRAPH, 2),
+    "transition_matrix-solution label": lambda n: transition_matrix(
+        BoundaryLawSolution(SOL.A, {n: SOL.loop_z[1]}, SOL.branch, SOL.residual), SPEC, GRAPH, 2),
+    "TransitionMatrix.index-label": TM.index,
+    "residual-z label": lambda n: residual(SPEC, GRAPH, {1: 0.25, n: "x"}, 0.5),
+    "power_iteration-max_iter": lambda n: _power(max_iter=n),
+    "multistart_count-n_starts": lambda n: _multistart(n_starts=n),
+    "multistart_count-seed": lambda n: _multistart(seed=n),
+    "multistart_count-hint label": lambda n: multistart_count(
+        *_on_loop(n), 50, hints=[({n: "x"}, 0.5)]),
+    "fixed_point_iterate-max_iter": lambda n: _fixed_point(max_iter=n),
+    "fixed_point_iterate-init label": lambda n: fixed_point_iterate(*_on_loop(n), {n: "x"}, 0.5),
+    "fixed_point_iterate-missing label": lambda n: fixed_point_iterate(*_on_loop(n), {1: 0.5}, 0.5),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("call", HUGE_CASES.values(), ids=HUGE_CASES.keys())
+def test_an_integer_too_long_to_print_is_read_or_refused(call, sign):
+    """Any integer is a spin label, so one of any size is read; a refusal
+    names it by its size, since Python prints no int of over 4300 digits."""
+    start = time.perf_counter()
+    try:
+        call(sign * HUGE)
+    except InputError as exc:
+        assert " bits>" in str(exc)  # the value, or a count made from it
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_label_too_long_to_print_is_a_label():
+    spec, graph = _on_loop(HUGE)
+    assert spec.loop_activities == {HUGE: 1.0} and graph.loops == (HUGE,)

@@ -203,3 +203,9 @@ def test_spec_json_rejects_bad_keys_and_values():
         spec_from_json({"loops": [1.0]})
     with pytest.raises(InputError):
         spec_from_json([1, 2])
+
+
+@pytest.mark.parametrize("divergent", ["yes", 1, None, 0.0])
+def test_divergent_flag_that_is_not_a_bool_is_bad_input(divergent):
+    with pytest.raises(InputError, match="divergent must be a boolean"):
+        spec_from_json({"loops": {"1": 1.0}, "divergent": divergent})

@@ -394,3 +394,10 @@ def test_pinv_fallback_frozen(monkeypatch):
         summaries.append(_summary(multistart_count(spec, graph, n_starts=n, seed=seed, hints=h)))
         assert len(pinvs) - before == 1
     assert _digest(summaries) == PINV_DIGEST
+
+
+@pytest.mark.parametrize("z", [{1: 1.0}, {2: 1.0}, {}, {3: 1.0}])
+def test_hint_missing_a_loop_label_is_bad_input(z):
+    spec, graph = three_loop_setup(130.0)
+    with pytest.raises(InputError, match="hint is missing loop components"):
+        multistart_count(spec, graph, n_starts=50, hints=[(z, 5.0)])

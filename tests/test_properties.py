@@ -6,7 +6,9 @@ example database, so every run checks the same inputs.
 
 import contextlib
 import io
+import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from hcgibbs.sampler import TreeSample, num_vertices, tree_sample_from_json
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+FILE_PROPERTY = settings(PROPERTY, max_examples=150)
 
 # any float's repr (NaN, +-inf, subnormals), reals across double range,
 # integers past it, and junk
@@ -99,3 +102,106 @@ def test_tree_sample_is_a_tree_or_input_error(args, as_json, keys):
     except InputError:
         return
     assert tree.spins == tuple(spins) and len(tree.index) == num_vertices(k, depth)
+
+
+# spec files: keys are small labels, digit strings of up to 4300 characters
+# (Python's longest int literal) or junk; values are reals across double
+# range, NaN/Infinity, bools, null, strings and integers past double range
+SPEC_KEY = st.one_of(st.integers(-20, 20).map(str),
+                     st.text("0123456789", min_size=1, max_size=4300), st.text(max_size=4))
+SPEC_VALUE = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(-10**400, 10**400),
+)
+SPEC_MAP = st.dictionaries(SPEC_KEY, SPEC_VALUE, max_size=3)
+ANY_SPEC = st.fixed_dictionaries(
+    {"loops": st.one_of(SPEC_MAP, SPEC_VALUE)},
+    optional={"k": st.one_of(st.integers(1, 3), SPEC_VALUE), "tail": SPEC_MAP,
+              "tail_mass": SPEC_VALUE, "divergent": st.one_of(st.booleans(), SPEC_VALUE),
+              "extra": SPEC_VALUE},
+)
+# specs of the model's shape, so that many examples solve
+ACTIVITY = st.floats(min_value=1e-3, max_value=1e3)
+SMALL_LABEL = st.integers(-20, 20).filter(bool).map(str)
+MODEL_SPEC = st.fixed_dictionaries(
+    {"loops": st.dictionaries(SMALL_LABEL, ACTIVITY, min_size=1, max_size=2)},
+    optional={"tail": st.dictionaries(SMALL_LABEL, ACTIVITY, max_size=2),
+              "tail_mass": st.floats(min_value=0.0, max_value=1e3)},
+)
+SPEC_DOC = st.one_of(MODEL_SPEC, ANY_SPEC)
+# files that are not JSON a parser reads: undecodable bytes, nesting past
+# the recursion limit, an integer literal of more digits than Python reads
+RAW_SPEC = st.sampled_from([
+    b"\xff\xfe",
+    b'{"loops": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    b'{"loops": {"1": 1' + b"0" * 5000 + b"}}",
+])
+SPEC_BYTES = st.one_of(SPEC_DOC.map(lambda doc: json.dumps(doc).encode()), RAW_SPEC,
+                       st.binary(max_size=16))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@FILE_PROPERTY
+@given(content=SPEC_BYTES, command=st.sampled_from([["solve"], ["chain"],
+                                                    ["sample", "--depth=2", "--seed=1"]]))
+def test_spec_file_ends_in_an_exit_code(workdir, content, command):
+    path = workdir / "spec.json"
+    path.write_bytes(content)
+    assert _exit_code([command[0], str(path), *command[1:]]) in (0, 2, 3, 4)
+
+
+# flags: tiny valid values, values past every cap, negatives, digit strings
+# too long for Python to read as an int, and junk.  No valid request is
+# larger than a window of 40 or 3 trees of depth 5, so nothing past that
+# is allocated
+DIGITS_PAST_INT = st.integers(4301, 5000).map(lambda n: "9" * n)
+JUNK = st.text(max_size=6)
+
+
+def _flag(tiny, past_cap):
+    """Three times in four a tiny valid value, else one to refuse."""
+    refused = st.one_of(past_cap.map(str), st.integers(max_value=-1).map(str), DIGITS_PAST_INT, JUNK)
+    return st.integers(0, 3).flatmap(lambda i: refused if i == 3 else tiny.map(str))
+
+
+WINDOW = _flag(st.integers(0, 40), st.integers(2048, 10**400))  # 4096 states at window 2047
+DEPTH = _flag(st.integers(0, 5), st.integers(25, 10**400))  # over 2**25 vertices at order k = 2
+TREES = _flag(st.integers(1, 3), st.integers(2**24 + 1, 10**400))
+SEED = _flag(st.integers(-10**400, 10**400), st.nothing())
+BRANCH = st.one_of(st.sampled_from(["two-loop-f", "two-loop-g", "symmetric", "asymmetric-A1",
+                                    "asymmetric-A2-swapped"]), JUNK)
+COMMAND_FLAGS = st.one_of(
+    st.tuples(st.just("solve"), st.fixed_dictionaries({}, optional={
+        "graph": st.one_of(st.sampled_from(["two-loop", "three-loop"]), JUNK)})),
+    st.tuples(st.just("chain"), st.fixed_dictionaries({}, optional={
+        "window": WINDOW, "branch": BRANCH, "format": st.sampled_from(["json", "csv"])})),
+    st.tuples(st.just("sample"), st.fixed_dictionaries({"depth": DEPTH, "seed": SEED}, optional={
+        "window": WINDOW, "trees": TREES, "branch": BRANCH})),
+)
+FLAG_SPECS = {
+    "one loop": {"loops": {"1": 1.0}, "tail_mass": 1.0},
+    "five solutions": {"loops": {"1": 9.0, "2": 9.0}, "tail_mass": 112.0},
+    "listed tail": {"loops": {"-2": 9.0, "3": 9.0}, "tail": {"-4": 1.5, "1": 0.5}, "tail_mass": 3.0},
+}
+
+
+@FILE_PROPERTY
+@given(spec=st.sampled_from(sorted(FLAG_SPECS)), command_flags=COMMAND_FLAGS,
+       missing_out=st.integers(0, 3).map(lambda i: i == 0))
+def test_solve_chain_and_sample_flags_end_in_an_exit_code(workdir, spec, command_flags,
+                                                           missing_out):
+    command, flags = command_flags
+    path = workdir / f"{spec}.json"
+    path.write_text(json.dumps(FLAG_SPECS[spec]))
+    argv = [command, str(path), *(f"--{key}={v}" for key, v in flags.items())]
+    if missing_out:
+        argv.append(f"--out={workdir / 'missing' / 'out.json'}")
+    assert _exit_code(argv) in (0, 2, 3, 4)

@@ -96,3 +96,17 @@ def test_closed_form_battery_frozen():
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
         "43b35b48c90482855c6b35238cc7f61836054122594aa90adf2f9832a720dca0"
     )
+
+
+def _never(x):
+    raise AssertionError("refine evaluated a function")
+
+
+@pytest.mark.parametrize("fa, fb, root", [(0.0, 1.0, 1.0), (-1.0, 0.0, 2.0), (0.0, 0.0, 1.0),
+                                          (1.0, 2.0, None), (-1.0, -2.0, None)])
+def test_refine_at_a_zero_end_or_without_a_sign_change(fa, fb, root):
+    if root is None:
+        with pytest.raises(NumericalFailure, match="not a sign-change bracket"):
+            refine(_never, _never, 1.0, 2.0, fa, fb)
+    else:
+        assert refine(_never, _never, 1.0, 2.0, fa, fb) == root

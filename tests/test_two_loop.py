@@ -173,3 +173,10 @@ def test_one_loop_closed_form_is_not_always_unique(tmp_path, capsys):
         else:
             assert len(json.loads(out)) == count
         assert multistart_count(spec, graph_from_spec(spec), n_starts=60, seed=0).count == 3
+
+
+@pytest.mark.parametrize("curve", [f_curve, g_curve])
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_curves_refuse_a_loop_activity_that_is_not_positive(curve, lam):
+    with pytest.raises(DomainError, match="lambda must be positive"):
+        curve(lam, 2.0, 1.0)
