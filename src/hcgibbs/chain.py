@@ -24,6 +24,10 @@ sampler draws from that form, export encodes the unit row, the hub row and
 each loop row once, and the stationarity check, power iteration and
 irreducibility read it too; only the matrix attribute, the dense reference
 of the tests, holds a window-squared matrix.
+
+transition_matrix is the one builder: it checks the solution once and
+returns the kernel with its closed-form stationary law attached, both read
+from the same weights.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ class TransitionMatrix:
     the rest of that row going to 0; every other row steps to 0.
     nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
     built from them when first read, as the tests' dense reference.
+    stationary is the closed-form stationary law transition_matrix computes
+    from the same weights; a kernel built by hand has none.
     """
 
     window: int
@@ -93,6 +99,7 @@ class TransitionMatrix:
     active: tuple
     hub_row: np.ndarray
     stays: dict
+    stationary: StationaryDistribution | None = None
 
     def nonunit_rows(self):
         """(position, row) of the hub row, then of each loop's stay-or-return row."""
@@ -200,25 +207,40 @@ def transition_matrix(
     graph: AdmissibilityGraph,
     window: int,
 ) -> TransitionMatrix:
-    """Build the windowed kernel for one boundary-law solution.
+    """Build the windowed kernel for one boundary-law solution, with its stationary law.
 
     Row 0 is proportional to (1, weights, tail weight); each loop row splits
     between staying put and returning to 0; every other row steps to 0 with
     probability one.  Each row sums to 1 to the last bit: row 0 is divided
     by its own sum and two-entry rows are completed by subtraction.  Only
     row 0 and the stay probabilities are computed here, not the dense matrix.
+
+    The stationary law is read from the same weights w = lambda*z in closed
+    form.  With S their sum over nonzero spins, the mass is (1+S)/d at the
+    hub, (w^2+w)/d at a loop spin and w/d elsewhere, where d = 1 + sum of
+    loop w^2 + 2S.  The formulas do not depend on the window, so enlarging
+    it only appends zero entries.
     """
     window, weights, w_tail = _window_weights(solution, spec, graph, window)
     return _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0)
 
 
 def _kernel(window: int, weights: dict, w_tail: float, loops, tail_active: bool) -> TransitionMatrix:
+    states = state_labels(window)
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
-    hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + sum(weights.values()) + w_tail)
+    w_sum = sum(weights.values())
+    hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + w_sum + w_tail)
     stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in loops}
     active = _on_window(window, True, dict.fromkeys(weights, True), tail_active, bool)
-    return TransitionMatrix(window, state_labels(window), tuple(active.tolist()), hub_row, stays)
+    S = w_sum + w_tail
+    denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
+    mass = {lab: (w * w + w) / denom if lab in loops else w / denom for lab, w in weights.items()}
+    x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
+    return TransitionMatrix(
+        window, states, tuple(active.tolist()), hub_row, stays,
+        StationaryDistribution(window, states, x),
+    )
 
 
 def minimal_window(spec: ActivitySpec) -> int:
@@ -232,40 +254,10 @@ def stationary_closed_form(
     graph: AdmissibilityGraph,
     window: int | None = None,
 ) -> StationaryDistribution:
-    """Stationary vector of the windowed kernel, in closed form.
-
-    With per-state weights w = lambda*z and S their sum over nonzero spins,
-    the stationary mass is (1+S)/d at the hub, (w^2+w)/d at a loop spin and
-    w/d elsewhere, where d = 1 + sum of loop w^2 + 2S.  The formulas do not
-    depend on the window, so enlarging it only appends zero entries.
-    """
+    """transition_matrix(...).stationary, at the minimal window unless one is given."""
     if window is None:
         window = minimal_window(spec)
-    window, weights, w_tail = _window_weights(solution, spec, graph, window)
-    return _stationary(window, weights, w_tail, graph.loops)
-
-
-def _stationary(window: int, weights: dict, w_tail: float, loops) -> StationaryDistribution:
-    S = sum(weights.values()) + w_tail
-    denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
-    mass = {lab: (w * w + w) / denom if lab in loops else w / denom
-            for lab, w in weights.items()}
-    x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
-    return StationaryDistribution(window, state_labels(window), x)
-
-
-def _kernel_and_stationary(
-    solution: BoundaryLawSolution,
-    spec: ActivitySpec,
-    graph: AdmissibilityGraph,
-    window: int,
-) -> tuple[TransitionMatrix, StationaryDistribution]:
-    """transition_matrix and stationary_closed_form at one window, validating the solution once."""
-    window, weights, w_tail = _window_weights(solution, spec, graph, window)
-    return (
-        _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0),
-        _stationary(window, weights, w_tail, graph.loops),
-    )
+    return transition_matrix(solution, spec, graph, window).stationary
 
 
 def _as_matrix(P) -> np.ndarray:

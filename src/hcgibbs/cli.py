@@ -170,9 +170,19 @@ def _json_row(row: np.ndarray) -> _Encoded:
     return _Encoded(json.dumps(row.tolist()))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key that appears twice is a ValueError, not the last value kept."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_spec(path: str) -> ActivitySpec:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         # bad JSON, undecodable bytes and a 4301-digit literal are ValueErrors
         raise InputError(f"cannot read spec file {path} as JSON: {exc}")
@@ -257,29 +267,20 @@ def cmd_chain(args) -> int:
 
     entries = []
     for s in sols:
-        tm, sd = chain_mod._kernel_and_stationary(s, spec, graph, window)
-        report = chain_mod.verify_stationary(sd, tm)
+        tm = chain_mod.transition_matrix(s, spec, graph, window)
+        report = chain_mod.verify_stationary(tm.stationary, tm)
         if not report.passed:
             raise NumericalFailure(
                 f"stationarity check failed on branch {s.branch}: "
                 f"residual {report.max_residual:.3e}, sum error {report.sum_error:.3e}"
             )
-        entries.append((s, tm, sd, report))
+        entries.append((s, tm, report))
 
     if args.format == "csv":
-        _, tm, sd, _ = entries[sols.index(_pick_branch(sols, args.branch))]
-        lines = chain_mod.matrix_csv_lines(tm)
-        _write(itertools.chain(lines, ("\n", chain_mod.distribution_to_csv(sd))), args.out)
+        _, tm, _ = entries[sols.index(_pick_branch(sols, args.branch))]
+        stationary = chain_mod.distribution_to_csv(tm.stationary)
+        _write(itertools.chain(chain_mod.matrix_csv_lines(tm), ("\n", stationary)), args.out)
         return 0
-
-    # solutions share the unit row, and may share a loop row
-    texts = {}
-
-    def encode(row: np.ndarray) -> _Encoded:
-        key = row.tobytes()
-        if key not in texts:
-            texts[key] = _json_row(row)
-        return texts[key]
 
     _emit_json(
         {
@@ -291,9 +292,9 @@ def cmd_chain(args) -> int:
                     "matrix": {
                         "window": tm.window,
                         "states": list(tm.states),
-                        "matrix": chain_mod._row_texts(tm, encode),
+                        "matrix": chain_mod._row_texts(tm, _json_row),
                     },
-                    "stationary": sd.to_json_dict(),
+                    "stationary": tm.stationary.to_json_dict(),
                     "report": {
                         "max_residual": report.max_residual,
                         "sum_error": report.sum_error,
@@ -301,7 +302,7 @@ def cmd_chain(args) -> int:
                     },
                     "irreducible": chain_mod.irreducible(tm),
                 }
-                for s, tm, sd, report in entries
+                for s, tm, report in entries
             ],
         },
         args.out,

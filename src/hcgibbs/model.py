@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 from .errors import DivergentActivities, InputError, TooLarge
 
 _SCHEMA_KEYS = {"k", "loops", "tail", "tail_mass", "divergent"}
+
+# a spec map key is str(label): ASCII digits, an optional "-", no leading zero
+_LABEL_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _as_float(value, name: str) -> float:
@@ -265,23 +269,21 @@ def spec_from_json(data: dict) -> ActivitySpec:
 
     Schema: {"k": 2, "loops": {"1": 5.0}, "tail": {"3": 0.5}, "tail_mass": 0.5,
     "divergent": false}.  "loops" is required, everything else has defaults.
-    Map keys are decimal integer strings; ActivitySpec reads the values.
+    A map key is the text str(label) of its label and nothing else, so no
+    two keys name one label; ActivitySpec reads the values.
     """
     if not isinstance(data, dict):
         raise InputError("activity spec must be a JSON object")
     unknown = set(data) - _SCHEMA_KEYS
     if unknown:
-        raise InputError(f"unknown keys in activity spec: {_shown(sorted(unknown))}")
+        raise InputError(f"unknown keys in activity spec: {_shown(sorted(unknown, key=_shown))}")
     if "loops" not in data:
         raise InputError('activity spec needs a "loops" map')
 
     def parse_map(obj, name: str) -> dict:
         if not isinstance(obj, dict):
             raise InputError(f'"{name}" must be a map of integer strings to numbers')
-        try:
-            return {int(key): val for key, val in obj.items()}
-        except (TypeError, ValueError) as exc:
-            raise InputError(f'"{name}" keys must be decimal integer strings: {exc}') from None
+        return {_key_label(key, name): val for key, val in obj.items()}
 
     k = data.get("k", 2)
     divergent = data.get("divergent", False)
@@ -292,6 +294,16 @@ def spec_from_json(data: dict) -> ActivitySpec:
         k=k,
         divergent=divergent,
     )
+
+
+def _key_label(key, name: str) -> int:
+    """The label a key of the spec's name map is the str() of; InputError naming any other key."""
+    if type(key) is str and _LABEL_KEY.fullmatch(key):
+        try:
+            return int(key)
+        except ValueError as exc:  # more digits than int() reads
+            raise InputError(f'"{name}" key of {len(key)} characters: {exc}') from None
+    raise InputError(f'"{name}" key {_shown(key)} must be an integer label in plain decimal, as "-3"')
 
 
 def spec_to_json(spec: ActivitySpec) -> dict:

@@ -515,8 +515,29 @@ def test_chain_json_encodes_the_shared_unit_row_once(wide_spec, capsys, monkeypa
     monkeypatch.setattr(cli, "_json_row", counted)
     assert main(["chain", str(wide_spec)]) == 0
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 3
-    # the unit row once, then each solution's hub row and two loop rows
-    assert len(rows) == 1 + 3 * 3 == len(set(rows))
+    # each solution's unit row once, shared by its 599 other states, then
+    # its hub row and two loop rows; the solutions' unit rows are equal
+    assert len(rows) == 3 * (1 + 3)
+    assert len(set(rows)) == 1 + 3 * 3
+
+
+def test_a_command_checks_each_solution_once_per_kernel(tmp_path, capsys, monkeypatch):
+    calls = []
+    window_weights = chain._window_weights
+
+    def counted(*args):
+        calls.append(args[0].branch)
+        return window_weights(*args)
+
+    monkeypatch.setattr(chain, "_window_weights", counted)
+    path = tmp_path / "three.json"
+    path.write_text('{"loops":{"1":9.0,"2":9.0},"tail_mass":82.0}')
+    assert main(["chain", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == len(calls) == len(set(calls)) == 3
+    calls.clear()
+    assert main(["sample", str(path), "--depth", "3", "--seed", "1"]) == 0
+    # the sampler's kernel, then the stationary law tv_to_stationary reads
+    assert len(calls) == 2
 
 
 def test_structural_product_matches_the_dense_one():

@@ -512,6 +512,27 @@ def test_solve_graph_two_loop_on_a_two_loop_spec(capsys, spec3):
     assert capsys.readouterr().err.startswith("error: --graph two-loop")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"loops":{"1":5.0,"01":7.0},"tail_mass":10.0}',  # solved lambda = 7 at exit 0
+        '{"loops":{"1":5.0},"tail":{"2":1.0,"+2":3.0}}',  # kept only 3.0
+        '{"loops":{"1":5.0},"tail":{"1_0":1.0," 2 ":1.0}}',  # labels 10 and 2
+        '{"loops":{"1":5.0,"1":7.0}}',  # the second value kept
+        '{"loops":{"1":5.0},"tail":{"2":1.0},"tail":{"3":1.0}}',
+    ],
+    ids=["leading zero", "plus sign", "underscore and spaces", "repeated label", "repeated map"],
+)
+@pytest.mark.parametrize("command", [["solve"], ["chain"], ["sample", "--depth=1", "--seed=1"]],
+                         ids=["solve", "chain", "sample"])
+def test_spec_key_that_collapses_onto_another_is_bad_input(capsys, tmp_path, text, command):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "key" in captured.err
+
+
 def test_sweep_grid_that_is_not_numbers_is_bad_input(capsys):
     assert main(["sweep", "--lambda-grid", "abc", "--Lambda-grid", "100"]) == 2
     assert capsys.readouterr().err.startswith("error: --lambda-grid")

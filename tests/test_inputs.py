@@ -205,6 +205,42 @@ def test_only_model_decides_what_a_number_is():
     assert [line for lines in found.values() for line in lines] == []
 
 
+def _users_of(name: str) -> list[str]:
+    """module:function of each name, attribute or import of name in the package, its def aside."""
+    found = []
+
+    class Users(ast.NodeVisitor):
+        def __init__(self, module: str) -> None:
+            self.module, self.where = module, "<module>"
+
+        def use(self, used: str) -> None:
+            if used == name:
+                found.append(f"{self.module}:{self.where}")
+
+        def visit_FunctionDef(self, node) -> None:
+            outer, self.where = self.where, node.name
+            self.generic_visit(node)
+            self.where = outer
+
+        def visit_Name(self, node) -> None:
+            self.use(node.id)
+
+        def visit_Attribute(self, node) -> None:
+            self.use(node.attr)
+            self.generic_visit(node)
+
+        def visit_alias(self, node) -> None:
+            self.use(node.name)
+
+    for path in sorted(Path(hcgibbs.__file__).parent.glob("*.py")):
+        Users(path.name).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_only_transition_matrix_checks_a_solution_for_a_kernel():
+    assert _users_of("_window_weights") == ["chain.py:transition_matrix"]
+
+
 def test_level_below_zero_is_bad_input():
     with pytest.raises(InputError):
         level_counts(FOREST, -1)  # used to count the deepest level

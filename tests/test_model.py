@@ -1,6 +1,8 @@
 """Domain type validation, adjacency structure, and JSON round trips."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +176,11 @@ def test_spec_json_round_trip():
     )
     again = spec_from_json(spec_to_json(spec))
     assert again == spec
+    # negative, multi-digit and long labels, through JSON text too
+    spec = ActivitySpec(loop_activities={-12: 9.0, 30: 9.0},
+                        explicit_tail={-3: 0.25, 7: 1.5, 10**40: 2.0}, tail_mass=0.75)
+    assert spec_from_json(spec_to_json(spec)) == spec
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
 
 def test_spec_json_defaults():
@@ -203,6 +210,27 @@ def test_spec_json_rejects_bad_keys_and_values():
         spec_from_json({"loops": [1.0]})
     with pytest.raises(InputError):
         spec_from_json([1, 2])
+
+
+# keys that are not the str() of a label.  int() reads all but the last
+# four, so each of those used to name a label silently, and "01" next to
+# "1" dropped one of the two values
+NOT_STR_OF_A_LABEL = ["01", "00", "+2", "1_0", " 2 ", "2\n", "-0", "\u0663", "\uff11", 1,
+                      "--1", "1.0", "", None]
+
+
+@pytest.mark.parametrize("key", NOT_STR_OF_A_LABEL)
+@pytest.mark.parametrize("name", ["loops", "tail"])
+def test_spec_json_map_key_must_be_str_of_its_label(name, key):
+    doc = {"loops": {"1": 5.0}, "tail_mass": 10.0}
+    doc[name] = {**doc.get(name, {}), key: 7.0}
+    with pytest.raises(InputError, match=f'"{name}" key {re.escape(repr(key))} must be'):
+        spec_from_json(doc)
+
+
+def test_spec_json_unknown_keys_of_mixed_types_are_bad_input():
+    with pytest.raises(InputError, match=r"unknown keys in activity spec: \['a', 1\]"):
+        spec_from_json({1: 2, "a": 3})  # used to raise TypeError from sorted()
 
 
 @pytest.mark.parametrize("divergent", ["yes", 1, None, 0.0])

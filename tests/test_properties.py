@@ -205,3 +205,46 @@ def test_solve_chain_and_sample_flags_end_in_an_exit_code(workdir, spec, command
     if missing_out:
         argv.append(f"--out={workdir / 'missing' / 'out.json'}")
     assert _exit_code(argv) in (0, 2, 3, 4)
+
+
+# sweep: a single-cell grid, seven times in eight a real from 1e-300 to
+# 1e300 (log-uniform or as Hypothesis picks it; half the Lambdas at 2 to
+# 1e6 times lambda, so that the cell runs), else NaN, +-inf, junk or empty
+# text; starts seven times in eight at 50 or 60, else just under the
+# oracle's floor of 50, negative or past its cap, so no cell runs over 60
+# starts; seeds any integer, too long to read, or junk
+
+
+def _mostly(valid, refused):
+    """Seven times in eight a draw of valid, else one of refused."""
+    return st.integers(0, 7).flatmap(lambda i: refused if i == 7 else valid)
+
+
+REAL = st.one_of(st.floats(min_value=1e-300, max_value=1e300),
+                 st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)))
+REFUSED_GRID = st.one_of(st.sampled_from(["nan", "inf", "-inf", "", " "]), JUNK)
+
+
+@st.composite
+def sweep_cell(draw):
+    lam = draw(REAL)
+    Lambda = draw(st.one_of(REAL, st.floats(0.3, 6.0).map(lambda e: min(lam * 10.0**e, 1e300))))
+    return tuple(draw(_mostly(st.just(repr(v)), REFUSED_GRID)) for v in (lam, Lambda))
+
+
+STARTS = _mostly(st.sampled_from(["50", "60"]), st.one_of(
+    st.just("49"), st.integers(max_value=-1).map(str), st.integers(100_001, 10**400).map(str),
+    DIGITS_PAST_INT, JUNK))
+SWEEP_SEED = _mostly(st.integers(0, 10**400).map(str), st.one_of(
+    st.integers(max_value=-1).map(str), DIGITS_PAST_INT, JUNK))
+
+
+@PROPERTY
+@given(cell=sweep_cell(), starts=STARTS, seed=SWEEP_SEED,
+       missing_out=st.integers(0, 3).map(lambda i: i == 0))
+def test_sweep_grid_flags_end_in_an_exit_code(workdir, cell, starts, seed, missing_out):
+    lam, Lambda = cell
+    argv = [f"--lambda-grid={lam}", f"--Lambda-grid={Lambda}", f"--starts={starts}", f"--seed={seed}"]
+    if missing_out:
+        argv.append(f"--out={workdir / 'missing' / 'sweep.csv'}")
+    assert _exit_code(["sweep", *argv]) in (0, 2, 3, 4)

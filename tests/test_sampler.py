@@ -544,6 +544,17 @@ def test_structural_draws_match_dense_rows(sol, spec, window):
     assert np.array_equal(kernel.draw_root(below), dense)
 
 
+@pytest.mark.parametrize("sol, spec, window", KERNEL_CASES)
+def test_kernel_carries_the_closed_form_stationary_law(sol, spec, window):
+    graph = graph_from_spec(spec)
+    tm = transition_matrix(sol, spec, graph, minimal_window(spec) if window is None else window)
+    sd = stationary_closed_form(sol, spec, graph, window)
+    assert (tm.stationary.window, tm.stationary.states) == (sd.window, sd.states) == (tm.window, tm.states)
+    assert tm.stationary.probabilities.tobytes() == sd.probabilities.tobytes()
+    assert np.array_equal(_Kernel(sol, spec, graph, window).cum_root,
+                          np.cumsum(sd.probabilities[np.flatnonzero(tm.active)]))
+
+
 def test_largest_variate_draws_an_active_state():
     kernel = _Kernel(SHORT_SOL, SHORT, graph_from_spec(SHORT), None)
     assert kernel.cum_hub[-1] < LARGEST_VARIATE
