@@ -142,6 +142,15 @@ def reduce(spec: ActivitySpec, graph: AdmissibilityGraph) -> ReducedSystem:
     return ReducedSystem(k=spec.k, loop_labels=labels, loop_lams=lams, Lambda=Lambda)
 
 
+def _aggregate_power(A: float, k: int) -> float:
+    """(1 + A)**k for an A read by _as_positive, +inf where it overflows, as
+    in _pow; a non-loop vertex's z is its activity over this."""
+    try:
+        return (1.0 + A) ** k
+    except OverflowError:
+        return math.inf
+
+
 def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float], A: float) -> float:
     """Max absolute defect of the full listed system at (z, A).
 
@@ -154,7 +163,7 @@ def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float],
     if missing:
         raise InputError(f"z is missing components for {_shown(sorted(missing))}")
     z = _positive_values(z, "z")
-    q = (1.0 + A) ** spec.k
+    q = _aggregate_power(A, spec.k)
     tail = (abs(z[lab] - lam / q) for lab, lam in spec.explicit_tail.items())
     return max([system.residual_at([z[lab] for lab in graph.loops], A), *tail])
 
@@ -164,7 +173,10 @@ def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int,
 
     Returns (z, tail_z_mass): z covers loops and explicit tail vertices,
     tail_z_mass is the aggregate boundary-law mass of the unlisted states,
-    tail_mass / (1 + A)**k.
+    tail_mass / (1 + A)**k.  The solution must carry the spec's loop
+    labels, and its A is read by _as_positive, else InputError; where
+    (1 + A)**k overflows, the tail z are 0.0.  The loop z are returned as
+    given, unchecked.
     """
     require_finite(spec)
     if set(solution.loop_z) != set(spec.loop_activities):
@@ -172,7 +184,7 @@ def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int,
             f"solution labels {_shown(sorted(solution.loop_z))} do not match spec loops "
             f"{_shown(sorted(spec.loop_activities))}"
         )
-    q = (1.0 + solution.A) ** spec.k
+    q = _aggregate_power(_as_positive(solution.A, "aggregate A"), spec.k)
     z = dict(solution.loop_z)
     for lab, lam in spec.explicit_tail.items():
         z[lab] = lam / q

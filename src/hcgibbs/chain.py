@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_law import expand, residual
+from .boundary_law import _aggregate_power, reduce
 from .errors import InputError, NumericalFailure, ShapeMismatch, WindowTooSmall
 from .model import (
     ActivitySpec,
@@ -47,6 +47,7 @@ from .model import (
     _as_int,
     _as_nonnegative,
     _as_positive,
+    _positive_values,
     _shown,
     check_spec_graph,
     relabel_solution,
@@ -167,28 +168,34 @@ def _window_weights(
     solution: BoundaryLawSolution,
     spec: ActivitySpec,
     graph: AdmissibilityGraph,
-    window: int,
+    window: int | None,
 ) -> tuple[int, dict[int, float], float]:
-    """The window as an int, the weights lambda*z over it, and the tail weight.
-
-    Validates the window, the spec/graph pairing, and that the solution
-    closes the consistency system before any kernel is built from it.
+    """The window as an int (minimal_window(spec) when None), the weights
+    lambda*z over it, and the tail weight.  Checks, in order: the window, the
+    spec/graph pairing, the labels (relabel_solution), a finite total, A and
+    the loop z, the residual, each tail z lambda/(1+A)^k, the window's cover.
     """
-    window = _as_int(window, "window", 0, most=_MAX_STATES // 2 - 1)  # 2 * window + 2 states
+    window = _as_int(minimal_window(spec) if window is None else window, "window", 0,
+                     most=_MAX_STATES // 2 - 1)  # 2 * window + 2 states
     check_spec_graph(spec, graph)
     solution = relabel_solution(solution, graph)
-    z, tail_z = expand(solution, spec)
-    res = residual(spec, graph, z, solution.A)
+    system = reduce(spec, graph)
+    A = _as_positive(solution.A, "aggregate A")
+    z = _positive_values(solution.loop_z, "z")
+    res = system.residual_at([z[lab] for lab in graph.loops], A)
     if not res < RESIDUAL_PRE_TOL:
         raise InputError(
             f"solution residual {res:.3e} exceeds {RESIDUAL_PRE_TOL:.0e}; refusing to build a kernel"
         )
-    listed = spec.listed()
-    outside = sorted(lab for lab in listed if abs(lab) > window)
+    q = _aggregate_power(A, spec.k)
+    if spec.explicit_tail and not min(spec.explicit_tail.values()) / q > 0.0:
+        # a tail z lambda / q rounds to 0; _positive_values refuses the first
+        _positive_values({lab: lam / q for lab, lam in spec.explicit_tail.items()}, "z")
+    weights = {lab: lam * z[lab] if lab in z else lam * (lam / q) for lab, lam in spec.listed().items()}
+    outside = sorted(lab for lab in weights if abs(lab) > window)
     if outside:
         raise WindowTooSmall(f"listed states {_shown(outside)} lie outside the window {window}")
-    weights = {lab: listed[lab] * z[lab] for lab in listed}
-    return window, weights, spec.tail_mass * tail_z
+    return window, weights, spec.tail_mass * (spec.tail_mass / q)
 
 
 def _on_window(window: int, hub, values: dict, tail, dtype=float) -> np.ndarray:
@@ -205,9 +212,12 @@ def transition_matrix(
     solution: BoundaryLawSolution,
     spec: ActivitySpec,
     graph: AdmissibilityGraph,
-    window: int,
+    window: int | None = None,
 ) -> TransitionMatrix:
     """Build the windowed kernel for one boundary-law solution, with its stationary law.
+
+    The solution, in canonical or graph labels, must close the reduced
+    system (see _window_weights); window defaults to minimal_window(spec).
 
     Row 0 is proportional to (1, weights, tail weight); each loop row splits
     between staying put and returning to 0; every other row steps to 0 with
@@ -254,9 +264,7 @@ def stationary_closed_form(
     graph: AdmissibilityGraph,
     window: int | None = None,
 ) -> StationaryDistribution:
-    """transition_matrix(...).stationary, at the minimal window unless one is given."""
-    if window is None:
-        window = minimal_window(spec)
+    """transition_matrix(...).stationary, with the same window default."""
     return transition_matrix(solution, spec, graph, window).stationary
 
 

@@ -263,11 +263,10 @@ def cmd_chain(args) -> int:
     spec = _load_spec(args.specfile)
     graph = graph_from_spec(spec)
     sols = _solve_spec(spec, graph, None)
-    window = args.window if args.window is not None else chain_mod.minimal_window(spec)
 
     entries = []
     for s in sols:
-        tm = chain_mod.transition_matrix(s, spec, graph, window)
+        tm = chain_mod.transition_matrix(s, spec, graph, args.window)
         report = chain_mod.verify_stationary(tm.stationary, tm)
         if not report.passed:
             raise NumericalFailure(
@@ -284,7 +283,7 @@ def cmd_chain(args) -> int:
 
     _emit_json(
         {
-            "window": window,
+            "window": entries[0][1].window,
             "solutions": [
                 {
                     "branch": s.branch,
@@ -315,12 +314,11 @@ def cmd_sample(args) -> int:
     graph = graph_from_spec(spec)
     sols = _solve_spec(spec, graph, None)
     sol = _pick_branch(sols, args.branch)
-    window = args.window if args.window is not None else chain_mod.minimal_window(spec)
 
     forest = sampler_mod.sample_forest(
-        sol, spec, graph, args.depth, args.trees, args.seed, window=window
+        sol, spec, graph, args.depth, args.trees, args.seed, window=args.window
     )
-    sd = chain_mod.stationary_closed_form(sol, spec, graph, window)
+    sd = chain_mod.stationary_closed_form(sol, spec, graph, args.window)
     marginal = sampler_mod.empirical_marginal(forest)
     good = sum(sampler_mod.edge_admissibility(s, graph) for s in forest)
     _emit_json(
@@ -329,7 +327,7 @@ def cmd_sample(args) -> int:
             "depth": args.depth,
             "trees": args.trees,
             "seed": args.seed,
-            "window": window,
+            "window": sd.window,
             "samples": [
                 {"depth": s.depth, "seed": s.seed, "spins": spins}
                 for s, spins in zip(forest, _spins_json(forest))

@@ -83,6 +83,15 @@ def _shown(value) -> str:
         return f"<a {type(value).__name__} too long to print>"
 
 
+def _label_text(label) -> str:
+    """str(label), as every document writes a label; an int past Python's
+    limit on int-to-text conversion (4300 digits) is an InputError."""
+    try:
+        return str(label)
+    except ValueError:
+        raise InputError(f"label {_shown(label)} has too many digits to write in decimal") from None
+
+
 def _as_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
     """int(value) of any integer type but bool, as a Python int, which never wraps as numpy's
     do; one below least is InputError, and one above most, a size cap, TooLarge."""
@@ -211,7 +220,7 @@ class BoundaryLawSolution:
     def to_json_dict(self) -> dict:
         return {
             "A": self.A,
-            "z": {str(lab): val for lab, val in sorted(self.loop_z.items())},
+            "z": {_label_text(lab): val for lab, val in sorted(self.loop_z.items())},
             "branch": self.branch,
             "residual": self.residual,
         }
@@ -309,8 +318,8 @@ def _key_label(key, name: str) -> int:
 def spec_to_json(spec: ActivitySpec) -> dict:
     return {
         "k": spec.k,
-        "loops": {str(lab): val for lab, val in sorted(spec.loop_activities.items())},
-        "tail": {str(lab): val for lab, val in sorted(spec.explicit_tail.items())},
+        "loops": {_label_text(lab): val for lab, val in sorted(spec.loop_activities.items())},
+        "tail": {_label_text(lab): val for lab, val in sorted(spec.explicit_tail.items())},
         "tail_mass": spec.tail_mass,
         "divergent": spec.divergent,
     }

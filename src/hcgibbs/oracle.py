@@ -40,6 +40,7 @@ from .model import (
     _as_int,
     _as_positive,
     _shown,
+    relabel_solution,
 )
 
 TOL = 1e-11  # residual gate for a confirmed point
@@ -214,20 +215,14 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.compress(keep, axis=0) for a in arrays]
 
 
-def _normalise_hint(hint, labels) -> np.ndarray:
-    """A hint, a BoundaryLawSolution or a (z map, A) pair, as the point
-    (z_loops..., A)."""
-    if isinstance(hint, BoundaryLawSolution):
-        z_map, A = hint.loop_z, hint.A
-    elif isinstance(hint, (tuple, list)) and len(hint) == 2 and isinstance(hint[0], Mapping):
-        z_map, A = hint
-    else:
-        raise InputError(f"a hint must be a BoundaryLawSolution or a (z, A) pair, got {_shown(hint)}")
-    missing = set(labels) - set(z_map)
-    if missing:
-        raise InputError(f"hint is missing loop components {_shown(sorted(missing))}")
-    return np.array([*(_as_float(z_map[lab], f"hint z[{_shown(lab)}]") for lab in labels),
-                     _as_float(A, "hint A")])
+def _normalise_hint(hint, graph: AdmissibilityGraph) -> np.ndarray:
+    """A hint, a BoundaryLawSolution in canonical or graph labels (see
+    relabel_solution), as the point (z_loops..., A)."""
+    if not isinstance(hint, BoundaryLawSolution):
+        raise InputError(f"a hint must be a BoundaryLawSolution, got {_shown(hint)}")
+    hint = relabel_solution(hint, graph)
+    return np.array([*(_as_float(hint.loop_z[lab], f"hint z[{_shown(lab)}]") for lab in graph.loops),
+                     _as_float(hint.A, "hint A")])
 
 
 def _leaders(P: np.ndarray, tol: float) -> np.ndarray:
@@ -268,7 +263,8 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     clusters at CLUSTER_TOL, then the pitchfork merge at PITCHFORK_TOL.
     Every argument is checked before any start is drawn: n_starts must be
     an integer >= 50, seed an integer >= 0 and hints None or an iterable of
-    hints (see _normalise_hint), else InputError; more than _MAX_STARTS
+    BoundaryLawSolutions in the closed forms' canonical loop labels or the
+    graph's (see _normalise_hint), else InputError; more than _MAX_STARTS
     starts in all, n_starts plus four per hint, raise TooLarge before any
     hint is read.
     """
@@ -282,7 +278,7 @@ def multistart_count(spec: ActivitySpec, graph: AdmissibilityGraph, n_starts: in
     system = reduce(spec, graph)
     labels = system.loop_labels
     m = len(labels)
-    hint_points = [_normalise_hint(hint, labels) for hint in hints]
+    hint_points = [_normalise_hint(hint, graph) for hint in hints]
     rng = np.random.default_rng(seed)
     Z0 = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_starts, m))
     A0 = 10.0 ** rng.uniform(-3.0, 3.0, size=n_starts)

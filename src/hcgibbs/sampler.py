@@ -44,7 +44,6 @@ import numpy as np
 from .chain import (
     TAIL,
     StationaryDistribution,
-    minimal_window,
     stationary_closed_form,  # unused here, but bench/tracing.py patches this name
     transition_matrix,
 )
@@ -194,8 +193,6 @@ class _Kernel:
         graph: AdmissibilityGraph,
         window: int | None,
     ) -> None:
-        if window is None:
-            window = minimal_window(spec)
         tm = transition_matrix(solution, spec, graph, window)
         self.states = tm.states
         self.k = spec.k

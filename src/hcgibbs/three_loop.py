@@ -97,9 +97,14 @@ def delta_curve(lam: float, x: float, Lambda: float) -> float:
 
 
 def q_poly(lam: float, Lambda: float, x: float) -> float:
-    """The asymmetric-family quartic in the aggregate x = A."""
+    """The asymmetric-family quartic in the aggregate x = A; lam is read by
+    _as_positive, and a value past double precision raises DomainError."""
+    lam = _as_positive(lam, "loop activity")
     y = 1.0 + x
-    return y ** 4 - lam * (x + 2.0) * y * y + lam * Lambda - 2.0 * lam * lam
+    try:
+        return y ** 4 - lam * (x + 2.0) * y * y + lam * Lambda - 2.0 * lam * lam
+    except OverflowError:
+        raise DomainError(f"q_poly overflows double precision at lambda = {lam!r}, x = {x!r}") from None
 
 
 def _q_derivative(lam: float, x: float) -> float:

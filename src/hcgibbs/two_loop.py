@@ -29,6 +29,7 @@ from .model import (
     ActivitySpec,
     BoundaryLawSolution,
     RegimeReport,
+    _as_float,
     _as_positive,
     _as_total,
     _shown,
@@ -136,11 +137,16 @@ def loop_z_branches(lam: float, A: float) -> tuple[float, float]:
     """Both loop-equation branches (z_plus, z_minus) at aggregate A.
 
     z_minus is computed through the exact product identity
-    z_plus * z_minus = 1 to avoid cancellation at large A.
+    z_plus * z_minus = 1 to avoid cancellation at large A.  lam is read by
+    _as_positive and A by _as_float; a z_plus that is not positive and
+    finite in double precision raises DomainError.
     """
-    x = 1.0 + A
+    lam = _as_positive(lam, "loop activity")
+    x = 1.0 + _as_float(A, "aggregate A")
     s = math.sqrt(_radicand(lam, x))
     z_plus = (x * x - 2.0 * lam + x * s) / (2.0 * lam)
+    if not 0.0 < z_plus < math.inf:
+        raise DomainError(f"loop branches are not positive and finite at lambda = {lam!r}, A = {A!r}")
     return z_plus, 1.0 / z_plus
 
 

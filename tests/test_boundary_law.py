@@ -118,3 +118,20 @@ def test_expand_refuses_labels_other_than_the_spec_loops(labels):
     sol = BoundaryLawSolution(1.0, {lab: 0.5 for lab in labels}, "unique", 0.0)
     with pytest.raises(InputError, match="do not match spec loops"):
         expand(sol, spec)
+
+
+# the repro spec of the leaks: one loop, one listed tail spin, a tail mass
+LEAK_SPEC = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 0.5}, tail_mass=1.0)
+
+
+@pytest.mark.parametrize("A", [-1.0, 0.0, float("nan"), "0.5"])
+def test_expand_reads_A_by_the_input_rule(A):
+    with pytest.raises(InputError, match="aggregate A"):
+        expand(BoundaryLawSolution(A, {1: 0.5}, "x", 0.0), LEAK_SPEC)  # -1 divided by 0
+
+
+def test_an_overflowing_power_of_A_is_infinite():
+    z, tail_z = expand(BoundaryLawSolution(1e200, {1: 0.5}, "x", 0.0), LEAK_SPEC)
+    assert z == {1: 0.5, 2: 0.0} and tail_z == 0.0
+    # (1 + A)**2 used to raise OverflowError; the aggregate identity is off by A
+    assert residual(LEAK_SPEC, graph_from_spec(LEAK_SPEC), {1: 0.5, 2: 0.1}, 1e200) == 1e200

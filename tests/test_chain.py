@@ -35,6 +35,7 @@ from hcgibbs.chain import (
 from hcgibbs.cli import _Encoded, _json_row, _json_text, main
 from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec, spec_from_json
+from hcgibbs.sampler import sample_tree
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
@@ -630,3 +631,35 @@ def test_encoded_rows_keep_the_nested_list_layout():
 def test_irreducible_refuses_an_empty_state_set(dtype):
     with pytest.raises(InputError, match="empty state set"):
         irreducible(np.zeros((0, 0), dtype=dtype))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sol: transition_matrix(sol, SPEC, GRAPH),
+    lambda sol: stationary_closed_form(sol, SPEC, GRAPH),
+    lambda sol: sample_tree(sol, SPEC, GRAPH, 2, 0),
+], ids=["transition_matrix", "stationary_closed_form", "sample_tree"])
+@pytest.mark.parametrize("A", [-1.0, 1e200])
+def test_a_hand_built_A_is_refused_before_its_power(build, A):
+    # (1 + A)**2 was taken before A was read: ZeroDivisionError at -1,
+    # OverflowError at 1e200
+    with pytest.raises(InputError):
+        build(BoundaryLawSolution(A, SOL.loop_z, SOL.branch, SOL.residual))
+
+
+def test_the_window_defaults_to_the_minimal_one():
+    for spec, graph, sols in ((SPEC, GRAPH, [SOL]), (SPEC2, GRAPH2, SOLS2)):
+        window = minimal_window(spec)
+        for sol in sols:
+            tm, given = transition_matrix(sol, spec, graph), transition_matrix(sol, spec, graph, window)
+            assert tm.window == window and tm.states == given.states
+            assert tm.hub_row.tobytes() == given.hub_row.tobytes() and tm.stays == given.stays
+            assert stationary_closed_form(sol, spec, graph).window == window
+
+
+def test_a_tail_z_that_rounds_to_zero_is_refused():
+    # lambda / (1+A)^2 of the least subnormal activity rounds to 0, and a
+    # boundary law is positive
+    spec = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 5e-324, 3: 0.5}, tail_mass=1.0)
+    sol = solve_unique(TwoLoopProblem(1.0, spec.total_activity()))
+    with pytest.raises(InputError, match=r"z\[2\] must be positive and finite, got 0.0"):
+        transition_matrix(sol, spec, graph_from_spec(spec), 3)

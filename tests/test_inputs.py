@@ -241,6 +241,17 @@ def test_only_transition_matrix_checks_a_solution_for_a_kernel():
     assert _users_of("_window_weights") == ["chain.py:transition_matrix"]
 
 
+def test_only_the_kernel_path_defaults_the_window():
+    assert _users_of("minimal_window") == ["chain.py:_window_weights"]
+
+
+def test_a_solution_is_relabelled_only_where_it_is_read():
+    assert _users_of("relabel_solution") == [
+        "chain.py:<module>", "chain.py:_window_weights", "cli.py:<module>", "cli.py:_solve_spec",
+        "oracle.py:<module>", "oracle.py:_normalise_hint",
+    ]
+
+
 def test_level_below_zero_is_bad_input():
     with pytest.raises(InputError):
         level_counts(FOREST, -1)  # used to count the deepest level
@@ -325,7 +336,8 @@ def _starts_cap(n, monkeypatch):
 
 def _hint_starts_cap(n, monkeypatch):
     monkeypatch.setattr("hcgibbs.oracle.reduce", _past_the_cap)
-    return multistart_count(SPEC, GRAPH, n_starts=n - 8, hints=[({1: 0.5}, 0.5)] * 2)
+    hint = BoundaryLawSolution(0.5, {1: 0.5}, "hint", 0.0)
+    return multistart_count(SPEC, GRAPH, n_starts=n - 8, hints=[hint] * 2)
 
 
 def _points_cap(n, monkeypatch):
@@ -425,7 +437,7 @@ HUGE_CASES = {
     "multistart_count-n_starts": lambda n: _multistart(n_starts=n),
     "multistart_count-seed": lambda n: _multistart(seed=n),
     "multistart_count-hint label": lambda n: multistart_count(
-        *_on_loop(n), 50, hints=[({n: "x"}, 0.5)]),
+        *_on_loop(n), 50, hints=[BoundaryLawSolution(0.5, {n: "x"}, "hint", 0.0)]),
     "fixed_point_iterate-max_iter": lambda n: _fixed_point(max_iter=n),
     "fixed_point_iterate-init label": lambda n: fixed_point_iterate(*_on_loop(n), {n: "x"}, 0.5),
     "fixed_point_iterate-missing label": lambda n: fixed_point_iterate(*_on_loop(n), {1: 0.5}, 0.5),

@@ -237,3 +237,12 @@ def test_spec_json_unknown_keys_of_mixed_types_are_bad_input():
 def test_divergent_flag_that_is_not_a_bool_is_bad_input(divergent):
     with pytest.raises(InputError, match="divergent must be a boolean"):
         spec_from_json({"loops": {"1": 1.0}, "divergent": divergent})
+
+
+def test_a_label_past_the_int_text_limit_is_refused_in_a_document():
+    huge = 10**5000  # Python writes no int of more than 4300 digits
+    for write in (lambda: BoundaryLawSolution(1.0, {huge: 0.5}, "x", 0.0).to_json_dict(),
+                  lambda: spec_to_json(ActivitySpec(loop_activities={huge: 1.0})),
+                  lambda: spec_to_json(ActivitySpec({1: 1.0}, explicit_tail={-huge: 1.0}))):
+        with pytest.raises(InputError, match="integer of 16610 bits>"):
+            write()

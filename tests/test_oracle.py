@@ -13,7 +13,7 @@ import pytest
 
 from hcgibbs import boundary_law
 from hcgibbs.errors import DivergentActivities, InputError, TooLarge
-from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec, relabel_solution
 from hcgibbs.oracle import _MAX_STARTS, fixed_point_iterate, multistart_count
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions, thresholds
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -150,9 +150,10 @@ def test_multistart_counts_hint_starts_against_the_cap(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 60.5}, {"n_starts": "60"}, {"n_starts": None},
     {"seed": 1.5}, {"seed": "x"}, {"seed": -1},
-    {"hints": 5}, {"hints": [5]}, {"hints": [({1: "a"}, 1.0)]},
+    {"hints": 5}, {"hints": [5]}, {"hints": [BoundaryLawSolution(1.0, {1: "a"}, "hint", 0.0)]},
+    {"hints": [({1: 1.0}, 1.0)]},
 ], ids=["n_starts=60.5", "n_starts=str", "n_starts=None", "seed=1.5", "seed=str", "seed=-1",
-        "hints=5", "hint=5", "hint-z=str"])
+        "hints=5", "hint=5", "hint-z=str", "hint=pair"])
 def test_multistart_rejects_bad_arguments_before_drawing(kwargs, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", _no_draw)
     with pytest.raises(InputError):
@@ -206,7 +207,7 @@ def test_bad_hint_adds_no_spurious_cluster():
     # Newton either rejects a fabricated point or drags it onto the genuine
     # solution; the cluster count must not inflate either way
     spec, graph = three_loop_setup(200.0)
-    fake = ({1: 123.0, 2: 0.003}, 77.0)
+    fake = BoundaryLawSolution(77.0, {1: 123.0, 2: 0.003}, "fake", 0.0)
     res = multistart_count(spec, graph, n_starts=60, seed=0, hints=[fake])
     assert res.count == 1
 
@@ -293,7 +294,8 @@ def _battery_runs(name):
                 hints = [solve_unique(TwoLoopProblem(loops[1], loops[1] + tail))]
             else:
                 bare = multistart_count(spec, graph, n_starts=n_starts, seed=seed)
-                hints = [(r.z, r.A) for r in bare.representatives]
+                hints = [BoundaryLawSolution(r.A, r.z, r.source, r.residual)
+                         for r in bare.representatives]
             yield spec, graph, n_starts, seed, None
             yield spec, graph, n_starts, seed, hints
 
@@ -399,5 +401,18 @@ def test_pinv_fallback_frozen(monkeypatch):
 @pytest.mark.parametrize("z", [{1: 1.0}, {2: 1.0}, {}, {3: 1.0}])
 def test_hint_missing_a_loop_label_is_bad_input(z):
     spec, graph = three_loop_setup(130.0)
-    with pytest.raises(InputError, match="hint is missing loop components"):
-        multistart_count(spec, graph, n_starts=50, hints=[(z, 5.0)])
+    with pytest.raises(InputError, match="match neither the graph loops"):
+        multistart_count(spec, graph, n_starts=50, hints=[BoundaryLawSolution(5.0, z, "hint", 0.0)])
+
+
+def test_canonical_label_hints_count_as_graph_label_hints():
+    # the closed forms label the loops 1 and 2; the chain maps those onto
+    # the graph's loops, and the oracle now does too
+    spec = ActivitySpec(loop_activities={3: 9.0, 7: 9.0}, tail_mass=112.0)
+    graph = graph_from_spec(spec)
+    canonical = enumerate_solutions(ThreeLoopProblem(9.0, 130.0))
+    moved = [relabel_solution(s, graph) for s in canonical]
+    assert {tuple(s.loop_z) for s in moved} == {(3, 7)}
+    got = multistart_count(spec, graph, n_starts=60, seed=0, hints=canonical)
+    assert got == multistart_count(spec, graph, n_starts=60, seed=0, hints=moved)
+    assert got.count == 5

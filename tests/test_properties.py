@@ -1,4 +1,4 @@
-"""Property tests: outside input ends in an exit code or InputError, never a crash.
+"""Property tests: outside input ends in an exit code or an HcGibbsError, never a crash.
 
 Hypothesis draws the examples from a fixed seed (derandomize) and keeps no
 example database, so every run checks the same inputs.
@@ -7,15 +7,21 @@ example database, so every run checks the same inputs.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hcgibbs.chain import TAIL
+from hcgibbs.boundary_law import expand, residual
+from hcgibbs.chain import TAIL, stationary_closed_form, transition_matrix
 from hcgibbs.cli import main
-from hcgibbs.errors import InputError
-from hcgibbs.sampler import TreeSample, num_vertices, tree_sample_from_json
+from hcgibbs.errors import HcGibbsError, InputError
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
+from hcgibbs.oracle import multistart_count
+from hcgibbs.sampler import TreeSample, num_vertices, sample_tree, tree_sample_from_json
+from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions, q_poly
+from hcgibbs.two_loop import TwoLoopProblem, loop_z_branches, solve_unique
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -248,3 +254,57 @@ def test_sweep_grid_flags_end_in_an_exit_code(workdir, cell, starts, seed, missi
     if missing_out:
         argv.append(f"--out={workdir / 'missing' / 'sweep.csv'}")
     assert _exit_code(["sweep", *argv]) in (0, 2, 3, 4)
+
+
+# a hand-built solution's numbers: reals from the least subnormal up, and
+# the values no solution may hold
+HAND_REAL = st.one_of(st.floats(min_value=1e-320, max_value=1e300),
+                      st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]))
+# each spec with a closed-form solution, in canonical labels, that a drawn
+# solution may copy A or a loop z from, so that some of them close the system
+HAND_SPECS = [
+    (ActivitySpec({1: 1.0}, {2: 0.5}, tail_mass=1.0), solve_unique(TwoLoopProblem(1.0, 2.5))),
+    (ActivitySpec({3: 9.0, 7: 9.0}, {5: 0.5}, tail_mass=100.0),
+     enumerate_solutions(ThreeLoopProblem(9.0, 118.5))[1]),
+]
+
+
+@st.composite
+def hand_solution(draw):
+    """(spec, graph, solution): A and each loop z drawn from HAND_REAL or
+    copied from the spec's closed-form solution, in canonical or graph labels."""
+    spec, genuine = draw(st.sampled_from(HAND_SPECS))
+    graph = graph_from_spec(spec)
+    labels = sorted(genuine.loop_z) if draw(st.booleans()) else graph.loops
+    A, *z = (draw(st.one_of(st.just(v), HAND_REAL))
+             for v in (genuine.A, *(genuine.loop_z[lab] for lab in sorted(genuine.loop_z))))
+    return spec, graph, BoundaryLawSolution(A, dict(zip(labels, z)), "hand", 0.0)
+
+
+def _returns_or_refuses(call):
+    try:
+        return call()
+    except HcGibbsError:
+        return None
+
+
+@PROPERTY
+@given(case=hand_solution(), tail_z=HAND_REAL)
+def test_a_hand_built_solution_is_read_or_refused(case, tail_z):
+    spec, graph, sol = case
+    z = {**sol.loop_z, **dict.fromkeys(spec.explicit_tail, tail_z)}
+    for call in (lambda: transition_matrix(sol, spec, graph),
+                 lambda: stationary_closed_form(sol, spec, graph, 9),
+                 lambda: sample_tree(sol, spec, graph, 3, 1),
+                 lambda: expand(sol, spec),
+                 lambda: residual(spec, graph, z, sol.A),
+                 lambda: multistart_count(spec, graph, n_starts=50, hints=[sol])):
+        _returns_or_refuses(call)
+
+
+@PROPERTY
+@given(lam=HAND_REAL, x=HAND_REAL, Lambda=HAND_REAL)
+def test_the_closed_form_helpers_return_or_refuse(lam, x, Lambda):
+    branches = _returns_or_refuses(lambda: loop_z_branches(lam, x))
+    assert branches is None or min(branches) > 0.0
+    _returns_or_refuses(lambda: q_poly(lam, Lambda, x))

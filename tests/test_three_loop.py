@@ -327,3 +327,10 @@ def test_both_classifiers_share_the_divergent_report():
         assert fn(divergent=True).lam is None
         with pytest.raises(InputError):
             fn()
+
+
+def test_q_poly_reads_lambda_and_refuses_overflow():
+    with pytest.raises(InputError, match="loop activity"):
+        q_poly(0.0, 10.0, 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        q_poly(1.0, 10.0, 1e100)  # used to raise OverflowError

@@ -180,3 +180,16 @@ def test_one_loop_closed_form_is_not_always_unique(tmp_path, capsys):
 def test_curves_refuse_a_loop_activity_that_is_not_positive(curve, lam):
     with pytest.raises(DomainError, match="lambda must be positive"):
         curve(lam, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), "1"])
+def test_loop_branches_read_lambda_by_the_input_rule(lam):
+    # 0 divided by zero, and -1 gave the negative pair (-5.83, -0.17)
+    with pytest.raises(InputError, match="loop activity"):
+        loop_z_branches(lam, 1.0)
+
+
+@pytest.mark.parametrize("A", [1e200, float("inf"), -float("inf"), float("nan"), -1e10])
+def test_loop_branches_past_double_precision_are_a_domain_error(A):
+    with pytest.raises(DomainError):
+        loop_z_branches(1.0, A)
