@@ -110,9 +110,10 @@ class ReducedSystem:
         z has shape (m,) with a scalar A, or shape (n, m) with A of shape
         (n,); the defect is the point (z, A) minus its image under the
         consistency map, shape (m+1,) or (n, m+1).  Overflow follows
-        numpy's float rules.
+        numpy's float rules, to inf or NaN, without a RuntimeWarning.
         """
-        return self._defect(_points(z, A))[2]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self._defect(_points(z, A))[2]
 
     def jacobian(self, z, A) -> np.ndarray:
         """The Jacobian of linearise at (z, A); shapes as in defect."""

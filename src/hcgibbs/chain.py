@@ -26,8 +26,9 @@ irreducibility read it too; only the matrix attribute, the dense reference
 of the tests, holds a window-squared matrix.
 
 transition_matrix is the one builder: it checks the solution once and
-returns the kernel with its closed-form stationary law attached, both read
-from the same weights.
+returns the kernel with its closed-form stationary law, both read from the
+same weights, and the tree order of its spec.  The sampler draws from that
+kernel as it is, so a command builds and checks one kernel per solution.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class TransitionMatrix:
     nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
     built from them when first read, as the tests' dense reference.
     stationary is the closed-form stationary law transition_matrix computes
-    from the same weights; a kernel built by hand has none.
+    from the same weights, and k the tree order of its spec; a kernel built
+    by hand has no stationary law, and its k defaults to 2, as a spec's does.
     """
 
     window: int
@@ -101,6 +103,7 @@ class TransitionMatrix:
     hub_row: np.ndarray
     stays: dict
     stationary: StationaryDistribution | None = None
+    k: int = 2
 
     def nonunit_rows(self):
         """(position, row) of the hub row, then of each loop's stay-or-return row."""
@@ -232,24 +235,24 @@ def transition_matrix(
     it only appends zero entries.
     """
     window, weights, w_tail = _window_weights(solution, spec, graph, window)
-    return _kernel(window, weights, w_tail, graph.loops, spec.tail_mass > 0.0)
+    return _kernel(window, weights, w_tail, graph.loops, spec)
 
 
-def _kernel(window: int, weights: dict, w_tail: float, loops, tail_active: bool) -> TransitionMatrix:
+def _kernel(window: int, weights: dict, w_tail: float, loops, spec: ActivitySpec) -> TransitionMatrix:
     states = state_labels(window)
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
     w_sum = sum(weights.values())
     hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + w_sum + w_tail)
     stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in loops}
-    active = _on_window(window, True, dict.fromkeys(weights, True), tail_active, bool)
+    active = _on_window(window, True, dict.fromkeys(weights, True), spec.tail_mass > 0.0, bool)
     S = w_sum + w_tail
     denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
     mass = {lab: (w * w + w) / denom if lab in loops else w / denom for lab, w in weights.items()}
     x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
     return TransitionMatrix(
         window, states, tuple(active.tolist()), hub_row, stays,
-        StationaryDistribution(window, states, x),
+        StationaryDistribution(window, states, x), spec.k,
     )
 
 

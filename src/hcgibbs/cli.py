@@ -275,8 +275,9 @@ def cmd_chain(args) -> int:
             )
         entries.append((s, tm, report))
 
+    picked = _pick_branch(sols, args.branch)  # checked in either format
     if args.format == "csv":
-        _, tm, _ = entries[sols.index(_pick_branch(sols, args.branch))]
+        _, tm, _ = entries[sols.index(picked)]
         stationary = chain_mod.distribution_to_csv(tm.stationary)
         _write(itertools.chain(chain_mod.matrix_csv_lines(tm), ("\n", stationary)), args.out)
         return 0
@@ -315,10 +316,8 @@ def cmd_sample(args) -> int:
     sols = _solve_spec(spec, graph, None)
     sol = _pick_branch(sols, args.branch)
 
-    forest = sampler_mod.sample_forest(
-        sol, spec, graph, args.depth, args.trees, args.seed, window=args.window
-    )
-    sd = chain_mod.stationary_closed_form(sol, spec, graph, args.window)
+    tm = chain_mod.transition_matrix(sol, spec, graph, args.window)
+    forest = sampler_mod.sample_forest(tm, args.depth, args.trees, args.seed)
     marginal = sampler_mod.empirical_marginal(forest)
     good = sum(sampler_mod.edge_admissibility(s, graph) for s in forest)
     _emit_json(
@@ -327,7 +326,7 @@ def cmd_sample(args) -> int:
             "depth": args.depth,
             "trees": args.trees,
             "seed": args.seed,
-            "window": sd.window,
+            "window": tm.window,
             "samples": [
                 {"depth": s.depth, "seed": s.seed, "spins": spins}
                 for s, spins in zip(forest, _spins_json(forest))
@@ -335,7 +334,7 @@ def cmd_sample(args) -> int:
             "marginal": {
                 str(lab): freq for lab, freq in sorted(marginal.items(), key=lambda kv: str(kv[0]))
             },
-            "tv_to_stationary": sampler_mod.marginal_tv(marginal, sd),
+            "tv_to_stationary": sampler_mod.marginal_tv(marginal, tm.stationary),
             "admissible_fraction": good / len(forest),
         },
         args.out,
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--branch", default=None, help="branch to emit in csv mode")
+    p.add_argument("--branch", default=None, help="branch to emit in csv mode (checked in json)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_chain)
 

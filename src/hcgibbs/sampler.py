@@ -1,10 +1,12 @@
 """Sampling of tree configurations driven by the windowed spin chain.
 
-A configuration on the rooted Cayley tree is drawn top down: the root spin
-comes from the stationary distribution, and every child spin from the
-transition-matrix row of its parent's spin.  Because the root law is
-stationary, the marginal at every vertex is the same distribution, which
-gives a sharp statistical target for tests.
+The samplers take the kernel chain.transition_matrix builds for one
+solution and read nothing else: its rows, its stationary law and the tree
+order k it was built for.  A configuration on the rooted Cayley tree is
+drawn top down: the root spin comes from the stationary distribution, and
+every child spin from the transition-matrix row of its parent's spin.
+Because the root law is stationary, the marginal at every vertex is the
+same distribution, which gives a sharp statistical target for tests.
 
 The kernel is used in its structural form, never as a dense matrix: a
 child of the hub is drawn by inverse CDF over the hub row, a child of a
@@ -44,6 +46,7 @@ import numpy as np
 from .chain import (
     TAIL,
     StationaryDistribution,
+    TransitionMatrix,
     stationary_closed_form,  # unused here, but bench/tracing.py patches this name
     transition_matrix,
 )
@@ -186,16 +189,9 @@ class _Kernel:
     Both arrays hold O(states) entries.
     """
 
-    def __init__(
-        self,
-        solution: BoundaryLawSolution,
-        spec: ActivitySpec,
-        graph: AdmissibilityGraph,
-        window: int | None,
-    ) -> None:
-        tm = transition_matrix(solution, spec, graph, window)
+    def __init__(self, tm: TransitionMatrix) -> None:
         self.states = tm.states
-        self.k = spec.k
+        self.k = tm.k
         self.hub = tm.index(0)
         self.active = np.flatnonzero(tm.active)
         self.cum_root = np.cumsum(tm.stationary.probabilities[self.active])
@@ -287,51 +283,48 @@ def _check_vertex_budget(k: int, depth: int, trees: int) -> int:
     return _as_int(trees * num_vertices(k, depth), "sampled vertices", most=_MAX_SAMPLE_VERTICES)
 
 
-def sample_tree(
-    solution: BoundaryLawSolution,
-    spec: ActivitySpec,
-    graph: AdmissibilityGraph,
-    depth: int,
-    seed: int,
-    window: int | None = None,
-) -> TreeSample:
-    """Draw one configuration of the given depth, deterministically in seed."""
+def _as_kernel(kernel) -> TransitionMatrix:
+    """kernel, if transition_matrix built it: a TransitionMatrix with its stationary law."""
+    if not isinstance(kernel, TransitionMatrix):
+        raise InputError(f"kernel must be a TransitionMatrix, got {type(kernel).__name__}")
+    if kernel.stationary is None:
+        raise InputError("kernel has no stationary law; build it with transition_matrix")
+    return kernel
+
+
+def sample_tree(kernel: TransitionMatrix, depth: int, seed: int) -> TreeSample:
+    """Draw one configuration of the given depth from kernel, deterministically in seed."""
+    kernel = _as_kernel(kernel)
     depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
-    _check_vertex_budget(spec.k, depth, 1)
-    kernel = _Kernel(solution, spec, graph, window)
-    idx = _sample_block(kernel, depth, [seed])[0]
-    return TreeSample._drawn(depth, seed, idx, kernel.states, kernel.k)
+    _check_vertex_budget(kernel.k, depth, 1)
+    table = _Kernel(kernel)
+    idx = _sample_block(table, depth, [seed])[0]
+    return TreeSample._drawn(depth, seed, idx, table.states, table.k)
 
 
-def sample_forest(
-    solution: BoundaryLawSolution,
-    spec: ActivitySpec,
-    graph: AdmissibilityGraph,
-    depth: int,
-    trees: int,
-    seed: int,
-    window: int | None = None,
-) -> tuple[TreeSample, ...]:
-    """Draw independent trees; tree t is reproducible from its own seed.
+def sample_forest(kernel: TransitionMatrix, depth: int, trees: int,
+                  seed: int) -> tuple[TreeSample, ...]:
+    """Draw independent trees from kernel; tree t is reproducible from its own seed.
 
     Per-tree seeds are spawned deterministically from the forest seed.  The
     trees are drawn in blocks of at most _BLOCK_VERTICES vertices (one tree
     when a tree is larger), and each tree's index array is a row of its
     block.
     """
+    kernel = _as_kernel(kernel)
     depth, trees = _as_int(depth, "depth", 0), _as_int(trees, "trees", 1)
     seed = _as_int(seed, "seed")
-    _check_vertex_budget(spec.k, depth, trees)
-    kernel = _Kernel(solution, spec, graph, window)
+    _check_vertex_budget(kernel.k, depth, trees)
+    table = _Kernel(kernel)
     spawn = np.random.SeedSequence(seed % _KEY_SPACE)
     tree_seeds = spawn.generate_state(trees, np.uint64).tolist()
-    per_block = max(1, _BLOCK_VERTICES // num_vertices(kernel.k, depth))
+    per_block = max(1, _BLOCK_VERTICES // num_vertices(table.k, depth))
     forest = []
     for start in range(0, trees, per_block):
         seeds = tree_seeds[start : start + per_block]
-        block = _sample_block(kernel, depth, seeds)
+        block = _sample_block(table, depth, seeds)
         forest.extend(
-            TreeSample._drawn(depth, t, idx, kernel.states, kernel.k) for t, idx in zip(seeds, block)
+            TreeSample._drawn(depth, t, idx, table.states, table.k) for t, idx in zip(seeds, block)
         )
     return tuple(forest)
 
@@ -582,7 +575,7 @@ def conditional_diagnostic(
     trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed")
     _check_vertex_budget(spec.k, 1, trials)  # a depth-1 star has k + 2 vertices
     _oracle_alphabet(spec)  # the single-site law's cap, which bounds the patterns too
-    kernel = _Kernel(solution, spec, graph, window)
+    kernel = _Kernel(transition_matrix(solution, spec, graph, window))
     fanout, n = kernel.k + 1, len(kernel.states)
     u = _stream(seed, trials * (fanout + 1)).reshape(trials, fanout + 1)
     roots = kernel.draw_root(u[:, 0])

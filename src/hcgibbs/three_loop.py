@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import two_loop
 from .boundary_law import ReducedSystem
 from .errors import DomainError, InputError
-from .model import ActivitySpec, BoundaryLawSolution, RegimeReport, _as_positive
+from .model import ActivitySpec, BoundaryLawSolution, RegimeReport, _as_float, _as_positive
 from .rootfind import refine, root_right
 
 LAMBDA_STAR = 49.0 / 9.0
@@ -97,14 +97,23 @@ def delta_curve(lam: float, x: float, Lambda: float) -> float:
 
 
 def q_poly(lam: float, Lambda: float, x: float) -> float:
-    """The asymmetric-family quartic in the aggregate x = A; lam is read by
-    _as_positive, and a value past double precision raises DomainError."""
+    """The asymmetric-family quartic in the aggregate x = A.  lam is read by
+    _as_positive, Lambda and x by _as_float (x is any real: the ray starts
+    below 0 when lam < 1/4); a Lambda or x that is not finite, and a value
+    past double precision, raise DomainError."""
     lam = _as_positive(lam, "loop activity")
+    Lambda, x = _as_float(Lambda, "Lambda"), _as_float(x, "x")
+    if not (math.isfinite(Lambda) and math.isfinite(x)):
+        raise DomainError(f"q_poly needs a finite Lambda and x, got Lambda = {Lambda!r}, x = {x!r}")
     y = 1.0 + x
     try:
-        return y ** 4 - lam * (x + 2.0) * y * y + lam * Lambda - 2.0 * lam * lam
+        value = y ** 4 - lam * (x + 2.0) * y * y + lam * Lambda - 2.0 * lam * lam
     except OverflowError:
-        raise DomainError(f"q_poly overflows double precision at lambda = {lam!r}, x = {x!r}") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"q_poly overflows double precision at lambda = {lam!r}, "
+                          f"Lambda = {Lambda!r}, x = {x!r}")
+    return value
 
 
 def _q_derivative(lam: float, x: float) -> float:

@@ -289,8 +289,9 @@ def test_criterion_7_sampler_statistics():
     spec = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
     graph = graph_from_spec(spec)
     sol = solve_unique(TwoLoopProblem(1.0, 2.0))
-    forest = sample_forest(sol, spec, graph, depth=10, trees=200, seed=22, window=5)
-    X = stationary_closed_form(sol, spec, graph, 5)
+    kernel = transition_matrix(sol, spec, graph, 5)
+    forest = sample_forest(kernel, depth=10, trees=200, seed=22)
+    X = kernel.stationary
     worst_tv = 0.0
     for level in range(11):
         counts = level_counts(forest, level)
@@ -303,7 +304,7 @@ def test_criterion_7_sampler_statistics():
     bad = sum(1 for t in forest if edge_admissibility(t, graph) != 1.0)
     if bad:
         failures.append(f"{bad} trees contain an inadmissible edge")
-    rerun = sample_forest(sol, spec, graph, depth=10, trees=200, seed=22, window=5)
+    rerun = sample_forest(kernel, depth=10, trees=200, seed=22)
     if any(a.spins != b.spins for a, b in zip(forest, rerun)):
         failures.append("rerun under the fixed seed is not bit-identical")
     dt = time.perf_counter() - t0

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -537,8 +538,8 @@ def test_a_command_checks_each_solution_once_per_kernel(tmp_path, capsys, monkey
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == len(calls) == len(set(calls)) == 3
     calls.clear()
     assert main(["sample", str(path), "--depth", "3", "--seed", "1"]) == 0
-    # the sampler's kernel, then the stationary law tv_to_stationary reads
-    assert len(calls) == 2
+    # one kernel: the sampler draws from it and tv_to_stationary reads its law
+    assert len(calls) == 1
 
 
 def test_structural_product_matches_the_dense_one():
@@ -636,7 +637,7 @@ def test_irreducible_refuses_an_empty_state_set(dtype):
 @pytest.mark.parametrize("build", [
     lambda sol: transition_matrix(sol, SPEC, GRAPH),
     lambda sol: stationary_closed_form(sol, SPEC, GRAPH),
-    lambda sol: sample_tree(sol, SPEC, GRAPH, 2, 0),
+    lambda sol: sample_tree(transition_matrix(sol, SPEC, GRAPH), 2, 0),
 ], ids=["transition_matrix", "stationary_closed_form", "sample_tree"])
 @pytest.mark.parametrize("A", [-1.0, 1e200])
 def test_a_hand_built_A_is_refused_before_its_power(build, A):
@@ -644,6 +645,17 @@ def test_a_hand_built_A_is_refused_before_its_power(build, A):
     # OverflowError at 1e200
     with pytest.raises(InputError):
         build(BoundaryLawSolution(A, SOL.loop_z, SOL.branch, SOL.residual))
+
+
+def test_an_overflowing_A_is_refused_without_a_warning():
+    # (1 + A)**2 overflows in the residual gate's float_power, then A / inf
+    # is NaN: both used to print a RuntimeWarning before the refusal
+    spec = ActivitySpec({1: 1.0}, {2: 0.5}, tail_mass=1.0)
+    sol = BoundaryLawSolution(1e200, {1: 0.5}, "x", 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="residual"):
+            transition_matrix(sol, spec, graph_from_spec(spec))
 
 
 def test_the_window_defaults_to_the_minimal_one():

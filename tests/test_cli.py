@@ -402,9 +402,8 @@ def _forest(spec_text, depth, trees, seed=3, window=None):
     """The forest `sample` draws for these flags, on the spec's first solution."""
     spec = spec_from_json(json.loads(spec_text))
     graph = graph_from_spec(spec)
-    window = minimal_window(spec) if window is None else window
     sol = _solve_spec(spec, graph, None)[0]
-    return sample_forest(sol, spec, graph, depth, trees, seed, window=window)
+    return sample_forest(transition_matrix(sol, spec, graph, window), depth, trees, seed)
 
 
 @pytest.mark.parametrize(
@@ -601,6 +600,19 @@ def test_chain_csv_round_trip(capsys, spec2):
 
 def test_chain_unknown_branch(capsys, spec2):
     assert main(["chain", spec2, "--format", "csv", "--branch", "nope"]) == 2
+
+
+def test_chain_unknown_branch_in_json(capsys, spec2):
+    # without --format the document is JSON, which lists every branch; the
+    # flag is still checked, as in csv mode and in `sample`
+    assert main(["chain", spec2, "--branch", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no solution on branch 'nope'; available: ['two-loop-g']" in captured.err
+    assert main(["chain", spec2, "--branch", "two-loop-g"]) == 0
+    named = capsys.readouterr().out
+    assert main(["chain", spec2]) == 0
+    assert capsys.readouterr().out == named
 
 
 def test_chain_csv_named_branch(capsys, spec3):

@@ -53,7 +53,7 @@ GRAPH = graph_from_spec(SPEC)
 SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
 TM = transition_matrix(SOL, SPEC, GRAPH, 2)
 SD = stationary_closed_form(SOL, SPEC, GRAPH, 2)
-FOREST = sample_forest(SOL, SPEC, GRAPH, 2, 2, 7)
+FOREST = sample_forest(TM, 2, 2, 7)
 
 
 def _residual(A=0.5, z1=0.25):
@@ -77,11 +77,11 @@ def _three_loop(lam=9.0, Lambda=130.0):
 
 
 def _tree(depth=2, seed=7):
-    return sample_tree(SOL, SPEC, GRAPH, depth, seed)
+    return sample_tree(TM, depth, seed)
 
 
 def _forest(depth=2, trees=2, seed=7):
-    return sample_forest(SOL, SPEC, GRAPH, depth, trees, seed)
+    return sample_forest(TM, depth, trees, seed)
 
 
 def _multistart(n_starts=50, seed=3):
@@ -361,7 +361,7 @@ def _alphabet_cap(n, monkeypatch):
 
 def _vertices_cap(n, monkeypatch):
     monkeypatch.setattr("hcgibbs.sampler._Kernel", _past_the_cap)
-    return sample_forest(SOL, SPEC, GRAPH, depth=0, trees=n, seed=1)
+    return sample_forest(TM, depth=0, trees=n, seed=1)
 
 
 # each cap and a call that asks for that count

@@ -295,7 +295,7 @@ def test_a_hand_built_solution_is_read_or_refused(case, tail_z):
     z = {**sol.loop_z, **dict.fromkeys(spec.explicit_tail, tail_z)}
     for call in (lambda: transition_matrix(sol, spec, graph),
                  lambda: stationary_closed_form(sol, spec, graph, 9),
-                 lambda: sample_tree(sol, spec, graph, 3, 1),
+                 lambda: sample_tree(transition_matrix(sol, spec, graph), 3, 1),
                  lambda: expand(sol, spec),
                  lambda: residual(spec, graph, z, sol.A),
                  lambda: multistart_count(spec, graph, n_starts=50, hints=[sol])):

@@ -19,7 +19,13 @@ from hcgibbs.chain import (
     transition_matrix,
 )
 from hcgibbs.errors import InputError, TooLarge
-from hcgibbs.model import ActivitySpec, AdmissibilityGraph, graph_from_spec, spec_from_json
+from hcgibbs.model import (
+    ActivitySpec,
+    AdmissibilityGraph,
+    BoundaryLawSolution,
+    graph_from_spec,
+    spec_from_json,
+)
 from hcgibbs.sampler import (
     _MAX_SAMPLE_VERTICES,
     TreeSample,
@@ -47,6 +53,9 @@ from test_chain import WIDE
 SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
 GRAPH = graph_from_spec(SPEC)
 SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
+# the samplers draw from a kernel; TM has the minimal window, TM5 window 5
+TM = transition_matrix(SOL, SPEC, GRAPH)
+TM5 = transition_matrix(SOL, SPEC, GRAPH, 5)
 
 SPEC5 = ActivitySpec(loop_activities={1: 0.8, 2: 0.3}, explicit_tail={3: 0.4}, tail_mass=0.6)
 GRAPH5 = graph_from_spec(SPEC5)
@@ -81,7 +90,7 @@ LARGEST_VARIATE = 1.0 - 2.0**-53
 
 @pytest.fixture(scope="module")
 def forest():
-    return sample_forest(SOL, SPEC, GRAPH, depth=10, trees=200, seed=22, window=5)
+    return sample_forest(TM5, depth=10, trees=200, seed=22)
 
 
 def test_tree_geometry():
@@ -112,9 +121,9 @@ def test_parent_array_layout():
 
 
 def test_sampling_is_deterministic():
-    a = sample_tree(SOL, SPEC, GRAPH, depth=6, seed=123)
-    b = sample_tree(SOL, SPEC, GRAPH, depth=6, seed=123)
-    c = sample_tree(SOL, SPEC, GRAPH, depth=6, seed=124)
+    a = sample_tree(TM, depth=6, seed=123)
+    b = sample_tree(TM, depth=6, seed=123)
+    c = sample_tree(TM, depth=6, seed=124)
     assert a.spins == b.spins
     assert a.spins != c.spins
 
@@ -122,20 +131,20 @@ def test_sampling_is_deterministic():
 def test_vertex_stream_is_prefix_stable():
     # vertex v consumes variate v, so deepening a tree never reshuffles
     # the spins already drawn
-    shallow = sample_tree(SOL, SPEC, GRAPH, depth=2, seed=5)
-    deep = sample_tree(SOL, SPEC, GRAPH, depth=3, seed=5)
+    shallow = sample_tree(TM, depth=2, seed=5)
+    deep = sample_tree(TM, depth=3, seed=5)
     assert deep.spins[: len(shallow.spins)] == shallow.spins
 
 
 def test_forest_reproducibility(forest):
-    again = sample_forest(SOL, SPEC, GRAPH, depth=10, trees=200, seed=22, window=5)
+    again = sample_forest(TM5, depth=10, trees=200, seed=22)
     assert all(x.spins == y.spins for x, y in zip(forest, again))
     # each tree regenerates standalone from its own stored seed
     for t in forest[:5]:
-        alone = sample_tree(SOL, SPEC, GRAPH, depth=10, seed=t.seed, window=5)
+        alone = sample_tree(TM5, depth=10, seed=t.seed)
         assert alone.spins == t.spins
     with pytest.raises(InputError):
-        sample_forest(SOL, SPEC, GRAPH, depth=2, trees=0, seed=1)
+        sample_forest(TM, depth=2, trees=0, seed=1)
 
 
 def test_forest_fully_admissible(forest):
@@ -168,7 +177,7 @@ def test_forest_levels_pass_chi_square(forest):
 
 
 def test_depth_zero_tree():
-    t = sample_tree(SOL, SPEC, GRAPH, depth=0, seed=3)
+    t = sample_tree(TM, depth=0, seed=3)
     assert len(t.spins) == 1
     assert t.spins[0] in (0, 1, TAIL)
     assert edge_admissibility(t, GRAPH) == 1.0
@@ -185,7 +194,7 @@ def test_tree_sample_validation():
 
 
 def test_tree_sample_json_round_trip():
-    t = sample_tree(SOL, SPEC, GRAPH, depth=3, seed=11)
+    t = sample_tree(TM, depth=3, seed=11)
     data = json.loads(json.dumps(t.to_json_dict()))
     back = tree_sample_from_json(data)
     assert back.spins == t.spins
@@ -354,11 +363,11 @@ def test_numpy_integer_sizes_are_capped_before_drawing(monkeypatch):
     monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
     monkeypatch.setattr("hcgibbs.chain._kernel", allocate)
     with pytest.raises(TooLarge):
-        sample_forest(SOL, SPEC, GRAPH, depth=np.int64(64), trees=1, seed=1)
+        sample_forest(TM, depth=np.int64(64), trees=1, seed=1)
     with pytest.raises(TooLarge):
-        sample_forest(SOL, SPEC, GRAPH, depth=2, trees=np.int64(2**62), seed=1)
+        sample_forest(TM, depth=2, trees=np.int64(2**62), seed=1)
     with pytest.raises(TooLarge):
-        sample_tree(SOL, SPEC, GRAPH, depth=np.int64(64), seed=1)
+        sample_tree(TM, depth=np.int64(64), seed=1)
     for window in (np.int64(2048), np.int64(2**62)):
         with pytest.raises(TooLarge):
             transition_matrix(SOL, SPEC, GRAPH, window)
@@ -400,7 +409,7 @@ def test_vectorised_statistics_match_label_reference():
     assert fractions == [_reference_admissibility(s, graph) for s in samples]
     assert min(fractions) < 1.0
     # sampler trees share the kernel's state table; mix them with hand-built ones
-    drawn = sample_forest(PAIR_SOLS[1], PAIR, graph, depth=4, trees=3, seed=9)
+    drawn = sample_forest(transition_matrix(PAIR_SOLS[1], PAIR, graph), depth=4, trees=3, seed=9)
     assert all(t.states is drawn[0].states for t in drawn)
     assert [edge_admissibility(t, graph) for t in drawn] == [1.0, 1.0, 1.0]
     for group in (samples, drawn, samples[:7] + list(drawn)):
@@ -424,7 +433,7 @@ def test_edge_masks_built_once_per_state_table(monkeypatch):
     )
     graph = graph_from_spec(spec)
     sol = enumerate_solutions(ThreeLoopProblem.from_spec(spec))[0]
-    forest = sample_forest(sol, spec, graph, depth=3, trees=50, seed=0)
+    forest = sample_forest(transition_matrix(sol, spec, graph), depth=3, trees=50, seed=0)
     assert len(forest[0].states) == 602
     calls = 0
     adjacency = AdmissibilityGraph.adjacency
@@ -459,11 +468,12 @@ CAP_LISTED = ActivitySpec(
 def test_kernel_and_edge_check_stay_linear_at_the_state_cap(sol, spec):
     """One states x states table at the cap is 16 MiB of bool; the bound is 4 MiB."""
     graph = graph_from_spec(spec)
-    tree = sample_tree(sol, spec, graph, depth=8, seed=1, window=CAP)
+    tm = transition_matrix(sol, spec, graph, CAP)
+    tree = sample_tree(tm, depth=8, seed=1)
     sampler._edge_masks.cache_clear()
     tracemalloc.start()
     try:
-        kernel = _Kernel(sol, spec, graph, CAP)
+        kernel = _Kernel(tm)
         assert edge_admissibility(tree, graph) == 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -494,8 +504,8 @@ GOLDEN_FORESTS = [
 
 @pytest.mark.parametrize("sol, spec, window, seed, digest", GOLDEN_FORESTS)
 def test_forest_spins_frozen(sol, spec, window, seed, digest):
-    graph = graph_from_spec(spec)
-    forest = sample_forest(sol, spec, graph, depth=6, trees=3, seed=seed, window=window)
+    tm = transition_matrix(sol, spec, graph_from_spec(spec), window)
+    forest = sample_forest(tm, depth=6, trees=3, seed=seed)
     assert _forest_digest(forest) == digest
 
 
@@ -510,7 +520,7 @@ KERNEL_CASES = [
 def test_structural_draws_match_dense_rows(sol, spec, window):
     """Every child draw equals the dense inverse CDF, breakpoints included."""
     graph = graph_from_spec(spec)
-    kernel = _Kernel(sol, spec, graph, window)
+    kernel = _Kernel(transition_matrix(sol, spec, graph, window))
     # the hub row is in the cut table up to sampler._HUB_TABLE_STATES
     # active states (3 to 7 here); WIDE's 602 are past that bound, and its
     # hub's children are drawn by searchsorted
@@ -551,12 +561,12 @@ def test_kernel_carries_the_closed_form_stationary_law(sol, spec, window):
     sd = stationary_closed_form(sol, spec, graph, window)
     assert (tm.stationary.window, tm.stationary.states) == (sd.window, sd.states) == (tm.window, tm.states)
     assert tm.stationary.probabilities.tobytes() == sd.probabilities.tobytes()
-    assert np.array_equal(_Kernel(sol, spec, graph, window).cum_root,
+    assert np.array_equal(_Kernel(tm).cum_root,
                           np.cumsum(sd.probabilities[np.flatnonzero(tm.active)]))
 
 
 def test_largest_variate_draws_an_active_state():
-    kernel = _Kernel(SHORT_SOL, SHORT, graph_from_spec(SHORT), None)
+    kernel = _Kernel(transition_matrix(SHORT_SOL, SHORT, graph_from_spec(SHORT)))
     assert kernel.cum_hub[-1] < LARGEST_VARIATE
     u = np.array([LARGEST_VARIATE])
     hub = kernel.states.index(0)
@@ -587,7 +597,8 @@ def test_sampling_never_builds_the_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
     for sol in PAIR_SOLS:
-        sample_forest(sol, PAIR, graph_from_spec(PAIR), depth=4, trees=2, seed=0, window=300)
+        tm = transition_matrix(sol, PAIR, graph_from_spec(PAIR), 300)
+        sample_forest(tm, depth=4, trees=2, seed=0)
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
     with pytest.raises(AssertionError):
         tm.matrix
@@ -595,13 +606,13 @@ def test_sampling_never_builds_the_dense_matrix(monkeypatch):
 
 def test_sampling_refuses_oversized_requests():
     with pytest.raises(TooLarge):
-        sample_tree(SOL, SPEC, GRAPH, depth=200, seed=1)
+        sample_tree(TM, depth=200, seed=1)
     with pytest.raises(TooLarge):
-        sample_forest(SOL, SPEC, GRAPH, depth=20, trees=6, seed=1)
+        sample_forest(TM, depth=20, trees=6, seed=1)
     with pytest.raises(TooLarge):
-        sample_forest(SOL, SPEC, GRAPH, depth=3, trees=1, seed=1, window=100_000)
+        transition_matrix(SOL, SPEC, GRAPH, 100_000)
     with pytest.raises(InputError):
-        sample_tree(SOL, SPEC, GRAPH, depth=1.5, seed=1)
+        sample_tree(TM, depth=1.5, seed=1)
 
 
 def test_forest_seed_is_checked_before_drawing(monkeypatch):
@@ -612,30 +623,67 @@ def test_forest_seed_is_checked_before_drawing(monkeypatch):
     monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
     for seed in (1.5, True, "7", "x", None):
         with pytest.raises(InputError, match="seed must be an integer"):
-            sample_forest(SOL, SPEC, GRAPH, depth=2, trees=2, seed=seed)
+            sample_forest(TM, depth=2, trees=2, seed=seed)
         with pytest.raises(InputError, match="seed must be an integer"):
-            sample_tree(SOL, SPEC, GRAPH, depth=2, seed=seed)
+            sample_tree(TM, depth=2, seed=seed)
         with pytest.raises(InputError, match="seed must be an integer"):
             conditional_diagnostic(SOL, SPEC, GRAPH, trials=2, seed=seed)
 
 
 def test_forest_accepts_a_numpy_integer_seed():
-    a = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=np.int64(7))
-    b = sample_forest(SOL, SPEC, GRAPH, depth=3, trees=2, seed=7)
+    a = sample_forest(TM, depth=3, trees=2, seed=np.int64(7))
+    b = sample_forest(TM, depth=3, trees=2, seed=7)
     assert [t.index.tobytes() for t in a] == [t.index.tobytes() for t in b]
+
+
+# a kernel built by hand: the same rows as TM, but no stationary law
+HAND_KERNEL = TransitionMatrix(TM.window, TM.states, TM.active, TM.hub_row, TM.stays)
+
+
+@pytest.mark.parametrize("kernel, match", [
+    (SOL, "kernel must be a TransitionMatrix, got BoundaryLawSolution"),
+    (None, "got NoneType"),
+    (TM.hub_row, "got ndarray"),
+    (HAND_KERNEL, "no stationary law"),
+], ids=["solution", "None", "array", "hand-built"])
+def test_only_a_built_kernel_is_sampled(monkeypatch, kernel, match):
+    def allocate(*args):
+        raise AssertionError("drew or compiled before the kernel check")
+
+    monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
+    monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
+    with pytest.raises(InputError, match=match):
+        sample_forest(kernel, depth=2, trees=2, seed=1)
+    with pytest.raises(InputError, match=match):
+        sample_tree(kernel, depth=2, seed=1)
+
+
+def test_the_tree_order_is_read_from_the_kernel():
+    assert HAND_KERNEL.k == TM.k == SPEC.k == 2
+    spec = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0, k=3)
+    graph = graph_from_spec(spec)
+    # the oracle's one fixed point of this k = 3 spec
+    sol = BoundaryLawSolution(0.9397200991657023, {1: 0.802700465453801}, "k3", 0.0)
+    tm = transition_matrix(sol, spec, graph)
+    assert tm.k == 3
+    tree = sample_tree(tm, depth=2, seed=1)
+    forest = sample_forest(tm, depth=3, trees=2, seed=1)
+    assert (tree.k, len(tree.index)) == (3, num_vertices(3, 2)) == (3, 17)
+    assert [(t.k, len(t.index)) for t in forest] == [(3, num_vertices(3, 3))] * 2
+    assert edge_admissibility(tree, graph) == 1.0
 
 
 @pytest.mark.parametrize("sol, spec", [(SOL, SPEC), (WIDE_SOL, WIDE_SPEC)], ids=["narrow", "wide"])
 def test_forest_does_not_depend_on_the_block_size(monkeypatch, sol, spec):
     """Each tree reads its own stream, however the trees are grouped into blocks."""
-    graph, depth, trees = graph_from_spec(spec), 12, 12
+    tm, depth, trees = transition_matrix(sol, spec, graph_from_spec(spec)), 12, 12
     n = num_vertices(spec.k, depth)
     assert trees > 2 * (sampler._BLOCK_VERTICES // n)  # the default spans at least 3 blocks
     forests = []
     for block in (n, sampler._BLOCK_VERTICES, 1 << 24):
         monkeypatch.setattr(sampler, "_BLOCK_VERTICES", block)
-        forests.append(sample_forest(sol, spec, graph, depth=depth, trees=trees, seed=3))
-    alone = [sample_tree(sol, spec, graph, depth=depth, seed=t.seed).index for t in forests[0]]
+        forests.append(sample_forest(tm, depth=depth, trees=trees, seed=3))
+    alone = [sample_tree(tm, depth=depth, seed=t.seed).index for t in forests[0]]
     for forest in forests:
         assert [t.index.tobytes() for t in forest] == [idx.tobytes() for idx in alone]
 
@@ -644,7 +692,7 @@ def test_forest_memory_is_bounded_by_the_block():
     """Beyond the index arrays it returns, a forest holds one block's temporaries."""
     tracemalloc.start()
     try:
-        forest = sample_forest(SOL, SPEC, GRAPH, depth=12, trees=120, seed=0)
+        forest = sample_forest(TM, depth=12, trees=120, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
