@@ -94,7 +94,8 @@ class TransitionMatrix:
     built from them when first read, as the tests' dense reference.
     stationary is the closed-form stationary law transition_matrix computes
     from the same weights, and k the tree order of its spec; a kernel built
-    by hand has no stationary law, and its k defaults to 2, as a spec's does.
+    by hand has no stationary law, and its k defaults to 2, as a spec's does,
+    and is read as an integer >= 1.
     """
 
     window: int
@@ -104,6 +105,10 @@ class TransitionMatrix:
     stays: dict
     stationary: StationaryDistribution | None = None
     k: int = 2
+
+    def __post_init__(self) -> None:
+        # the samplers size their trees by k, read as a TreeSample reads it
+        object.__setattr__(self, "k", _as_int(self.k, "tree order k", 1))
 
     def nonunit_rows(self):
         """(position, row) of the hub row, then of each loop's stay-or-return row."""

@@ -1,5 +1,6 @@
 """Tree sampling, reproducibility, and the brute-force finite-volume oracle."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -468,12 +469,11 @@ CAP_LISTED = ActivitySpec(
 def test_kernel_and_edge_check_stay_linear_at_the_state_cap(sol, spec):
     """One states x states table at the cap is 16 MiB of bool; the bound is 4 MiB."""
     graph = graph_from_spec(spec)
-    tm = transition_matrix(sol, spec, graph, CAP)
-    tree = sample_tree(tm, depth=8, seed=1)
+    tree = sample_tree(transition_matrix(sol, spec, graph, CAP), depth=8, seed=1)
     sampler._edge_masks.cache_clear()
     tracemalloc.start()
     try:
-        kernel = _Kernel(tm)
+        kernel = _Kernel(transition_matrix(sol, spec, graph, CAP))
         assert edge_admissibility(tree, graph) == 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -660,6 +660,11 @@ def test_only_a_built_kernel_is_sampled(monkeypatch, kernel, match):
 
 def test_the_tree_order_is_read_from_the_kernel():
     assert HAND_KERNEL.k == TM.k == SPEC.k == 2
+    # a hand-built kernel's k is read by the input rule, as a TreeSample's
+    assert type(dataclasses.replace(TM, k=np.int64(3)).k) is int
+    for k in ("x", 0, True, 2.5):
+        with pytest.raises(InputError, match="tree order k"):
+            dataclasses.replace(TM, k=k)
     spec = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0, k=3)
     graph = graph_from_spec(spec)
     # the oracle's one fixed point of this k = 3 spec
