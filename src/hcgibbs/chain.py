@@ -93,9 +93,8 @@ class TransitionMatrix:
     nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
     built from them when first read, as the tests' dense reference.
     stationary is the closed-form stationary law transition_matrix computes
-    from the same weights, and k the tree order of its spec; a kernel built
-    by hand has no stationary law, and its k defaults to 2, as a spec's does,
-    and is read as an integer >= 1.
+    from the same weights, and k the tree order of its spec (2 by default,
+    read as an integer >= 1); a kernel built by hand has no stationary law.
     """
 
     window: int

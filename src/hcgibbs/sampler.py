@@ -287,7 +287,7 @@ def _as_kernel(kernel) -> TransitionMatrix:
     """kernel, if transition_matrix built it: a TransitionMatrix with its stationary law."""
     if not isinstance(kernel, TransitionMatrix):
         raise InputError(f"kernel must be a TransitionMatrix, got {type(kernel).__name__}")
-    if kernel.stationary is None:
+    if not isinstance(kernel.stationary, StationaryDistribution):
         raise InputError("kernel has no stationary law; build it with transition_matrix")
     return kernel
 

@@ -103,16 +103,13 @@ def q_poly(lam: float, Lambda: float, x: float) -> float:
     past double precision, raise DomainError."""
     lam = _as_positive(lam, "loop activity")
     Lambda, x = _as_float(Lambda, "Lambda"), _as_float(x, "x")
-    if not (math.isfinite(Lambda) and math.isfinite(x)):
-        raise DomainError(f"q_poly needs a finite Lambda and x, got Lambda = {Lambda!r}, x = {x!r}")
     y = 1.0 + x
     try:
         value = y ** 4 - lam * (x + 2.0) * y * y + lam * Lambda - 2.0 * lam * lam
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"q_poly overflows double precision at lambda = {lam!r}, "
-                          f"Lambda = {Lambda!r}, x = {x!r}")
+        raise DomainError(f"q_poly overflows double precision at lambda = {lam!r}, x = {x!r}") from None
+    if not math.isfinite(value):  # as it is whenever Lambda or x is not finite
+        raise DomainError(f"q_poly is not finite at lambda = {lam!r}, Lambda = {Lambda!r}, x = {x!r}")
     return value
 
 

@@ -645,7 +645,8 @@ HAND_KERNEL = TransitionMatrix(TM.window, TM.states, TM.active, TM.hub_row, TM.s
     (None, "got NoneType"),
     (TM.hub_row, "got ndarray"),
     (HAND_KERNEL, "no stationary law"),
-], ids=["solution", "None", "array", "hand-built"])
+    (dataclasses.replace(TM, stationary=TM.stationary.probabilities), "no stationary law"),
+], ids=["solution", "None", "array", "hand-built", "law as an array"])
 def test_only_a_built_kernel_is_sampled(monkeypatch, kernel, match):
     def allocate(*args):
         raise AssertionError("drew or compiled before the kernel check")

@@ -343,7 +343,7 @@ def test_q_poly_reads_lambda_and_refuses_overflow():
     for Lambda, x in ((10.0, math.inf), (10.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0)):
         with pytest.raises(DomainError, match="finite"):
             q_poly(1.0, Lambda, x)
-    with pytest.raises(DomainError, match="overflows"):
+    with pytest.raises(DomainError, match="not finite"):
         q_poly(1e300, 1e300, 1.0)  # lam * Lambda is inf without an OverflowError
     # x is any finite real: the ray starts below 0 when lam < 1/4
     assert q_poly(1.0, 10.0, -0.5) == q_poly(np.float32(1.0), 10, np.float64(-0.5)) == 7.6875
