@@ -191,7 +191,3 @@ def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int,
         z[lab] = lam / q
     return z, spec.tail_mass / q
 
-
-def normalisable(spec: ActivitySpec) -> bool:
-    """Whether any translation-invariant Gibbs measure can exist at all."""
-    return math.isfinite(spec.total_activity())

@@ -22,8 +22,9 @@ A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
 sampler draws from that form, export encodes the unit row, the hub row and
 each loop row once, and the stationarity check, power iteration and
-irreducibility read it too; only the matrix attribute, the dense reference
-of the tests, holds a window-squared matrix.
+irreducibility read it too: they take a TransitionMatrix and nothing
+else.  Only the matrix attribute, the dense reference of the tests, holds
+a window-squared matrix.
 
 transition_matrix is the one builder: it checks the solution once and
 returns the kernel with its closed-form stationary law, both read from the
@@ -275,11 +276,11 @@ def stationary_closed_form(
     return transition_matrix(solution, spec, graph, window).stationary
 
 
-def _as_matrix(P) -> np.ndarray:
-    arr = np.asarray(P, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatch(f"transition matrix must be square, got shape {arr.shape}")
-    return arr
+def _as_transition_matrix(P) -> TransitionMatrix:
+    """P, if it is a TransitionMatrix; the one check of what a kernel is."""
+    if not isinstance(P, TransitionMatrix):
+        raise InputError(f"kernel must be a TransitionMatrix, got {type(P).__name__}")
+    return P
 
 
 def _as_vector(X) -> np.ndarray:
@@ -291,30 +292,22 @@ def _as_vector(X) -> np.ndarray:
     return arr
 
 
-def _product(P):
-    """(state count, x -> x @ P) for a TransitionMatrix or a plain square array."""
-    if isinstance(P, TransitionMatrix):
-        return len(P.states), lambda x: _times_kernel(x, P)
-    m = _as_matrix(P)
-    return m.shape[0], lambda x: x @ m
-
-
 def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
-    """Check that X is stationary for P and normalized, within tol.
+    """Check that X is stationary for the kernel P and normalized, within tol.
 
-    X may be a StationaryDistribution or a plain vector; P a
-    TransitionMatrix or a plain square array.  When both carry state sets
-    they must agree.  A TransitionMatrix is multiplied from its structural
-    form, never as the dense matrix.
+    X may be a StationaryDistribution, whose states must be P's, or a
+    plain vector; P must be a TransitionMatrix.  P is multiplied from its
+    structural form, never as the dense matrix.
     """
     tol = _as_nonnegative(tol, "tol")
     x = _as_vector(X)
-    if isinstance(X, StationaryDistribution) and isinstance(P, TransitionMatrix) and X.states != P.states:
+    P = _as_transition_matrix(P)
+    if isinstance(X, StationaryDistribution) and X.states != P.states:
         raise ShapeMismatch("distribution and matrix are on different state sets")
-    n, times = _product(P)
+    n = len(P.states)
     if x.shape[0] != n:
         raise ShapeMismatch(f"distribution has {x.shape[0]} entries but the matrix has {n} states")
-    max_residual = float(np.max(np.abs(times(x) - x)))
+    max_residual = float(np.max(np.abs(_times_kernel(x, P) - x)))
     sum_error = float(abs(x.sum() - 1.0))
     passed = bool(max_residual <= tol and sum_error <= tol)
     return StationaryReport(max_residual, sum_error, passed)
@@ -343,50 +336,35 @@ def _times_kernel(x: np.ndarray, tm: TransitionMatrix) -> np.ndarray:
 
 
 def irreducible(P) -> bool:
-    """Whether the chain restricted to its active states is one class.
+    """Whether the kernel P, restricted to its active states, is one class.
 
-    For a TransitionMatrix the active flags select the states the chain can
-    occupy (dead window states are padding, not part of the chain); a plain
-    array is taken at face value, every state counted.  True iff the
-    directed graph of positive entries is strongly connected.
-
-    A TransitionMatrix is decided from its structure: every state off the
-    hub is entered only from the hub and leaves only for itself or the hub,
-    so the active states are one class iff the hub row reaches each of them
-    and no loop keeps its state with probability one.
+    P must be a TransitionMatrix.  Its active flags select the states the
+    chain can occupy (dead window states are padding, not part of the
+    chain), and the verdict is read from its structure: every state off
+    the hub is entered only from the hub and leaves only for itself or the
+    hub, so the active states are one class iff the hub row reaches each
+    of them and no loop keeps its state with probability one.
     """
-    if isinstance(P, TransitionMatrix):
-        off_hub = np.asarray(P.active, dtype=bool)
-        off_hub[P.window] = False
-        return bool(np.all(P.hub_row[off_hub] > 0.0)) and all(
-            1.0 - stay > 0.0 for stay in P.stays.values()
-        )
-    pattern = _as_matrix(P) > 0.0
-    if pattern.shape[0] == 0:
-        raise InputError("empty state set")
-    return _reaches_all(pattern) and _reaches_all(pattern.T)
-
-
-def _reaches_all(edges: np.ndarray) -> bool:
-    """Whether every state is reachable from state 0 along positive entries."""
-    seen = np.arange(edges.shape[0]) == 0
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = edges[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    P = _as_transition_matrix(P)
+    off_hub = np.asarray(P.active, dtype=bool)
+    off_hub[P.window] = False
+    return bool(np.all(P.hub_row[off_hub] > 0.0)) and all(
+        1.0 - stay > 0.0 for stay in P.stays.values()
+    )
 
 
 def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
-    """Iterate x <- x * P until successive total variation falls below tol.
+    """Iterate x <- x * P on the kernel P until successive total variation falls below tol.
 
+    P must be a TransitionMatrix, multiplied from its structural form.
     Returns (probabilities, iterations).  The default start is uniform; a
     supplied start is normalized.  Raises NumericalFailure when max_iter
     sweeps do not reach the tolerance.
     """
     max_iter = _as_int(max_iter, "max_iter", 0)
     tol = _as_positive(tol, "tol")
-    n, times = _product(P)
+    P = _as_transition_matrix(P)
+    n = len(P.states)
     if start is None:
         x = np.full(n, 1.0 / n)
     else:
@@ -397,7 +375,7 @@ def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
             raise InputError("start vector must be nonnegative with positive mass")
         x /= x.sum()
     for it in range(1, max_iter + 1):
-        y = times(x)
+        y = _times_kernel(x, P)
         if total_variation(y, x) < tol:
             return y, it
         x = y

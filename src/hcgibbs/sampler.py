@@ -38,7 +38,6 @@ conditionals and normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,11 +46,12 @@ from .chain import (
     TAIL,
     StationaryDistribution,
     TransitionMatrix,
+    _as_transition_matrix,
     stationary_closed_form,  # unused here, but bench/tracing.py patches this name
-    transition_matrix,
+    transition_matrix,  # unused here, but bench/tracing.py patches this name
 )
 from .errors import InputError
-from .model import ActivitySpec, AdmissibilityGraph, BoundaryLawSolution, _as_int, _shown
+from .model import ActivitySpec, AdmissibilityGraph, _as_int, _shown
 
 _KEY_SPACE = 1 << 128
 
@@ -167,12 +167,6 @@ class TreeSample:
         return {"depth": self.depth, "seed": self.seed, "spins": list(self.spins)}
 
 
-def tree_sample_from_json(data: dict, k: int = 2) -> TreeSample:
-    if not isinstance(data, dict) or not {"depth", "seed", "spins"} <= set(data):
-        raise InputError('tree sample JSON needs keys "depth", "seed", "spins"')
-    return TreeSample(data["depth"], data["seed"], data["spins"], k=k)
-
-
 class _Kernel:
     """Structural form of (X, P) for inverse-CDF sampling, compiled to a cut table.
 
@@ -230,8 +224,8 @@ class _Kernel:
         return out
 
 
-def _stream(seed, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The first count variates of seed's keyed stream, written into out if given."""
+def _stream(seed, count: int, out: np.ndarray) -> np.ndarray:
+    """The first count variates of seed's keyed stream, written into out."""
     gen = np.random.Generator(np.random.Philox(key=_as_int(seed, "seed") % _KEY_SPACE))
     return gen.random(count, out=out)
 
@@ -285,8 +279,7 @@ def _check_vertex_budget(k: int, depth: int, trees: int) -> int:
 
 def _as_kernel(kernel) -> TransitionMatrix:
     """kernel, if transition_matrix built it: a TransitionMatrix with its stationary law."""
-    if not isinstance(kernel, TransitionMatrix):
-        raise InputError(f"kernel must be a TransitionMatrix, got {type(kernel).__name__}")
+    kernel = _as_transition_matrix(kernel)
     if not isinstance(kernel.stationary, StationaryDistribution):
         raise InputError("kernel has no stationary law; build it with transition_matrix")
     return kernel
@@ -519,82 +512,3 @@ def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neigh
             weights[i] = activity[i]
     total = sum(weights.values())
     return {i: w / total for i, w in weights.items()}
-
-
-@dataclass(frozen=True)
-class ConditionalRow:
-    """TV gap for one observed neighbourhood pattern."""
-
-    pattern: tuple
-    count: int
-    tv: float
-
-
-@dataclass(frozen=True)
-class ConditionalReport:
-    """Sampled root-given-children conditionals versus the single-site law.
-
-    One row per observed children pattern; tv is the total variation
-    between the chain's empirical conditional and the activity-weighted
-    single-site conditional.  Reported as-is, no pass/fail judgement.
-    """
-
-    trials: int
-    rows: tuple
-
-    def format(self) -> str:
-        lines = [f"trials: {self.trials}"]
-        for row in self.rows:
-            pat = ",".join(str(s) for s in row.pattern)
-            lines.append(f"children ({pat}): n={row.count} tv={row.tv:.3f}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "rows": [
-                {"pattern": list(r.pattern), "count": r.count, "tv": r.tv} for r in self.rows
-            ],
-        }
-
-
-def conditional_diagnostic(
-    solution: BoundaryLawSolution,
-    spec: ActivitySpec,
-    graph: AdmissibilityGraph,
-    trials: int = 10_000,
-    seed: int = 0,
-    window: int | None = None,
-) -> ConditionalReport:
-    """Measure how the chain's root conditional differs from the Gibbs one.
-
-    Draws many depth-1 stars with a single batched stream (this diagnostic
-    has no per-vertex reproducibility contract), groups them by the
-    multiset of children spins, and reports one TV row per pattern.
-    """
-    trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed")
-    _check_vertex_budget(spec.k, 1, trials)  # a depth-1 star has k + 2 vertices
-    _oracle_alphabet(spec)  # the single-site law's cap, which bounds the patterns too
-    kernel = _Kernel(transition_matrix(solution, spec, graph, window))
-    fanout, n = kernel.k + 1, len(kernel.states)
-    u = _stream(seed, trials * (fanout + 1)).reshape(trials, fanout + 1)
-    roots = kernel.draw_root(u[:, 0])
-    # the state table is in label order with TAIL last, so a sorted row of
-    # indices lists its pattern's labels in that order
-    children = np.sort(kernel.draw_children(_repeat_each(roots[:, None], fanout), u[:, 1:]))
-    # number the patterns one column at a time, so no key exceeds trials * n
-    group = np.zeros(trials, dtype=np.int64)
-    for col in children.T:
-        _, first, group = np.unique(group * n + col, return_index=True, return_inverse=True)
-    per_root = np.bincount(group * n + roots, minlength=len(first) * n).reshape(len(first), n)
-
-    rows = []
-    for g in np.argsort(first):  # patterns in order of first appearance
-        pat = tuple(kernel.states[i] for i in children[first[g]].tolist())
-        row = per_root[g].tolist()
-        count = sum(row)
-        empirical = {kernel.states[i]: c / count for i, c in enumerate(row) if c}
-        target = single_site_conditional(spec, graph, pat)
-        rows.append(ConditionalRow(pat, count, marginal_tv(empirical, target)))
-    rows.sort(key=lambda r: -r.count)
-    return ConditionalReport(trials, tuple(rows))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hcgibbs.boundary_law import expand, normalisable, reduce, residual
+from hcgibbs.boundary_law import expand, reduce, residual
 from hcgibbs.errors import DivergentActivities, InputError
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -105,11 +105,6 @@ def test_stacked_map_matches_scalar_arithmetic():
         # an empty stack is a stack too
         assert sys_.defect(Z[:0], A[:0]).shape == (0, len(lams) + 1)
         assert sys_.jacobian(Z[:0], A[:0]).shape == (0, len(lams) + 1, len(lams) + 1)
-
-
-def test_normalisable():
-    assert normalisable(SPEC)
-    assert not normalisable(ActivitySpec(loop_activities={1: 1.0}, divergent=True))
 
 
 @pytest.mark.parametrize("labels", [(2,), (1, 2), ()])

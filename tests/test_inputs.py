@@ -38,7 +38,6 @@ from hcgibbs.sampler import (
     _MAX_SAMPLE_VERTICES,
     _MAX_SYMBOLS,
     TreeSample,
-    conditional_diagnostic,
     finite_gibbs_oracle,
     level_counts,
     num_vertices,
@@ -100,10 +99,6 @@ def _enumerate(depth=1, vertex=1):
     return finite_gibbs_oracle(SPEC, GRAPH, depth, {vertex: 0})
 
 
-def _diagnostic(trials=20, seed=4):
-    return conditional_diagnostic(SOL, SPEC, GRAPH, trials, seed)
-
-
 def _power(tol=2.0**-40, max_iter=10_000):
     return power_iteration(TM, tol=tol, max_iter=max_iter)
 
@@ -133,8 +128,6 @@ CASES = {
     "sample_forest-seed": (_forest, "seed", 7),
     "finite_gibbs_oracle-depth": (_enumerate, "depth", 1),
     "finite_gibbs_oracle-vertex": (_enumerate, "vertex", 1),
-    "conditional_diagnostic-trials": (_diagnostic, "trials", 20),
-    "conditional_diagnostic-seed": (_diagnostic, "seed", 4),
     "ActivitySpec-k": (_spec, "k", 2),
     "ActivitySpec-label": (_spec, "label", 1),
     "ActivitySpec-activity": (_spec, "activity", 1.0),
@@ -419,8 +412,6 @@ HUGE_CASES = {
     "sample_forest-depth": lambda n: _forest(depth=n),
     "sample_forest-trees": lambda n: _forest(trees=n),
     "sample_forest-seed": lambda n: _forest(seed=n),
-    "conditional_diagnostic-trials": lambda n: _diagnostic(trials=n),
-    "conditional_diagnostic-seed": lambda n: _diagnostic(seed=n),
     "finite_gibbs_oracle-depth": lambda n: _enumerate(depth=n),
     "finite_gibbs_oracle-vertex": lambda n: _enumerate(vertex=n),
     "finite_gibbs_oracle-spin": lambda n: finite_gibbs_oracle(SPEC, GRAPH, 1, {3: n}),

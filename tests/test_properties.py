@@ -19,7 +19,7 @@ from hcgibbs.cli import main
 from hcgibbs.errors import HcGibbsError, InputError
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.oracle import multistart_count
-from hcgibbs.sampler import TreeSample, num_vertices, sample_tree, tree_sample_from_json
+from hcgibbs.sampler import TreeSample, num_vertices, sample_tree
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions, q_poly
 from hcgibbs.two_loop import TwoLoopProblem, loop_z_branches, solve_unique
 
@@ -94,17 +94,11 @@ def tree_args(draw):
 
 
 @PROPERTY
-@given(args=tree_args(), as_json=st.booleans(),
-       keys=st.one_of(st.just({"depth", "seed", "spins"}),
-                      st.sets(st.sampled_from(["depth", "seed", "spins"]))))
-def test_tree_sample_is_a_tree_or_input_error(args, as_json, keys):
+@given(args=tree_args())
+def test_tree_sample_is_a_tree_or_input_error(args):
     depth, seed, spins, k = args
     try:
-        if as_json:
-            data = {"depth": depth, "seed": seed, "spins": spins}
-            tree = tree_sample_from_json({key: data[key] for key in keys}, k=k)
-        else:
-            tree = TreeSample(depth, seed, spins, k=k)
+        tree = TreeSample(depth, seed, spins, k=k)
     except InputError:
         return
     assert tree.spins == tuple(spins) and len(tree.index) == num_vertices(k, depth)

@@ -32,7 +32,6 @@ from hcgibbs.sampler import (
     TreeSample,
     _check_vertex_budget,
     _Kernel,
-    conditional_diagnostic,
     edge_admissibility,
     empirical_marginal,
     finite_gibbs_oracle,
@@ -45,7 +44,6 @@ from hcgibbs.sampler import (
     sample_forest,
     sample_tree,
     single_site_conditional,
-    tree_sample_from_json,
 )
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -197,12 +195,10 @@ def test_tree_sample_validation():
 def test_tree_sample_json_round_trip():
     t = sample_tree(TM, depth=3, seed=11)
     data = json.loads(json.dumps(t.to_json_dict()))
-    back = tree_sample_from_json(data)
+    back = TreeSample(data["depth"], data["seed"], data["spins"])
     assert back.spins == t.spins
     assert back.depth == t.depth
     assert back.seed == t.seed
-    with pytest.raises(InputError):
-        tree_sample_from_json({"depth": 1, "spins": [0]})
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 2.0])
@@ -220,11 +216,11 @@ def test_tree_sample_refuses_a_deep_tree_before_building_it():
     with pytest.raises(TooLarge):
         TreeSample(20000, 0, (0,))
     with pytest.raises(TooLarge):
-        tree_sample_from_json({"depth": 10**9, "seed": 0, "spins": [0]})
+        TreeSample(10**9, 0, [0])
     with pytest.raises(TooLarge):
         TreeSample(2, 0, (0,), k=10**400)
     with pytest.raises(InputError):
-        tree_sample_from_json({"depth": 0, "seed": 0, "spins": 5})
+        TreeSample(0, 0, 5)
     assert time.perf_counter() - start < 0.5
 
 
@@ -311,47 +307,6 @@ def test_single_site_conditional_values():
     assert pinched == {0: 1.0}
     with pytest.raises(InputError):
         single_site_conditional(SPEC, GRAPH, (7,))
-
-
-def test_conditional_diagnostic_report():
-    report = conditional_diagnostic(SOL, SPEC, GRAPH, trials=3000, seed=4, window=5)
-    assert report.trials == 3000
-    assert sum(r.count for r in report.rows) == 3000
-    assert all(0.0 <= r.tv <= 1.0 for r in report.rows)
-    counts = [r.count for r in report.rows]
-    assert counts == sorted(counts, reverse=True)
-    patterns = [r.pattern for r in report.rows]
-    assert len(patterns) == len(set(patterns))
-    assert all(len(p) == 3 for p in patterns)  # root star has k+1 children
-    text = report.format()
-    assert text.startswith("trials: 3000")
-    assert "tv=" in text
-    d = report.to_json_dict()
-    assert d["trials"] == 3000
-    assert len(d["rows"]) == len(report.rows)
-    with pytest.raises(InputError):
-        conditional_diagnostic(SOL, SPEC, GRAPH, trials=0)
-
-
-def test_conditional_diagnostic_frozen():
-    """The strided-column child draws of the diagnostic, pinned bit for bit."""
-    report = conditional_diagnostic(SOL, SPEC, GRAPH, trials=3000, seed=4, window=5)
-    text = json.dumps(report.to_json_dict(), separators=(",", ":"))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "afb732bce7be203e39bf8bfc39e48570e3c4c81074c18e7a444f89d334d2cd47"
-
-
-def test_conditional_diagnostic_budget(monkeypatch):
-    def allocate(*args):
-        raise AssertionError("allocated before the budget check")
-
-    monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
-    monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
-    # a depth-1 star has k + 2 = 4 vertices
-    with pytest.raises(TooLarge):
-        conditional_diagnostic(SOL, SPEC, GRAPH, trials=_MAX_SAMPLE_VERTICES // 4 + 1)
-    with pytest.raises(TooLarge):
-        conditional_diagnostic(SOL, SPEC, GRAPH, trials=10**30)
 
 
 def test_numpy_integer_sizes_are_capped_before_drawing(monkeypatch):
@@ -626,8 +581,6 @@ def test_forest_seed_is_checked_before_drawing(monkeypatch):
             sample_forest(TM, depth=2, trees=2, seed=seed)
         with pytest.raises(InputError, match="seed must be an integer"):
             sample_tree(TM, depth=2, seed=seed)
-        with pytest.raises(InputError, match="seed must be an integer"):
-            conditional_diagnostic(SOL, SPEC, GRAPH, trials=2, seed=seed)
 
 
 def test_forest_accepts_a_numpy_integer_seed():
