@@ -46,6 +46,7 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    _as_float,
     _as_int,
     _as_nonnegative,
     _as_positive,
@@ -95,20 +96,63 @@ class TransitionMatrix:
     built from them when first read, as the tests' dense reference.
     stationary is the closed-form stationary law transition_matrix computes
     from the same weights, and k the tree order of its spec (2 by default,
-    read as an integer >= 1); a kernel built by hand has no stationary law.
+    read as an integer >= 1); a kernel built by hand may have no stationary law.
+
+    Every field is read on construction, in O(states) numpy calls: window
+    as an integer under the state cap, states as state_labels(window),
+    active as one bool per state with the hub's set, hub_row as a float
+    array of one entry in [0, 1] per state, stays as a dict from loop
+    labels (nonzero labels of the window) to reals in [0, 1], and a
+    StationaryDistribution stationary as one finite float per state on the
+    same states.  A row need not sum to 1, and a stationary of any other
+    type is no law.  Anything else is an InputError.
     """
 
     window: int
     states: tuple
-    active: tuple
+    active: np.ndarray
     hub_row: np.ndarray
     stays: dict
     stationary: StationaryDistribution | None = None
     k: int = 2
 
     def __post_init__(self) -> None:
+        # the samplers, the checks and export then index the fields unchecked
+        window = _as_int(self.window, "window", 0, most=_MAX_STATES // 2 - 1)
+        states = state_labels(window)
+        n = len(states)
+        if not (isinstance(self.states, tuple) and self.states == states):
+            raise ShapeMismatch(f"states must be state_labels({window}), the window's {n} labels")
+        active = np.asarray(self.active)
+        if active.shape != (n,) or active.dtype != bool or not active[window]:
+            raise ShapeMismatch(f"active must hold {n} bools, one per state, True at the hub")
+        hub_row = self.hub_row
+        if not (isinstance(hub_row, np.ndarray) and hub_row.dtype == float and hub_row.shape == (n,)):
+            raise ShapeMismatch(f"hub_row must be a float array of {n} entries, one per state")
+        if not (0.0 <= hub_row.min() and hub_row.max() <= 1.0):  # NaN fails both
+            raise InputError("hub_row entries must lie in [0, 1]")
+        if not isinstance(self.stays, dict):
+            raise InputError(f"stays must be a dict, got {type(self.stays).__name__}")
+        stays = {}
+        for lab, stay in self.stays.items():
+            if _state_index(window, lab) in (window, n - 1):
+                raise InputError(f"stay label {_shown(lab)} is the hub or {TAIL!r}, not a loop")
+            stays[lab] = _as_float(stay, f"stay at {_shown(lab)}")
+            if not 0.0 <= stays[lab] <= 1.0:
+                raise InputError(f"stay at {_shown(lab)} must lie in [0, 1], got {_shown(stay)}")
+        law = self.stationary
+        if isinstance(law, StationaryDistribution):
+            p = law.probabilities
+            if not (isinstance(law.states, tuple) and law.states == states
+                    and isinstance(p, np.ndarray) and p.dtype == float and p.shape == (n,)):
+                raise ShapeMismatch(f"stationary law must be a float vector on the kernel's {n} states")
+            if not np.isfinite(p).all():
+                raise InputError("stationary law entries must be finite")
         # the samplers size their trees by k, read as a TreeSample reads it
-        object.__setattr__(self, "k", _as_int(self.k, "tree order k", 1))
+        k = _as_int(self.k, "tree order k", 1)
+        for name, value in (("window", window), ("states", states), ("active", active),
+                            ("stays", stays), ("k", k)):
+            object.__setattr__(self, name, value)
 
     def nonunit_rows(self):
         """(position, row) of the hub row, then of each loop's stay-or-return row."""
@@ -256,7 +300,7 @@ def _kernel(window: int, weights: dict, w_tail: float, loops, spec: ActivitySpec
     mass = {lab: (w * w + w) / denom if lab in loops else w / denom for lab, w in weights.items()}
     x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
     return TransitionMatrix(
-        window, states, tuple(active.tolist()), hub_row, stays,
+        window, states, active, hub_row, stays,
         StationaryDistribution(window, states, x), spec.k,
     )
 
@@ -286,7 +330,10 @@ def _as_transition_matrix(P) -> TransitionMatrix:
 def _as_vector(X) -> np.ndarray:
     if isinstance(X, StationaryDistribution):
         return X.probabilities
-    arr = np.asarray(X, dtype=float)
+    try:
+        arr = np.asarray(X, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"distribution must be a vector of reals, got {type(X).__name__}") from None
     if arr.ndim != 1:
         raise ShapeMismatch(f"distribution must be a vector, got shape {arr.shape}")
     return arr
@@ -346,7 +393,7 @@ def irreducible(P) -> bool:
     of them and no loop keeps its state with probability one.
     """
     P = _as_transition_matrix(P)
-    off_hub = np.asarray(P.active, dtype=bool)
+    off_hub = P.active.copy()
     off_hub[P.window] = False
     return bool(np.all(P.hub_row[off_hub] > 0.0)) and all(
         1.0 - stay > 0.0 for stay in P.stays.values()
@@ -368,12 +415,14 @@ def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
     if start is None:
         x = np.full(n, 1.0 / n)
     else:
-        x = _as_vector(start).astype(float).copy()
+        x = _as_vector(start).astype(float)
         if x.shape[0] != n:
             raise ShapeMismatch(f"start has {x.shape[0]} entries for {n} states")
-        if np.any(x < 0.0) or not x.sum() > 0.0:
-            raise InputError("start vector must be nonnegative with positive mass")
-        x /= x.sum()
+        with np.errstate(over="ignore"):  # a sum past double range is refused below
+            mass = x.sum()
+        if np.any(x < 0.0) or not 0.0 < mass < math.inf:  # NaN fails too
+            raise InputError("start vector must be nonnegative with positive finite mass")
+        x /= mass
     for it in range(1, max_iter + 1):
         y = _times_kernel(x, P)
         if total_variation(y, x) < tol:

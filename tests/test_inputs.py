@@ -6,8 +6,11 @@ scalar gives the same result as the Python number of the same value.
 """
 
 import ast
+import dataclasses
 import math
+import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +20,15 @@ import hcgibbs
 from hcgibbs.boundary_law import residual
 from hcgibbs.chain import (
     _MAX_STATES,
+    TAIL,
+    StationaryDistribution,
     TransitionMatrix,
+    irreducible,
+    matrix_to_csv,
     power_iteration,
+    state_labels,
     stationary_closed_form,
+    total_variation,
     transition_matrix,
     verify_stationary,
 )
@@ -52,6 +61,7 @@ GRAPH = graph_from_spec(SPEC)
 SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
 TM = transition_matrix(SOL, SPEC, GRAPH, 2)
 SD = stationary_closed_form(SOL, SPEC, GRAPH, 2)
+SD3 = stationary_closed_form(SOL, SPEC, GRAPH, 3)
 FOREST = sample_forest(TM, 2, 2, 7)
 
 
@@ -243,6 +253,91 @@ def test_a_solution_is_relabelled_only_where_it_is_read():
         "chain.py:<module>", "chain.py:_window_weights", "cli.py:<module>", "cli.py:_solve_spec",
         "oracle.py:<module>", "oracle.py:_normalise_hint",
     ]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the public names that only tests use, each kept as a reference that a
+# test compares against (the test named)
+TEST_ONLY = {
+    "expand": "test_acceptance.py::test_criterion_4_residual_closure",
+    "finite_gibbs_oracle": "test_acceptance.py::test_criterion_8_finite_oracle",
+    "fixed_point_iterate": "test_acceptance.py::test_criterion_9_divergence_contract",
+    "level_counts": "test_acceptance.py::test_criterion_7_sampler_statistics",
+    "matrix_to_csv": "test_chain.py::test_csv_round_trip",
+    "power_iteration": "test_acceptance.py::test_criterion_6_chain_invariants",
+    "residual": "test_acceptance.py::test_criterion_4_residual_closure",
+    "sample_tree": "test_sampler.py::test_forest_does_not_depend_on_the_block_size",
+    "single_site_conditional": "test_acceptance.py::test_criterion_8_finite_oracle",
+    "spec_to_json": "test_model.py::test_spec_json_round_trip",
+}
+
+
+def _defined(node) -> set[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _named(tree) -> set[str]:
+    """Names, attributes, import aliases and string constants in a tree
+    (bench/tracing.py names what it patches by a string)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _package_uses(tree, bound: set, modules: set) -> set[str]:
+    """The package names a statement refers to: a name its module binds, or
+    an attribute of a package module its module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in bound:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.add(node.attr)
+    return found
+
+
+def test_a_public_name_is_used_or_pinned_as_a_test_reference():
+    """A public top-level name of the package is used by another function,
+    class or statement of the package, by a file under bench/, or by a
+    python block of README.md; the rest are the pinned test references."""
+    public, used = set(), set()
+    for path in sorted(Path(hcgibbs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        relative = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # the module's own top-level names and those it imports from the package
+        bound = {name for node in tree.body for name in _defined(node)}
+        bound |= {alias.asname or alias.name for node in relative for alias in node.names}
+        modules = {alias.asname or alias.name for node in relative if not node.module
+                   for alias in node.names}
+        for node in tree.body:
+            public |= {name for name in _defined(node) if not name.startswith("_")}
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                used |= _package_uses(node, bound, modules) - _defined(node)
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        used |= _named(ast.parse(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used |= _named(ast.parse(block))
+    assert public - used == set(TEST_ONLY)
+    for name, test in TEST_ONLY.items():
+        file, function = test.split("::")
+        tree = ast.parse((ROOT / "tests" / file).read_text())
+        body = next(node for node in tree.body if getattr(node, "name", None) == function)
+        assert name in _named(body), test
 
 
 def test_level_below_zero_is_bad_input():
@@ -451,3 +546,69 @@ def test_an_integer_too_long_to_print_is_read_or_refused(call, sign):
 def test_a_label_too_long_to_print_is_a_label():
     spec, graph = _on_loop(HUGE)
     assert spec.loop_activities == {HUGE: 1.0} and graph.loops == (HUGE,)
+
+
+# fields of a hand-built kernel, each bad in one way, put in place of TM's
+BAD_KERNEL_FIELDS = {
+    "window as text": {"window": "2"},
+    "window past the state cap": {"window": _MAX_STATES},
+    "states of another window": {"states": state_labels(3)},
+    "states as a list": {"states": list(TM.states)},
+    "states as an array": {"states": np.array(TM.states)},
+    "active of one flag": {"active": (True,)},
+    "active as ints": {"active": np.ones(len(TM.states), dtype=int)},
+    "active off at the hub": {"active": (True,) * 2 + (False,) + (True,) * 3},
+    "hub_row of one entry": {"hub_row": np.array([1.0])},
+    "hub_row as a list": {"hub_row": TM.hub_row.tolist()},
+    "hub_row all NaN": {"hub_row": np.full(len(TM.states), math.nan)},
+    "hub_row below 0": {"hub_row": -TM.hub_row},
+    "stays not a dict": {"stays": [(1, 0.5)]},
+    "stay as text": {"stays": {1: "a"}},
+    "stay above 1": {"stays": {1: 1.5}},
+    "stay label off the window": {"stays": {9: 0.5}},
+    "stay label at the hub": {"stays": {0: 0.5}},
+    "stay label TAIL": {"stays": {TAIL: 0.5}},
+    "stationary of one entry": {"stationary": StationaryDistribution(2, TM.states, np.array([1.0]))},
+    "stationary on other states": {"stationary": SD3},
+    "stationary states as an array": {
+        "stationary": StationaryDistribution(2, np.array(TM.states), SD.probabilities)},
+    "stationary not finite": {
+        "stationary": StationaryDistribution(2, TM.states, np.full(len(TM.states), math.inf))},
+}
+
+KERNEL_USERS = {
+    "sample_tree": lambda kernel: sample_tree(kernel, 2, 1),
+    "sample_forest": lambda kernel: sample_forest(kernel, 2, 2, 1),
+    "verify_stationary": lambda kernel: verify_stationary(SD, kernel),
+    "irreducible": irreducible,
+    "power_iteration": power_iteration,
+    "matrix_to_csv": matrix_to_csv,
+}
+
+
+@pytest.mark.parametrize("use", KERNEL_USERS.values(), ids=KERNEL_USERS.keys())
+@pytest.mark.parametrize("field", BAD_KERNEL_FIELDS.values(), ids=BAD_KERNEL_FIELDS.keys())
+def test_a_hand_built_kernel_is_read_before_it_is_used(field, use):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            use(dataclasses.replace(TM, **field))
+
+
+# a vector argument that is not a vector of reals, or a start that cannot be normalised
+BAD_VECTORS = {
+    "verify_stationary-text": lambda: verify_stationary("x", TM),
+    "total_variation-text": lambda: total_variation("x", "y"),
+    "power_iteration-text start": lambda: power_iteration(TM, start="x"),
+    "power_iteration-infinite start": lambda: power_iteration(TM, start=[math.inf] + [0.0] * 5),
+    "power_iteration-NaN start": lambda: power_iteration(TM, start=[math.nan] + [0.0] * 5),
+    "power_iteration-start past double range": lambda: power_iteration(TM, start=[1e308] * 6),
+}
+
+
+@pytest.mark.parametrize("call", BAD_VECTORS.values(), ids=BAD_VECTORS.keys())
+def test_a_vector_that_is_not_finite_reals_is_bad_input(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            call()
