@@ -16,7 +16,8 @@ rather than up to truncation error.
 
 The finite state set is the window -M..M plus TAIL.  Window states that
 carry no listed activity have zero weight: they are displayed but never
-entered, and their rows are the unit vector at 0.
+entered, and their rows are the unit vector at 0.  A kernel and a law take
+the window alone: their one base reads it and derives states from it.
 
 A kernel is stored in its structural form: the hub row, one stay
 probability per loop, and a unit step to 0 for every other state.  The
@@ -35,7 +36,7 @@ kernel as it is, so a command builds and checks one kernel per solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -67,8 +68,14 @@ RESIDUAL_PRE_TOL = 1e-8
 _MAX_STATES = 4096
 
 
+def _as_window(window) -> int:
+    """The window M read as an integer >= 0 whose 2M+2 states fit the state cap."""
+    return _as_int(window, "window", 0, most=_MAX_STATES // 2 - 1)
+
+
 def state_labels(window: int) -> tuple:
     """Labels of the finite state set: -M..M then the tail aggregate."""
+    window = _as_window(window)
     return tuple(range(-window, window + 1)) + (TAIL,)
 
 
@@ -83,7 +90,22 @@ def _state_index(window: int, label) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
+class _OnWindow:
+    """A vector or kernel on a window's states; states is state_labels(window), derived."""
+
+    window: int
+    states: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "window", _as_window(self.window))
+        object.__setattr__(self, "states", state_labels(self.window))
+
+    def index(self, label) -> int:
+        return _state_index(self.window, label)
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionMatrix(_OnWindow):
     """Row-stochastic kernel on the windowed state set, in structural form.
 
     states lists the labels in row/column order (-M..M then TAIL); active
@@ -99,17 +121,14 @@ class TransitionMatrix:
     read as an integer >= 1); a kernel built by hand may have no stationary law.
 
     Every field is read on construction, in O(states) numpy calls: window
-    as an integer under the state cap, states as state_labels(window),
-    active as one bool per state with the hub's set, hub_row as a float
-    array of one entry in [0, 1] per state, stays as a dict from loop
-    labels (nonzero labels of the window) to reals in [0, 1], and a
-    StationaryDistribution stationary as one finite float per state on the
-    same states.  A row need not sum to 1, and a stationary of any other
-    type is no law.  Anything else is an InputError.
+    as an integer under the state cap, active as one bool per state with
+    the hub's set, hub_row as a float array of one entry in [0, 1] per
+    state, stays as a dict from loop labels (nonzero labels of the window)
+    to reals in [0, 1], and a StationaryDistribution stationary as a law on
+    the same window with finite entries.  A row need not sum to 1, and a
+    stationary of any other type is no law.  Anything else is an InputError.
     """
 
-    window: int
-    states: tuple
     active: np.ndarray
     hub_row: np.ndarray
     stays: dict
@@ -118,11 +137,8 @@ class TransitionMatrix:
 
     def __post_init__(self) -> None:
         # the samplers, the checks and export then index the fields unchecked
-        window = _as_int(self.window, "window", 0, most=_MAX_STATES // 2 - 1)
-        states = state_labels(window)
-        n = len(states)
-        if not (isinstance(self.states, tuple) and self.states == states):
-            raise ShapeMismatch(f"states must be state_labels({window}), the window's {n} labels")
+        super().__post_init__()
+        window, n = self.window, len(self.states)
         active = np.asarray(self.active)
         if active.shape != (n,) or active.dtype != bool or not active[window]:
             raise ShapeMismatch(f"active must hold {n} bools, one per state, True at the hub")
@@ -135,23 +151,18 @@ class TransitionMatrix:
             raise InputError(f"stays must be a dict, got {type(self.stays).__name__}")
         stays = {}
         for lab, stay in self.stays.items():
-            if _state_index(window, lab) in (window, n - 1):
+            if self.index(lab) in (window, n - 1):
                 raise InputError(f"stay label {_shown(lab)} is the hub or {TAIL!r}, not a loop")
             stays[lab] = _as_float(stay, f"stay at {_shown(lab)}")
             if not 0.0 <= stays[lab] <= 1.0:
                 raise InputError(f"stay at {_shown(lab)} must lie in [0, 1], got {_shown(stay)}")
         law = self.stationary
-        if isinstance(law, StationaryDistribution):
-            p = law.probabilities
-            if not (isinstance(law.states, tuple) and law.states == states
-                    and isinstance(p, np.ndarray) and p.dtype == float and p.shape == (n,)):
-                raise ShapeMismatch(f"stationary law must be a float vector on the kernel's {n} states")
-            if not np.isfinite(p).all():
-                raise InputError("stationary law entries must be finite")
+        if isinstance(law, StationaryDistribution) and not (
+                law.window == window and np.isfinite(law.probabilities).all()):
+            raise InputError(f"stationary law must hold finite entries on the kernel's window {window}")
         # the samplers size their trees by k, read as a TreeSample reads it
         k = _as_int(self.k, "tree order k", 1)
-        for name, value in (("window", window), ("states", states), ("active", active),
-                            ("stays", stays), ("k", k)):
+        for name, value in (("active", active), ("stays", stays), ("k", k)):
             object.__setattr__(self, name, value)
 
     def nonunit_rows(self):
@@ -171,9 +182,6 @@ class TransitionMatrix:
             P[pos] = row
         return P
 
-    def index(self, label) -> int:
-        return _state_index(self.window, label)
-
     def entry(self, i, j) -> float:
         """P[i, j], read from the structural form."""
         r, c = self.index(i), self.index(j)
@@ -186,15 +194,19 @@ class TransitionMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class StationaryDistribution:
-    """Probability vector over the windowed state set, X * P = X."""
+class StationaryDistribution(_OnWindow):
+    """Probability vector over the windowed state set, X * P = X.
 
-    window: int
-    states: tuple
+    probabilities is a float array of one entry per state, finite or not.
+    """
+
     probabilities: np.ndarray
 
-    def index(self, label) -> int:
-        return _state_index(self.window, label)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        p, n = self.probabilities, len(self.states)
+        if not (isinstance(p, np.ndarray) and p.dtype == float and p.shape == (n,)):
+            raise ShapeMismatch(f"probabilities must be a float array of {n} entries, one per state")
 
     def probability(self, label) -> float:
         return float(self.probabilities[self.index(label)])
@@ -227,8 +239,7 @@ def _window_weights(
     spec/graph pairing, the labels (relabel_solution), a finite total, A and
     the loop z, the residual, each tail z lambda/(1+A)^k, the window's cover.
     """
-    window = _as_int(minimal_window(spec) if window is None else window, "window", 0,
-                     most=_MAX_STATES // 2 - 1)  # 2 * window + 2 states
+    window = _as_window(minimal_window(spec) if window is None else window)
     check_spec_graph(spec, graph)
     solution = relabel_solution(solution, graph)
     system = reduce(spec, graph)
@@ -288,7 +299,6 @@ def transition_matrix(
 
 
 def _kernel(window: int, weights: dict, w_tail: float, loops, spec: ActivitySpec) -> TransitionMatrix:
-    states = state_labels(window)
     # summing in label order keeps the kernel bit-identical across windows
     # (np.sum would regroup the additions as the row length changes)
     w_sum = sum(weights.values())
@@ -299,10 +309,7 @@ def _kernel(window: int, weights: dict, w_tail: float, loops, spec: ActivitySpec
     denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
     mass = {lab: (w * w + w) / denom if lab in loops else w / denom for lab, w in weights.items()}
     x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
-    return TransitionMatrix(
-        window, states, active, hub_row, stays,
-        StationaryDistribution(window, states, x), spec.k,
-    )
+    return TransitionMatrix(window, active, hub_row, stays, StationaryDistribution(window, x), spec.k)
 
 
 def minimal_window(spec: ActivitySpec) -> int:
@@ -342,14 +349,14 @@ def _as_vector(X) -> np.ndarray:
 def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
     """Check that X is stationary for the kernel P and normalized, within tol.
 
-    X may be a StationaryDistribution, whose states must be P's, or a
+    X may be a StationaryDistribution, whose window must be P's, or a
     plain vector; P must be a TransitionMatrix.  P is multiplied from its
     structural form, never as the dense matrix.
     """
     tol = _as_nonnegative(tol, "tol")
     x = _as_vector(X)
     P = _as_transition_matrix(P)
-    if isinstance(X, StationaryDistribution) and X.states != P.states:
+    if isinstance(X, StationaryDistribution) and X.window != P.window:
         raise ShapeMismatch("distribution and matrix are on different state sets")
     n = len(P.states)
     if x.shape[0] != n:
@@ -464,6 +471,7 @@ def _row_texts(tm: TransitionMatrix, encode) -> list:
 
 def matrix_csv_lines(tm: TransitionMatrix) -> list:
     """matrix_to_csv's lines, each with its newline; the unit row's text is one shared object."""
+    tm = _as_transition_matrix(tm)
     header = ",".join(_label_str(lab) for lab in tm.states) + "\n"
     return [header] + _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row) + "\n")
 
@@ -475,6 +483,8 @@ def matrix_to_csv(tm: TransitionMatrix) -> str:
 
 def distribution_to_csv(sd: StationaryDistribution) -> str:
     """CSV text: header of state labels, then the probability row."""
+    if not isinstance(sd, StationaryDistribution):
+        raise InputError(f"distribution must be a StationaryDistribution, got {type(sd).__name__}")
     lines = [",".join(_label_str(lab) for lab in sd.states)]
     lines.append(",".join(_fmt(v) for v in sd.probabilities))
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DivergentActivities, InputError, TooLarge
@@ -106,6 +107,13 @@ def _as_int(value, name: str, least: int | None = None, most: int | None = None)
     return value
 
 
+def _items(mapping, name: str):
+    """mapping.items(); InputError naming the argument if it is not a mapping."""
+    if not isinstance(mapping, Mapping):
+        raise InputError(f"{name} must be a mapping, got {type(mapping).__name__}")
+    return mapping.items()
+
+
 def _check_activity(label, value) -> tuple[int, float]:
     label = _as_int(label, "spin label")
     if label == 0:
@@ -132,8 +140,8 @@ class ActivitySpec:
 
     def __post_init__(self) -> None:
         k = _as_int(self.k, "tree order k", 1)
-        loops = dict(_check_activity(lab, val) for lab, val in self.loop_activities.items())
-        tail = dict(_check_activity(lab, val) for lab, val in self.explicit_tail.items())
+        loops = dict(_check_activity(*item) for item in _items(self.loop_activities, "loop_activities"))
+        tail = dict(_check_activity(*item) for item in _items(self.explicit_tail, "explicit_tail"))
         if not loops:
             raise InputError("at least one nonzero loop vertex is required")
         overlap = set(loops) & set(tail)
@@ -168,7 +176,11 @@ class AdmissibilityGraph:
     loops: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        loops = tuple(sorted(_as_int(lab, "loop vertex") for lab in self.loops))
+        try:
+            labels = iter(self.loops)
+        except TypeError:
+            raise InputError(f"loops must be iterable, got {type(self.loops).__name__}") from None
+        loops = tuple(sorted(_as_int(lab, "loop vertex") for lab in labels))
         if not 1 <= len(loops) <= 2:
             raise InputError(f"need one or two nonzero loop vertices, got {len(loops)}")
         if len(set(loops)) != len(loops):
@@ -215,7 +227,7 @@ class BoundaryLawSolution:
     residual: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "loop_z", dict(self.loop_z))
+        object.__setattr__(self, "loop_z", dict(_items(self.loop_z, "loop_z")))
 
     def to_json_dict(self) -> dict:
         return {

@@ -51,7 +51,7 @@ from .chain import (
     transition_matrix,  # unused here, but bench/tracing.py patches this name
 )
 from .errors import InputError
-from .model import ActivitySpec, AdmissibilityGraph, _as_int, _shown
+from .model import ActivitySpec, AdmissibilityGraph, _as_float, _as_int, _items, _shown
 
 _KEY_SPACE = 1 << 128
 
@@ -75,9 +75,14 @@ _BLOCK_VERTICES = 1 << 16
 _HUB_TABLE_STATES = 8
 
 
+def _tree_shape(k, depth) -> tuple[int, int]:
+    """The tree order k read as an integer >= 1 and depth as one >= 0."""
+    return _as_int(k, "tree order k", 1), _as_int(depth, "depth", 0)
+
+
 def num_vertices(k: int, depth: int) -> int:
     """Vertices of the rooted Cayley tree: root plus k+1 branches of depth n."""
-    depth = _as_int(depth, "depth", 0)
+    k, depth = _tree_shape(k, depth)
     if k == 1:
         return 1 + 2 * depth
     return 1 + (k + 1) * (k**depth - 1) // (k - 1)
@@ -85,6 +90,7 @@ def num_vertices(k: int, depth: int) -> int:
 
 def level_sizes(k: int, depth: int) -> list[int]:
     """Vertex counts per level: 1 at the root, then (k+1)*k**(d-1)."""
+    k, depth = _tree_shape(k, depth)
     sizes = [1]
     for d in range(1, depth + 1):
         sizes.append((k + 1) * k ** (d - 1))
@@ -98,6 +104,7 @@ def parent_array(k: int, depth: int) -> np.ndarray:
     of a level (0-based) is the parent of positions k*i..k*i+k-1 of the
     next level.
     """
+    k, depth = _tree_shape(k, depth)
     sizes = level_sizes(k, depth)
     parents = np.full(num_vertices(k, depth), -1, dtype=np.int64)
     offset = 1
@@ -113,10 +120,9 @@ def parent_array(k: int, depth: int) -> np.ndarray:
 
 def level_slices(k: int, depth: int) -> list[slice]:
     """Breadth-first index ranges of each level."""
-    sizes = level_sizes(k, depth)
     out = []
     offset = 0
-    for size in sizes:
+    for size in level_sizes(k, depth):
         out.append(slice(offset, offset + size))
         offset += size
     return out
@@ -408,12 +414,15 @@ def empirical_marginal(samples) -> dict:
     return {lab: c / total for lab, c in counts.items()}
 
 
+def _as_frequencies(mapping, name: str) -> dict:
+    """A mapping of labels to reals, each value read by _as_float."""
+    return {lab: _as_float(p, f"{name} at {_shown(lab)}") for lab, p in _items(mapping, name)}
+
+
 def _as_marginal(dist) -> dict:
     if isinstance(dist, StationaryDistribution):
         return {lab: float(p) for lab, p in zip(dist.states, dist.probabilities)}
-    if isinstance(dist, dict):
-        return dist
-    raise InputError(f"expected a distribution or mapping, got {type(dist).__name__}")
+    return _as_frequencies(dist, "distribution")
 
 
 def marginal_tv(empirical: dict, dist) -> float:
@@ -422,6 +431,7 @@ def marginal_tv(empirical: dict, dist) -> float:
     The sum is math.fsum's correctly rounded one, so it does not depend on
     the order of the labels (a set's order follows the string hash seed).
     """
+    empirical = _as_frequencies(empirical, "empirical frequencies")
     target = _as_marginal(dist)
     labels = set(empirical) | set(target)
     return 0.5 * math.fsum(abs(empirical.get(lab, 0.0) - target.get(lab, 0.0)) for lab in labels)

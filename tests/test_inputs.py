@@ -23,10 +23,11 @@ from hcgibbs.chain import (
     TAIL,
     StationaryDistribution,
     TransitionMatrix,
+    distribution_to_csv,
     irreducible,
+    matrix_csv_lines,
     matrix_to_csv,
     power_iteration,
-    state_labels,
     stationary_closed_form,
     total_variation,
     transition_matrix,
@@ -49,7 +50,11 @@ from hcgibbs.sampler import (
     TreeSample,
     finite_gibbs_oracle,
     level_counts,
+    level_sizes,
+    level_slices,
+    marginal_tv,
     num_vertices,
+    parent_array,
     sample_forest,
     sample_tree,
 )
@@ -127,7 +132,9 @@ CASES = {
     "q_critical_points-lam": (q_critical_points, "lam", 9.0),
     "transition_matrix-window": (_kernel, "window", 2),
     "TransitionMatrix.index-label": (lambda label: TM.index(label), "label", 1),
+    "num_vertices-k": (lambda k: num_vertices(k, 3), "k", 2),
     "num_vertices-depth": (lambda depth: num_vertices(2, depth), "depth", 3),
+    "level_sizes-depth": (lambda depth: level_sizes(2, depth), "depth", 3),
     "TreeSample-depth": (_hand_tree, "depth", 0),
     "TreeSample-seed": (_hand_tree, "seed", 5),
     "TreeSample-spin": (_hand_tree, "spin", 1),
@@ -552,9 +559,6 @@ def test_a_label_too_long_to_print_is_a_label():
 BAD_KERNEL_FIELDS = {
     "window as text": {"window": "2"},
     "window past the state cap": {"window": _MAX_STATES},
-    "states of another window": {"states": state_labels(3)},
-    "states as a list": {"states": list(TM.states)},
-    "states as an array": {"states": np.array(TM.states)},
     "active of one flag": {"active": (True,)},
     "active as ints": {"active": np.ones(len(TM.states), dtype=int)},
     "active off at the hub": {"active": (True,) * 2 + (False,) + (True,) * 3},
@@ -568,12 +572,8 @@ BAD_KERNEL_FIELDS = {
     "stay label off the window": {"stays": {9: 0.5}},
     "stay label at the hub": {"stays": {0: 0.5}},
     "stay label TAIL": {"stays": {TAIL: 0.5}},
-    "stationary of one entry": {"stationary": StationaryDistribution(2, TM.states, np.array([1.0]))},
     "stationary on other states": {"stationary": SD3},
-    "stationary states as an array": {
-        "stationary": StationaryDistribution(2, np.array(TM.states), SD.probabilities)},
-    "stationary not finite": {
-        "stationary": StationaryDistribution(2, TM.states, np.full(len(TM.states), math.inf))},
+    "stationary not finite": {"stationary": StationaryDistribution(2, np.full(len(TM.states), math.inf))},
 }
 
 KERNEL_USERS = {
@@ -612,3 +612,65 @@ def test_a_vector_that_is_not_finite_reals_is_bad_input(call):
         warnings.simplefilter("error")
         with pytest.raises(InputError):
             call()
+
+
+# a hand-built law, each bad in one way, refused as it is built, before
+# the call that uses it
+BAD_LAWS = {
+    "one entry": lambda: StationaryDistribution(2, np.array([1.0])),
+    "one entry, to marginal_tv": lambda: marginal_tv({0: 1.0}, StationaryDistribution(2, np.array([1.0]))),
+    "entries as a list": lambda: StationaryDistribution(2, SD.probabilities.tolist()),
+    "a text entry, to distribution_to_csv": lambda: distribution_to_csv(
+        StationaryDistribution(2, [0.5, "x"])),
+    "entries as ints": lambda: StationaryDistribution(2, np.ones(len(TM.states), dtype=int)),
+    "one entry of a list, to to_json_dict": lambda: StationaryDistribution(1, [0.1]).to_json_dict(),
+    "window as text, to probability": lambda: StationaryDistribution("2", SD.probabilities).probability(0),
+    "window past the state cap": lambda: StationaryDistribution(_MAX_STATES, SD.probabilities),
+}
+
+
+@pytest.mark.parametrize("call", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+def test_a_hand_built_law_is_read_when_it_is_built(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            call()
+
+
+# an argument of the wrong kind to a chain writer, a tree-layout helper,
+# marginal_tv or a model type's container field
+BAD_ARGUMENTS = {
+    "matrix_to_csv-None": lambda: matrix_to_csv(None),
+    "matrix_csv_lines-law": lambda: matrix_csv_lines(SD),
+    "distribution_to_csv-None": lambda: distribution_to_csv(None),
+    "distribution_to_csv-kernel": lambda: distribution_to_csv(TM),
+    "marginal_tv-list": lambda: marginal_tv([1], SD),
+    "marginal_tv-text frequency": lambda: marginal_tv({0: "a"}, SD),
+    "marginal_tv-text probability": lambda: marginal_tv({0: 1.0}, {0: "a"}),
+    "num_vertices-text k": lambda: num_vertices("2", 1),
+    "num_vertices-k of 0": lambda: num_vertices(0, 1),
+    "level_sizes-text depth": lambda: level_sizes(2, "3"),
+    "level_sizes-depth below 0": lambda: level_sizes(2, -1),
+    "level_slices-depth below 0": lambda: level_slices(2, -1),
+    "parent_array-text depth": lambda: parent_array(2, "3"),
+    "ActivitySpec-loops as pairs": lambda: ActivitySpec(loop_activities=[(1, 1.0)]),
+    "ActivitySpec-tail None": lambda: ActivitySpec(loop_activities={1: 1.0}, explicit_tail=None),
+    "AdmissibilityGraph-one int": lambda: AdmissibilityGraph(1),
+    "BoundaryLawSolution-z as a list": lambda: BoundaryLawSolution(1.0, [1], "x", 0.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_an_argument_of_the_wrong_kind_is_bad_input(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            call()
+
+
+def test_one_function_reads_the_state_cap():
+    assert _users_of("_MAX_STATES") == ["chain.py:<module>", "chain.py:_as_window"]
+
+
+def test_only_the_window_base_places_a_label():
+    assert _users_of("_state_index") == ["chain.py:index"]

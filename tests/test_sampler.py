@@ -590,7 +590,7 @@ def test_forest_accepts_a_numpy_integer_seed():
 
 
 # a kernel built by hand: the same rows as TM, but no stationary law
-HAND_KERNEL = TransitionMatrix(TM.window, TM.states, TM.active, TM.hub_row, TM.stays)
+HAND_KERNEL = TransitionMatrix(TM.window, TM.active, TM.hub_row, TM.stays)
 
 
 @pytest.mark.parametrize("kernel, match", [
