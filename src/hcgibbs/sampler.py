@@ -104,7 +104,6 @@ def parent_array(k: int, depth: int) -> np.ndarray:
     of a level (0-based) is the parent of positions k*i..k*i+k-1 of the
     next level.
     """
-    k, depth = _tree_shape(k, depth)
     sizes = level_sizes(k, depth)
     parents = np.full(num_vertices(k, depth), -1, dtype=np.int64)
     offset = 1

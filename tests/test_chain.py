@@ -6,6 +6,7 @@ closed form is algebraically stationary), so several assertions here use
 == on floats deliberately.
 """
 
+import inspect
 import io
 import json
 import os
@@ -345,6 +346,15 @@ def test_json_dicts():
     assert dd["states"] == [-2, -1, 0, 1, 2, TAIL]
     assert np.array_equal(np.array(dd["probabilities"]), sd.probabilities)
     assert StationaryDistribution(2, sd.probabilities).states == state_labels(2)
+
+
+def test_the_window_alone_gives_the_states():
+    # states is derived, so no constructor takes it and no check compares it
+    for cls in (TransitionMatrix, StationaryDistribution):
+        assert "states" not in inspect.signature(cls).parameters
+    tm = transition_matrix(SOL, SPEC, GRAPH, np.int64(3))
+    assert tm.window == 3 and type(tm.window) is int
+    assert tm.states == tm.stationary.states == state_labels(3)
 
 
 def test_export_reads_no_dense_matrix():
