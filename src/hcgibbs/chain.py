@@ -16,20 +16,22 @@ rather than up to truncation error.
 
 The finite state set is the window -M..M plus TAIL.  Window states that
 carry no listed activity have zero weight: they are displayed but never
-entered, and their rows are the unit vector at 0.  A kernel and a law take
-the window alone: their one base reads it and derives states from it.
+entered, and their rows are the unit vector at 0.  A kernel and a law
+share one base, which reads the window and derives states from it.
 
-A kernel is stored in its structural form: the hub row, one stay
-probability per loop, and a unit step to 0 for every other state.  The
-sampler draws from that form, export encodes the unit row, the hub row and
-each loop row once, and the stationarity check, power iteration and
-irreducibility read it too: they take a TransitionMatrix and nothing
-else.  Only the matrix attribute, the dense reference of the tests, holds
-a window-squared matrix.
+A kernel is its weights: TransitionMatrix takes the window, the weight
+lambda*z of each state the chain visits, the loops and the tree order, and
+derives its rows and closed-form law from them.  It is stored in its
+structural form: the hub row, one stay probability per loop, and a unit
+step to 0 for every other state.  The sampler draws from that form, export
+encodes the unit row, the hub row and each loop row once, and the
+stationarity check, power iteration and irreducibility read it too: they
+take a TransitionMatrix and nothing else.  Only the matrix attribute, the
+dense reference of the tests, holds a window-squared matrix.
 
-transition_matrix is the one builder: it checks the solution once and
-returns the kernel with its closed-form stationary law, both read from the
-same weights, and the tree order of its spec.  The sampler draws from that
+transition_matrix is the one builder from a solution: it checks the
+solution once, computes its weights over the window and builds the kernel
+with the loops and tree order of its spec.  The sampler draws from that
 kernel as it is, so a command builds and checks one kernel per solution.
 """
 
@@ -47,10 +49,10 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
-    _as_float,
     _as_int,
     _as_nonnegative,
     _as_positive,
+    _items,
     _positive_values,
     _shown,
     check_spec_graph,
@@ -106,63 +108,79 @@ class _OnWindow:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix(_OnWindow):
-    """Row-stochastic kernel on the windowed state set, in structural form.
+    """Row-stochastic kernel on the windowed state set, fixed by its weights.
 
-    states lists the labels in row/column order (-M..M then TAIL); active
-    flags the states the chain actually visits (the hub, every listed spin,
-    and TAIL when the unlisted mass is positive).
+    weights maps each state the chain visits besides the hub to its weight
+    w = lambda*z (listed labels of the window, and TAIL when the unlisted
+    mass is positive), loops are the self-loop labels, and k is the tree
+    order by which the samplers size their trees.  All else is derived:
+    active flags the hub and each weighted state; hub_row, row 0, is
+    (1, weights) over its own sum; stays holds w/(1+w) at each loop, whose
+    row returns the rest to 0, and every other row steps to 0; stationary
+    is the closed-form law, (1+S)/d at the hub, (w^2+w)/d at a loop and w/d
+    elsewhere, with S the weights' sum and d = 1 + sum of loop w^2 + 2S.
+    matrix, the tests' dense reference, is built from nonunit_rows.
 
-    hub_row is row 0 and stays maps each loop label to its stay probability,
-    the rest of that row going to 0; every other row steps to 0.
-    nonunit_rows yields the hub and loop rows.  matrix, the dense form, is
-    built from them when first read, as the tests' dense reference.
-    stationary is the closed-form stationary law transition_matrix computes
-    from the same weights, and k the tree order of its spec (2 by default,
-    read as an integer >= 1); a kernel built by hand may have no stationary law.
-
-    Every field is read on construction, in O(states) numpy calls: window
-    as an integer under the state cap, active as one bool per state with
-    the hub's set, hub_row as a float array of one entry in [0, 1] per
-    state, stays as a dict from loop labels (nonzero labels of the window)
-    to reals in [0, 1], and a StationaryDistribution stationary as a law on
-    the same window with finite entries.  A row need not sum to 1, and a
-    stationary of any other type is no law.  Anything else is an InputError.
+    weights is read as a mapping from nonzero ints or TAIL to finite reals
+    >= 0 by a type scan and numpy compares, a label off the window being
+    WindowTooSmall; loops as an AdmissibilityGraph reads them, each
+    weighted; k as an integer >= 1.  An overflowing d, or any other bad
+    value, is an InputError: no kernel is malformed, whoever builds it.
     """
 
-    active: np.ndarray
-    hub_row: np.ndarray
-    stays: dict
-    stationary: StationaryDistribution | None = None
+    weights: dict
+    loops: tuple
     k: int = 2
+    active: np.ndarray = field(init=False)
+    hub_row: np.ndarray = field(init=False)
+    stays: dict = field(init=False)
+    stationary: StationaryDistribution = field(init=False)
 
     def __post_init__(self) -> None:
-        # the samplers, the checks and export then index the fields unchecked
         super().__post_init__()
         window, n = self.window, len(self.states)
-        active = np.asarray(self.active)
-        if active.shape != (n,) or active.dtype != bool or not active[window]:
-            raise ShapeMismatch(f"active must hold {n} bools, one per state, True at the hub")
-        hub_row = self.hub_row
-        if not (isinstance(hub_row, np.ndarray) and hub_row.dtype == float and hub_row.shape == (n,)):
-            raise ShapeMismatch(f"hub_row must be a float array of {n} entries, one per state")
-        if not (0.0 <= hub_row.min() and hub_row.max() <= 1.0):  # NaN fails both
-            raise InputError("hub_row entries must lie in [0, 1]")
-        if not isinstance(self.stays, dict):
-            raise InputError(f"stays must be a dict, got {type(self.stays).__name__}")
-        stays = {}
-        for lab, stay in self.stays.items():
-            if self.index(lab) in (window, n - 1):
-                raise InputError(f"stay label {_shown(lab)} is the hub or {TAIL!r}, not a loop")
-            stays[lab] = _as_float(stay, f"stay at {_shown(lab)}")
-            if not 0.0 <= stays[lab] <= 1.0:
-                raise InputError(f"stay at {_shown(lab)} must lie in [0, 1], got {_shown(stay)}")
-        law = self.stationary
-        if isinstance(law, StationaryDistribution) and not (
-                law.window == window and np.isfinite(law.probabilities).all()):
-            raise InputError(f"stationary law must hold finite entries on the kernel's window {window}")
-        # the samplers size their trees by k, read as a TreeSample reads it
+        listed = dict(_items(self.weights, "weights"))
+        tail = listed.pop(TAIL, None)
+        if not {*map(type, listed)} <= {int}:
+            listed = {_as_int(lab, f"weight label other than {TAIL!r}"): w for lab, w in listed.items()}
+        if 0 in listed:
+            raise InputError("weight label 0 is the hub, whose weight is 1")
+        if listed and not (-window <= min(listed) and max(listed) <= window):
+            outside = sorted(lab for lab in listed if abs(lab) > window)
+            raise WindowTooSmall(f"listed states {_shown(outside)} lie outside the window {window}")
+        # a value of another type than float fails the compares as NaN does
+        w = np.array(list(listed.values()) if {*map(type, listed.values())} <= {float} else [math.nan])
+        if not (np.all(w >= 0.0) and np.all(w < math.inf)):
+            listed = {lab: _as_nonnegative(v, f"weight at {_shown(lab)}") for lab, v in listed.items()}
+            w = np.array(list(listed.values()), dtype=float)
+        weights = listed if tail is None else {**listed, TAIL: _as_nonnegative(tail, f"weight at {TAIL!r}")}
+        loops = AdmissibilityGraph(self.loops).loops
+        if not listed.keys() >= set(loops):
+            raise InputError(f"loops {_shown(list(loops))} must be weighted labels")
         k = _as_int(self.k, "tree order k", 1)
-        for name, value in (("active", active), ("stays", stays), ("k", k)):
+
+        # summing in label order keeps the kernel bit-identical across windows
+        # (np.sum would regroup the additions as the row length changes)
+        w_sum, w_tail = sum(listed.values()), weights.get(TAIL, 0.0)
+        S = w_sum + w_tail
+        try:
+            denom = 1.0 + sum(listed[lab] ** 2 for lab in loops) + 2.0 * S
+        except OverflowError:  # a loop weight's square past double range
+            denom = math.inf
+        if not denom < math.inf:
+            raise InputError("weights too large: the stationary law's normaliser overflows")
+        pos = np.fromiter(listed, np.int64, len(listed)) + window
+        active, hub_row, x = np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n)
+        active[window], active[pos], active[-1] = True, True, TAIL in weights
+        hub_row[window], hub_row[pos], hub_row[-1] = 1.0, w, w_tail
+        hub_row /= 1.0 + w_sum + w_tail
+        x[window], x[pos], x[-1] = (1.0 + S) / denom, w / denom, w_tail / denom
+        for lab in loops:
+            x[lab + window] = (listed[lab] * listed[lab] + listed[lab]) / denom
+        stays = {lab: listed[lab] / (1.0 + listed[lab]) for lab in loops}
+        for name, value in (("weights", weights), ("loops", loops), ("k", k), ("active", active),
+                            ("hub_row", hub_row), ("stays", stays),
+                            ("stationary", StationaryDistribution(window, x))):
             object.__setattr__(self, name, value)
 
     def nonunit_rows(self):
@@ -233,11 +251,12 @@ def _window_weights(
     spec: ActivitySpec,
     graph: AdmissibilityGraph,
     window: int | None,
-) -> tuple[int, dict[int, float], float]:
-    """The window as an int (minimal_window(spec) when None), the weights
-    lambda*z over it, and the tail weight.  Checks, in order: the window, the
-    spec/graph pairing, the labels (relabel_solution), a finite total, A and
-    the loop z, the residual, each tail z lambda/(1+A)^k, the window's cover.
+) -> tuple[int, dict]:
+    """The window as an int (minimal_window(spec) when None) and the weights
+    lambda*z of the listed states, then of TAIL when the spec has unlisted
+    mass.  Checks, in order: the window, the spec/graph pairing, the labels
+    (relabel_solution), a finite total, A and the loop z, the residual, and
+    each tail z lambda/(1+A)^k; the kernel checks the window's cover.
     """
     window = _as_window(minimal_window(spec) if window is None else window)
     check_spec_graph(spec, graph)
@@ -255,20 +274,9 @@ def _window_weights(
         # a tail z lambda / q rounds to 0; _positive_values refuses the first
         _positive_values({lab: lam / q for lab, lam in spec.explicit_tail.items()}, "z")
     weights = {lab: lam * z[lab] if lab in z else lam * (lam / q) for lab, lam in spec.listed().items()}
-    outside = sorted(lab for lab in weights if abs(lab) > window)
-    if outside:
-        raise WindowTooSmall(f"listed states {_shown(outside)} lie outside the window {window}")
-    return window, weights, spec.tail_mass * (spec.tail_mass / q)
-
-
-def _on_window(window: int, hub, values: dict, tail, dtype=float) -> np.ndarray:
-    """A vector over state_labels(window): hub at 0, values[lab] at each label, tail at TAIL."""
-    x = np.zeros(2 * window + 2, dtype=dtype)
-    x[window] = hub
-    for lab, v in values.items():
-        x[lab + window] = v
-    x[-1] = tail
-    return x
+    if spec.tail_mass > 0.0:
+        weights[TAIL] = spec.tail_mass * (spec.tail_mass / q)
+    return window, weights
 
 
 def transition_matrix(
@@ -281,35 +289,10 @@ def transition_matrix(
 
     The solution, in canonical or graph labels, must close the reduced
     system (see _window_weights); window defaults to minimal_window(spec).
-
-    Row 0 is proportional to (1, weights, tail weight); each loop row splits
-    between staying put and returning to 0; every other row steps to 0 with
-    probability one.  Each row sums to 1 to the last bit: row 0 is divided
-    by its own sum and two-entry rows are completed by subtraction.  Only
-    row 0 and the stay probabilities are computed here, not the dense matrix.
-
-    The stationary law is read from the same weights w = lambda*z in closed
-    form.  With S their sum over nonzero spins, the mass is (1+S)/d at the
-    hub, (w^2+w)/d at a loop spin and w/d elsewhere, where d = 1 + sum of
-    loop w^2 + 2S.  The formulas do not depend on the window, so enlarging
-    it only appends zero entries.
+    The kernel's rows and closed-form law are derived from the weights
+    w = lambda*z (see TransitionMatrix), not as a dense matrix.
     """
-    window, weights, w_tail = _window_weights(solution, spec, graph, window)
-    return _kernel(window, weights, w_tail, graph.loops, spec)
-
-
-def _kernel(window: int, weights: dict, w_tail: float, loops, spec: ActivitySpec) -> TransitionMatrix:
-    # summing in label order keeps the kernel bit-identical across windows
-    # (np.sum would regroup the additions as the row length changes)
-    w_sum = sum(weights.values())
-    hub_row = _on_window(window, 1.0, weights, w_tail) / (1.0 + w_sum + w_tail)
-    stays = {lab: weights[lab] / (1.0 + weights[lab]) for lab in loops}
-    active = _on_window(window, True, dict.fromkeys(weights, True), spec.tail_mass > 0.0, bool)
-    S = w_sum + w_tail
-    denom = 1.0 + sum(weights[lab] ** 2 for lab in loops) + 2.0 * S
-    mass = {lab: (w * w + w) / denom if lab in loops else w / denom for lab, w in weights.items()}
-    x = _on_window(window, (1.0 + S) / denom, mass, w_tail / denom)
-    return TransitionMatrix(window, active, hub_row, stays, StationaryDistribution(window, x), spec.k)
+    return TransitionMatrix(*_window_weights(solution, spec, graph, window), graph.loops, spec.k)
 
 
 def minimal_window(spec: ActivitySpec) -> int:

@@ -219,6 +219,10 @@ class BoundaryLawSolution:
     holds the per-loop-vertex components, branch names the solution branch,
     and residual is the max absolute defect of the reduced consistency
     system at this point.
+
+    A, each loop_z value and residual are read as reals by _as_float, and
+    branch as a str.  Any real passes: a kernel reads A and z as positive
+    itself, and an oracle hint may hold any reals.
     """
 
     A: float
@@ -227,7 +231,12 @@ class BoundaryLawSolution:
     residual: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "loop_z", dict(_items(self.loop_z, "loop_z")))
+        A = _as_float(self.A, "aggregate A")
+        z = {lab: _as_float(v, f"loop_z[{_shown(lab)}]") for lab, v in _items(self.loop_z, "loop_z")}
+        if not isinstance(self.branch, str):
+            raise InputError(f"branch must be a str, got {_shown(self.branch)}")
+        for name, value in (("A", A), ("loop_z", z), ("residual", _as_float(self.residual, "residual"))):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {

@@ -221,8 +221,7 @@ def _normalise_hint(hint, graph: AdmissibilityGraph) -> np.ndarray:
     if not isinstance(hint, BoundaryLawSolution):
         raise InputError(f"a hint must be a BoundaryLawSolution, got {_shown(hint)}")
     hint = relabel_solution(hint, graph)
-    return np.array([*(_as_float(hint.loop_z[lab], f"hint z[{_shown(lab)}]") for lab in graph.loops),
-                     _as_float(hint.A, "hint A")])
+    return np.array([*(hint.loop_z[lab] for lab in graph.loops), hint.A])
 
 
 def _leaders(P: np.ndarray, tol: float) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Sampling of tree configurations driven by the windowed spin chain.
 
-The samplers take the kernel chain.transition_matrix builds for one
-solution and read nothing else: its rows, its stationary law and the tree
-order k it was built for.  A configuration on the rooted Cayley tree is
-drawn top down: the root spin comes from the stationary distribution, and
-every child spin from the transition-matrix row of its parent's spin.
-Because the root law is stationary, the marginal at every vertex is the
-same distribution, which gives a sharp statistical target for tests.
+The samplers take a TransitionMatrix, as chain.transition_matrix builds
+for one solution, and read nothing else: its rows, its stationary law and
+the tree order k it was built for.  A configuration on the rooted Cayley
+tree is drawn top down: the root spin comes from the stationary
+distribution, and every child spin from the transition-matrix row of its
+parent's spin.  Because the root law is stationary, the marginal at every
+vertex is the same distribution, a sharp statistical target for tests.
 
 The kernel is used in its structural form, never as a dense matrix: a
 child of the hub is drawn by inverse CDF over the hub row, a child of a
@@ -51,7 +51,7 @@ from .chain import (
     transition_matrix,  # unused here, but bench/tracing.py patches this name
 )
 from .errors import InputError
-from .model import ActivitySpec, AdmissibilityGraph, _as_float, _as_int, _items, _shown
+from .model import ActivitySpec, AdmissibilityGraph, _as_int, _as_nonnegative, _items, _shown
 
 _KEY_SPACE = 1 << 128
 
@@ -75,22 +75,29 @@ _BLOCK_VERTICES = 1 << 16
 _HUB_TABLE_STATES = 8
 
 
-def _tree_shape(k, depth) -> tuple[int, int]:
-    """The tree order k read as an integer >= 1 and depth as one >= 0."""
-    return _as_int(k, "tree order k", 1), _as_int(depth, "depth", 0)
+def _tree_shape(k, depth) -> tuple[int, int, int]:
+    """The tree order k read as an integer >= 1, depth as one >= 0, and the
+    tree's vertex count, which over _MAX_SAMPLE_VERTICES is TooLarge.  A
+    tree of order k >= 2 has over 2**depth vertices, and one of depth >= 1
+    over k, so a depth of at least the cap's bit length, or an order of at
+    least the cap, is refused before k**depth is formed."""
+    k, depth = _as_int(k, "tree order k", 1), _as_int(depth, "depth", 0)
+    if k > 1:
+        _as_int(depth, "depth", most=_MAX_SAMPLE_VERTICES.bit_length() - 1)
+    if depth > 0:
+        _as_int(k, "tree order k", most=_MAX_SAMPLE_VERTICES - 1)
+    n = 1 + 2 * depth if k == 1 else 1 + (k + 1) * (k**depth - 1) // (k - 1)
+    return k, depth, _as_int(n, "sampled vertices", most=_MAX_SAMPLE_VERTICES)
 
 
 def num_vertices(k: int, depth: int) -> int:
     """Vertices of the rooted Cayley tree: root plus k+1 branches of depth n."""
-    k, depth = _tree_shape(k, depth)
-    if k == 1:
-        return 1 + 2 * depth
-    return 1 + (k + 1) * (k**depth - 1) // (k - 1)
+    return _tree_shape(k, depth)[2]
 
 
 def level_sizes(k: int, depth: int) -> list[int]:
     """Vertex counts per level: 1 at the root, then (k+1)*k**(d-1)."""
-    k, depth = _tree_shape(k, depth)
+    k, depth, _ = _tree_shape(k, depth)
     sizes = [1]
     for d in range(1, depth + 1):
         sizes.append((k + 1) * k ** (d - 1))
@@ -105,7 +112,7 @@ def parent_array(k: int, depth: int) -> np.ndarray:
     next level.
     """
     sizes = level_sizes(k, depth)
-    parents = np.full(num_vertices(k, depth), -1, dtype=np.int64)
+    parents = np.full(sum(sizes), -1, dtype=np.int64)
     offset = 1
     prev_offset = 0
     for d in range(1, depth + 1):
@@ -272,27 +279,14 @@ def _sample_block(kernel: _Kernel, depth: int, seeds) -> np.ndarray:
 
 
 def _check_vertex_budget(k: int, depth: int, trees: int) -> int:
-    """The vertex count of the trees, read by _as_int against _MAX_SAMPLE_VERTICES.  A tree
-    of order k >= 2 has over 2**depth vertices, and one of depth >= 1 over k, so a depth of at
-    least the cap's bit length, or an order of at least the cap, is refused before k**depth."""
-    if k > 1:
-        _as_int(depth, "depth", most=_MAX_SAMPLE_VERTICES.bit_length() - 1)
-    if depth > 0:
-        _as_int(k, "tree order k", most=_MAX_SAMPLE_VERTICES - 1)
+    """The vertex count of the trees, read by _as_int against _MAX_SAMPLE_VERTICES, after
+    _tree_shape has held one tree to it."""
     return _as_int(trees * num_vertices(k, depth), "sampled vertices", most=_MAX_SAMPLE_VERTICES)
-
-
-def _as_kernel(kernel) -> TransitionMatrix:
-    """kernel, if transition_matrix built it: a TransitionMatrix with its stationary law."""
-    kernel = _as_transition_matrix(kernel)
-    if not isinstance(kernel.stationary, StationaryDistribution):
-        raise InputError("kernel has no stationary law; build it with transition_matrix")
-    return kernel
 
 
 def sample_tree(kernel: TransitionMatrix, depth: int, seed: int) -> TreeSample:
     """Draw one configuration of the given depth from kernel, deterministically in seed."""
-    kernel = _as_kernel(kernel)
+    kernel = _as_transition_matrix(kernel)
     depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
     _check_vertex_budget(kernel.k, depth, 1)
     table = _Kernel(kernel)
@@ -309,7 +303,7 @@ def sample_forest(kernel: TransitionMatrix, depth: int, trees: int,
     when a tree is larger), and each tree's index array is a row of its
     block.
     """
-    kernel = _as_kernel(kernel)
+    kernel = _as_transition_matrix(kernel)
     depth, trees = _as_int(depth, "depth", 0), _as_int(trees, "trees", 1)
     seed = _as_int(seed, "seed")
     _check_vertex_budget(kernel.k, depth, trees)
@@ -414,8 +408,8 @@ def empirical_marginal(samples) -> dict:
 
 
 def _as_frequencies(mapping, name: str) -> dict:
-    """A mapping of labels to reals, each value read by _as_float."""
-    return {lab: _as_float(p, f"{name} at {_shown(lab)}") for lab, p in _items(mapping, name)}
+    """A mapping of labels to finite reals >= 0, each value read by _as_nonnegative."""
+    return {lab: _as_nonnegative(p, f"{name} at {_shown(lab)}") for lab, p in _items(mapping, name)}
 
 
 def _as_marginal(dist) -> dict:

@@ -175,9 +175,9 @@ def test_irreducible_on_active_states():
 
 def test_irreducible_detects_unreachable_state():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    cut = tm.hub_row.copy()
-    cut[tm.index(2)] = 0.0  # state 2 stays active but unreachable
-    bad = TransitionMatrix(tm.window, tm.active, cut, tm.stays)
+    # a weight of 0: state 2 stays active but unreachable
+    bad = TransitionMatrix(tm.window, {**tm.weights, 2: 0.0}, tm.loops, tm.k)
+    assert bad.active[tm.index(2)] and bad.hub_row[tm.index(2)] == 0.0
     assert not irreducible(bad)
 
 
@@ -389,6 +389,17 @@ def _wide_kernels(window):
     return [transition_matrix(sol, spec, graph, window) for sol in sols]
 
 
+def test_a_kernel_rebuilt_from_its_weights_is_the_same_kernel():
+    # the weights are the kernel's only input; rows and law are derived
+    assert list(inspect.signature(TransitionMatrix).parameters) == ["window", "weights", "loops", "k"]
+    narrow = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
+    for tm in [transition_matrix(SOL, narrow, graph_from_spec(narrow))] + _wide_kernels(300):
+        again = TransitionMatrix(tm.window, tm.weights, tm.loops, tm.k)
+        assert again.hub_row.tobytes() == tm.hub_row.tobytes()
+        assert (again.stays, again.active.tobytes()) == (tm.stays, tm.active.tobytes())
+        assert again.stationary.probabilities.tobytes() == tm.stationary.probabilities.tobytes()
+
+
 def test_irreducible_copies_no_float_matrix():
     tm = _wide_kernels(300)[0]
     assert tm.matrix.shape == (602, 602)  # built before the trace starts
@@ -426,12 +437,13 @@ def test_irreducible_matches_dense_restriction():
     kernels += _wide_kernels(300)[:1] + _wide_kernels(310)
     assert [all(tm.active) for tm in kernels] == [False] * len(SOLS2) + [True] + [False] * 3
     for tm in kernels[:len(SOLS2)] + kernels[-1:]:
-        cut = tm.hub_row.copy()
-        cut[tm.index(1)] = 0.0  # state 1 stays active but unreachable
-        kernels.append(TransitionMatrix(tm.window, tm.active, cut, tm.stays))
-        # a loop that never leaves cannot return to the hub
-        trapped = {**tm.stays, min(tm.stays): 1.0}
-        kernels.append(TransitionMatrix(tm.window, tm.active, tm.hub_row, trapped))
+        # a weight of 0: state 1 stays active but unreachable
+        kernels.append(TransitionMatrix(tm.window, {**tm.weights, 1: 0.0}, tm.loops, tm.k))
+        # a loop that never leaves cannot return to the hub: at a weight of
+        # 2**53 its stay w/(1+w) rounds to 1
+        trapped = TransitionMatrix(tm.window, {**tm.weights, min(tm.loops): 2.0**53}, tm.loops, tm.k)
+        assert trapped.stays[min(tm.loops)] == 1.0
+        kernels.append(trapped)
     verdicts = [irreducible(tm) for tm in kernels]
     # the reference restricts the float matrix to the active states, then thresholds
     active = [np.asarray(tm.active, dtype=bool) for tm in kernels]

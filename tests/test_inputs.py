@@ -161,13 +161,24 @@ CASES = {
     "power_iteration-max_iter": (_power, "max_iter", 10_000),
     "power_iteration-tol": (_power, "tol", 2.0**-40),
     "verify_stationary-tol": (lambda tol: verify_stationary(SD, TM, tol), "tol", 2.0**-30),
+    "TransitionMatrix-weight label": (
+        lambda label: TransitionMatrix(2, {label: 0.5, 2: 0.5}, (2,)), "label", 1),
+    "TransitionMatrix-weight": (lambda w: TransitionMatrix(2, {1: w}, (1,)), "w", 0.5),
+    "TransitionMatrix-tail weight": (lambda w: TransitionMatrix(2, {1: 0.5, TAIL: w}, (1,)), "w", 0.5),
+    "TransitionMatrix-loop": (lambda loop: TransitionMatrix(2, {1: 0.5}, (loop,)), "loop", 1),
+    "TransitionMatrix-k": (lambda k: TransitionMatrix(2, {1: 0.5}, (1,), k), "k", 2),
+    "BoundaryLawSolution-A": (lambda A: BoundaryLawSolution(A, {1: 0.5}, "x", 0.0), "A", 0.5),
+    "BoundaryLawSolution-z": (lambda z: BoundaryLawSolution(1.0, {1: z}, "x", 0.0), "z", 0.5),
+    "BoundaryLawSolution-residual": (
+        lambda residual: BoundaryLawSolution(1.0, {1: 0.5}, "x", residual), "residual", 0.0),
 }
 
 
 def _key(result):
     """A comparable form of a result; repr tells numpy scalars from Python numbers."""
     if isinstance(result, TransitionMatrix):
-        return repr((result.window, result.states, result.stays)), result.hub_row.tobytes()
+        fields = (result.window, result.states, result.weights, result.loops, result.stays, result.k)
+        return repr(fields), result.hub_row.tobytes() + result.stationary.probabilities.tobytes()
     if isinstance(result, TreeSample):
         return repr((result.depth, result.seed, result.k, result.spins)), result.index.tobytes()
     if isinstance(result, tuple) and result and isinstance(result[0], TreeSample):
@@ -215,17 +226,22 @@ def test_only_model_decides_what_a_number_is():
     assert [line for lines in found.values() for line in lines] == []
 
 
-def _users_of(name: str) -> list[str]:
-    """module:function of each name, attribute or import of name in the package, its def aside."""
+def _users_of(name: str, calls: bool = False) -> list[str]:
+    """module:function of each name, attribute or import of name in the package, its def
+    aside; with calls, of each call of name alone."""
     found = []
 
     class Users(ast.NodeVisitor):
         def __init__(self, module: str) -> None:
             self.module, self.where = module, "<module>"
 
-        def use(self, used: str) -> None:
-            if used == name:
+        def use(self, used: str, call: bool = False) -> None:
+            if used == name and call == calls:
                 found.append(f"{self.module}:{self.where}")
+
+        def visit_Call(self, node) -> None:
+            self.use(getattr(node.func, "id", getattr(node.func, "attr", None)), call=True)
+            self.generic_visit(node)
 
         def visit_FunctionDef(self, node) -> None:
             outer, self.where = self.where, node.name
@@ -249,6 +265,10 @@ def _users_of(name: str) -> list[str]:
 
 def test_only_transition_matrix_checks_a_solution_for_a_kernel():
     assert _users_of("_window_weights") == ["chain.py:transition_matrix"]
+
+
+def test_only_transition_matrix_builds_a_kernel():
+    assert _users_of("TransitionMatrix", calls=True) == ["chain.py:transition_matrix"]
 
 
 def test_only_the_kernel_path_defaults_the_window():
@@ -509,6 +529,10 @@ HUGE_CASES = {
     "TreeSample-k": lambda n: TreeSample(1, 0, (0,) * 4, k=n),
     "TreeSample-k at depth 0": lambda n: TreeSample(0, 0, (0,), k=n),
     "TreeSample-k, one spin too many": lambda n: TreeSample(0, 0, (0, 0), k=n),
+    "num_vertices-path depth": lambda n: num_vertices(1, n),
+    "level_sizes-depth": lambda n: level_sizes(2, n),
+    "level_slices-order": lambda n: level_slices(n, 1),
+    "parent_array-path depth": lambda n: parent_array(1, n),
     "sample_tree-depth": lambda n: _tree(depth=n),
     "sample_tree-seed": lambda n: _tree(seed=n),
     "sample_forest-depth": lambda n: _forest(depth=n),
@@ -555,44 +579,45 @@ def test_a_label_too_long_to_print_is_a_label():
     assert spec.loop_activities == {HUGE: 1.0} and graph.loops == (HUGE,)
 
 
-# fields of a hand-built kernel, each bad in one way, put in place of TM's
-BAD_KERNEL_FIELDS = {
+# a hand-built kernel's inputs, each bad in one way, put in place of TM's
+# (TM.weights is {1: w, TAIL: w_tail} on window 2, TM.loops (1,))
+BAD_KERNEL_INPUTS = {
     "window as text": {"window": "2"},
     "window past the state cap": {"window": _MAX_STATES},
-    "active of one flag": {"active": (True,)},
-    "active as ints": {"active": np.ones(len(TM.states), dtype=int)},
-    "active off at the hub": {"active": (True,) * 2 + (False,) + (True,) * 3},
-    "hub_row of one entry": {"hub_row": np.array([1.0])},
-    "hub_row as a list": {"hub_row": TM.hub_row.tolist()},
-    "hub_row all NaN": {"hub_row": np.full(len(TM.states), math.nan)},
-    "hub_row below 0": {"hub_row": -TM.hub_row},
-    "stays not a dict": {"stays": [(1, 0.5)]},
-    "stay as text": {"stays": {1: "a"}},
-    "stay above 1": {"stays": {1: 1.5}},
-    "stay label off the window": {"stays": {9: 0.5}},
-    "stay label at the hub": {"stays": {0: 0.5}},
-    "stay label TAIL": {"stays": {TAIL: 0.5}},
-    "stationary on other states": {"stationary": SD3},
-    "stationary not finite": {"stationary": StationaryDistribution(2, np.full(len(TM.states), math.inf))},
+    "weights not a mapping": {"weights": [(1, 0.5)]},
+    "weight label as text": {"weights": {"1": 0.5}},
+    "weight label a float": {"weights": {1.5: 0.5}},
+    "weight label a bool": {"weights": {True: 0.5}},
+    "weight at the hub": {"weights": {**TM.weights, 0: 0.5}},
+    "weight label off the window": {"weights": {**TM.weights, 9: 0.5}},
+    "weight as text": {"weights": {**TM.weights, 1: "a"}},
+    "weight as a bool": {"weights": {**TM.weights, 1: True}},
+    "weight NaN": {"weights": {**TM.weights, 1: math.nan}},
+    "weight below 0": {"weights": {**TM.weights, 1: -0.5}},
+    "weight infinite": {"weights": {**TM.weights, 1: math.inf}},
+    "weight past double range": {"weights": {**TM.weights, 1: 10**400}},
+    "TAIL weight as text": {"weights": {**TM.weights, TAIL: "a"}},
+    "TAIL weight NaN": {"weights": {**TM.weights, TAIL: math.nan}},
+    "loop weight whose square overflows": {"weights": {**TM.weights, 1: 1e200}},
+    "weights whose sum overflows": {"weights": {**TM.weights, -1: 1e308, 2: 1e308}},
+    "loops not iterable": {"loops": 1},
+    "no loop": {"loops": ()},
+    "loop label as text": {"loops": ("1",)},
+    "loop label TAIL": {"loops": (TAIL,)},
+    "loop label without a weight": {"loops": (2,)},
+    "loop label twice": {"loops": (1, 1)},
+    "k as text": {"k": "x"},
+    "k of 0": {"k": 0},
+    "k as a bool": {"k": True},
 }
 
-KERNEL_USERS = {
-    "sample_tree": lambda kernel: sample_tree(kernel, 2, 1),
-    "sample_forest": lambda kernel: sample_forest(kernel, 2, 2, 1),
-    "verify_stationary": lambda kernel: verify_stationary(SD, kernel),
-    "irreducible": irreducible,
-    "power_iteration": power_iteration,
-    "matrix_to_csv": matrix_to_csv,
-}
 
-
-@pytest.mark.parametrize("use", KERNEL_USERS.values(), ids=KERNEL_USERS.keys())
-@pytest.mark.parametrize("field", BAD_KERNEL_FIELDS.values(), ids=BAD_KERNEL_FIELDS.keys())
-def test_a_hand_built_kernel_is_read_before_it_is_used(field, use):
+@pytest.mark.parametrize("inputs", BAD_KERNEL_INPUTS.values(), ids=BAD_KERNEL_INPUTS.keys())
+def test_a_hand_built_kernel_is_read_when_it_is_built(inputs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError):
-            use(dataclasses.replace(TM, **field))
+            dataclasses.replace(TM, **inputs)
 
 
 # a vector argument that is not a vector of reals, or a start that cannot be normalised
@@ -647,16 +672,26 @@ BAD_ARGUMENTS = {
     "marginal_tv-list": lambda: marginal_tv([1], SD),
     "marginal_tv-text frequency": lambda: marginal_tv({0: "a"}, SD),
     "marginal_tv-text probability": lambda: marginal_tv({0: 1.0}, {0: "a"}),
+    "marginal_tv-NaN frequency": lambda: marginal_tv({0: math.nan}, SD),
+    "marginal_tv-negative frequency": lambda: marginal_tv({0: -5.0}, SD),
+    "marginal_tv-infinite probability": lambda: marginal_tv({0: 1.0}, {0: math.inf}),
     "num_vertices-text k": lambda: num_vertices("2", 1),
     "num_vertices-k of 0": lambda: num_vertices(0, 1),
     "level_sizes-text depth": lambda: level_sizes(2, "3"),
     "level_sizes-depth below 0": lambda: level_sizes(2, -1),
     "level_slices-depth below 0": lambda: level_slices(2, -1),
     "parent_array-text depth": lambda: parent_array(2, "3"),
+    "level_sizes-depth past the vertex cap": lambda: level_sizes(2, 20_000),
+    "level_slices-path past the vertex cap": lambda: level_slices(1, _MAX_SAMPLE_VERTICES // 2),
+    "num_vertices-one over the vertex cap": lambda: num_vertices(2, 23),
     "ActivitySpec-loops as pairs": lambda: ActivitySpec(loop_activities=[(1, 1.0)]),
     "ActivitySpec-tail None": lambda: ActivitySpec(loop_activities={1: 1.0}, explicit_tail=None),
     "AdmissibilityGraph-one int": lambda: AdmissibilityGraph(1),
     "BoundaryLawSolution-z as a list": lambda: BoundaryLawSolution(1.0, [1], "x", 0.0),
+    "BoundaryLawSolution-A as text": lambda: BoundaryLawSolution("x", {1: 0.5}, "x", 0.0),
+    "BoundaryLawSolution-z as text": lambda: BoundaryLawSolution(1.0, {1: "a"}, "x", 0.0),
+    "BoundaryLawSolution-branch an int": lambda: BoundaryLawSolution(1.0, {1: 0.5}, 3, 0.0),
+    "BoundaryLawSolution-residual None": lambda: BoundaryLawSolution(1.0, {1: 0.5}, "x", None),
 }
 
 

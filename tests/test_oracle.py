@@ -150,13 +150,16 @@ def test_multistart_counts_hint_starts_against_the_cap(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 60.5}, {"n_starts": "60"}, {"n_starts": None},
     {"seed": 1.5}, {"seed": "x"}, {"seed": -1},
-    {"hints": 5}, {"hints": [5]}, {"hints": [BoundaryLawSolution(1.0, {1: "a"}, "hint", 0.0)]},
+    {"hints": 5}, {"hints": [5]},
+    # a hint's z is read when the hint is built, inside the raises block
+    {"hints": lambda: [BoundaryLawSolution(1.0, {1: "a"}, "hint", 0.0)]},
     {"hints": [({1: 1.0}, 1.0)]},
 ], ids=["n_starts=60.5", "n_starts=str", "n_starts=None", "seed=1.5", "seed=str", "seed=-1",
         "hints=5", "hint=5", "hint-z=str", "hint=pair"])
 def test_multistart_rejects_bad_arguments_before_drawing(kwargs, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", _no_draw)
     with pytest.raises(InputError):
+        kwargs = {key: value() if callable(value) else value for key, value in kwargs.items()}
         multistart_count(SPEC12, GRAPH12, **{"n_starts": 60, **kwargs})
 
 

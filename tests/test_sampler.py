@@ -317,7 +317,8 @@ def test_numpy_integer_sizes_are_capped_before_drawing(monkeypatch):
 
     monkeypatch.setattr("hcgibbs.sampler._stream", allocate)
     monkeypatch.setattr("hcgibbs.sampler._Kernel", allocate)
-    monkeypatch.setattr("hcgibbs.chain._kernel", allocate)
+    # every kernel array is built in the constructor, after _window_weights reads the window
+    monkeypatch.setattr(TransitionMatrix, "__post_init__", allocate)
     with pytest.raises(TooLarge):
         sample_forest(TM, depth=np.int64(64), trees=1, seed=1)
     with pytest.raises(TooLarge):
@@ -589,17 +590,11 @@ def test_forest_accepts_a_numpy_integer_seed():
     assert [t.index.tobytes() for t in a] == [t.index.tobytes() for t in b]
 
 
-# a kernel built by hand: the same rows as TM, but no stationary law
-HAND_KERNEL = TransitionMatrix(TM.window, TM.active, TM.hub_row, TM.stays)
-
-
 @pytest.mark.parametrize("kernel, match", [
     (SOL, "kernel must be a TransitionMatrix, got BoundaryLawSolution"),
     (None, "got NoneType"),
     (TM.hub_row, "got ndarray"),
-    (HAND_KERNEL, "no stationary law"),
-    (dataclasses.replace(TM, stationary=TM.stationary.probabilities), "no stationary law"),
-], ids=["solution", "None", "array", "hand-built", "law as an array"])
+], ids=["solution", "None", "array"])
 def test_only_a_built_kernel_is_sampled(monkeypatch, kernel, match):
     def allocate(*args):
         raise AssertionError("drew or compiled before the kernel check")
@@ -613,7 +608,7 @@ def test_only_a_built_kernel_is_sampled(monkeypatch, kernel, match):
 
 
 def test_the_tree_order_is_read_from_the_kernel():
-    assert HAND_KERNEL.k == TM.k == SPEC.k == 2
+    assert TransitionMatrix(TM.window, TM.weights, TM.loops).k == TM.k == SPEC.k == 2
     # a hand-built kernel's k is read by the input rule, as a TreeSample's
     assert type(dataclasses.replace(TM, k=np.int64(3)).k) is int
     for k in ("x", 0, True, 2.5):
