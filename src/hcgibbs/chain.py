@@ -38,8 +38,10 @@ kernel as it is, so a command builds and checks one kernel per solution.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,14 +128,16 @@ class TransitionMatrix(_OnWindow):
     WindowTooSmall; loops as an AdmissibilityGraph reads them, each
     weighted; k as an integer >= 1.  An overflowing d, or any other bad
     value, is an InputError: no kernel is malformed, whoever builds it.
+    weights and stays are read-only mappings and the arrays read-only, so
+    none is changed in place after the kernel is built.
     """
 
-    weights: dict
+    weights: Mapping
     loops: tuple
     k: int = 2
     active: np.ndarray = field(init=False)
     hub_row: np.ndarray = field(init=False)
-    stays: dict = field(init=False)
+    stays: Mapping = field(init=False)
     stationary: StationaryDistribution = field(init=False)
 
     def __post_init__(self) -> None:
@@ -178,8 +182,10 @@ class TransitionMatrix(_OnWindow):
         for lab in loops:
             x[lab + window] = (listed[lab] * listed[lab] + listed[lab]) / denom
         stays = {lab: listed[lab] / (1.0 + listed[lab]) for lab in loops}
-        for name, value in (("weights", weights), ("loops", loops), ("k", k), ("active", active),
-                            ("hub_row", hub_row), ("stays", stays),
+        for array in (active, hub_row, x):
+            array.flags.writeable = False
+        for name, value in (("weights", MappingProxyType(weights)), ("loops", loops), ("k", k),
+                            ("active", active), ("hub_row", hub_row), ("stays", MappingProxyType(stays)),
                             ("stationary", StationaryDistribution(window, x))):
             object.__setattr__(self, name, value)
 

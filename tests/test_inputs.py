@@ -8,6 +8,7 @@ scalar gives the same result as the Python number of the same value.
 import ast
 import dataclasses
 import math
+import operator
 import re
 import time
 import warnings
@@ -58,7 +59,7 @@ from hcgibbs.sampler import (
     sample_forest,
     sample_tree,
 )
-from hcgibbs.three_loop import ThreeLoopProblem, q_critical_points, thresholds
+from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions, q_critical_points, thresholds
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
@@ -618,6 +619,72 @@ def test_a_hand_built_kernel_is_read_when_it_is_built(inputs):
         warnings.simplefilter("error")
         with pytest.raises(InputError):
             dataclasses.replace(TM, **inputs)
+
+
+@pytest.mark.parametrize("name", ["active", "hub_row", "stays", "stationary"])
+def test_a_derived_field_is_no_input(name):
+    # rows and law come from the weights alone, by neither path
+    with pytest.raises(TypeError):
+        TransitionMatrix(TM.window, TM.weights, TM.loops, TM.k, **{name: getattr(TM, name)})
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(TM, **{name: getattr(TM, name)})
+
+
+# writes into a built kernel, each of which would leave it malformed
+IN_PLACE_WRITES = {
+    "hub_row zeroed": lambda tm: np.copyto(tm.hub_row, 0.0),
+    "hub_row halved": lambda tm: np.multiply(tm.hub_row, 0.5, out=tm.hub_row),
+    "active flag cleared": lambda tm: operator.setitem(tm.active, tm.index(1), False),
+    "stay set to 1": lambda tm: operator.setitem(tm.stays, 1, 1.0),
+    "stay deleted": lambda tm: operator.delitem(tm.stays, 1),
+    "weight changed": lambda tm: operator.setitem(tm.weights, 1, 5.0),
+    "weight added": lambda tm: operator.setitem(tm.weights, 2, 0.5),
+    "law zeroed": lambda tm: np.copyto(tm.stationary.probabilities, 0.0),
+    "law entry moved": lambda tm: operator.setitem(tm.stationary.probabilities, -1, 1.0),
+}
+
+
+@pytest.mark.parametrize("write", IN_PLACE_WRITES.values(), ids=IN_PLACE_WRITES.keys())
+def test_a_built_kernel_cannot_be_changed_in_place(write):
+    tm = transition_matrix(SOL, SPEC, GRAPH, 2)
+    with pytest.raises((TypeError, ValueError)):
+        write(tm)
+    assert _key(tm) == _key(TM) and verify_stationary(tm.stationary, tm).passed
+    assert _key(sample_forest(tm, 4, 20, 1)) == _key(sample_forest(TM, 4, 20, 1))
+
+
+SPEC_TAIL = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 0.5}, tail_mass=0.5)
+SPEC_TWO = ActivitySpec(loop_activities={1: 9.0, 2: 9.0}, tail_mass=112.0)
+
+# kernels of each shape: one loop, unvisited window states, a listed tail
+# state, and the symmetric and both asymmetric solutions of two loops
+KERNELS = {
+    "one loop": lambda: TM,
+    "one loop, window 6": lambda: transition_matrix(SOL, SPEC, GRAPH, 6),
+    "listed tail": lambda: transition_matrix(SOL, SPEC_TAIL, graph_from_spec(SPEC_TAIL), 3),
+    **{
+        f"two loops, solution {i}": lambda i=i: transition_matrix(
+            enumerate_solutions(ThreeLoopProblem(9.0, 130.0))[i], SPEC_TWO, graph_from_spec(SPEC_TWO), 4)
+        for i in range(3)
+    },
+}
+
+KERNEL_USERS = {
+    "sample_tree": lambda kernel: sample_tree(kernel, 3, 1),
+    "sample_forest": lambda kernel: sample_forest(kernel, 3, 4, 1),
+    "verify_stationary": lambda kernel: verify_stationary(kernel.stationary, kernel),
+    "irreducible": irreducible,
+    "power_iteration": power_iteration,
+    "matrix_to_csv": matrix_to_csv,
+}
+
+
+@pytest.mark.parametrize("use", KERNEL_USERS.values(), ids=KERNEL_USERS.keys())
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_a_kernel_rebuilt_from_its_weights_is_used_as_the_built_one(kernel, use):
+    tm = kernel()
+    again = TransitionMatrix(tm.window, tm.weights, tm.loops, tm.k)
+    assert _key(use(again)) == _key(use(tm))
 
 
 # a vector argument that is not a vector of reals, or a start that cannot be normalised
