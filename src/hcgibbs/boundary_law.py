@@ -25,7 +25,9 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    _as_kind,
     _as_positive,
+    _items,
     _positive_values,
     _shown,
     check_spec_graph,
@@ -45,21 +47,17 @@ class ReducedSystem:
     """The closed (z_loops, A) system for one parameter point.
 
     A point is the row (z_loops..., A).  linearise is the one evaluation of
-    the defect and its Jacobian at a point or a stack of them; defect,
-    jacobian and residual_at read their part of it (defect and residual_at
-    stop before the Jacobian).  It takes the powers (1 + z, 1 + A)**k in
-    one _pow call and (1 + z)**(k - 1) in a second, and the loop
-    activities and tail_lambda are computed once per system.
+    the defect and its Jacobian at a point or a stack of them; defect and
+    residual_at read the defect and stop before the Jacobian.  It takes
+    the powers (1 + z, 1 + A)**k in one _pow call and (1 + z)**(k - 1) in
+    a second, and the loop activities and tail_lambda are computed once
+    per system.
     """
 
     k: int
     loop_labels: tuple[int, ...]
     loop_lams: tuple[float, ...]
     Lambda: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.loop_labels) + 1
 
     @cached_property
     def tail_lambda(self) -> float:
@@ -115,10 +113,6 @@ class ReducedSystem:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return self._defect(_points(z, A))[2]
 
-    def jacobian(self, z, A) -> np.ndarray:
-        """The Jacobian of linearise at (z, A); shapes as in defect."""
-        return self.linearise(_points(z, A))[1]
-
     def residual_at(self, z, A: float) -> float:
         """Max absolute defect at one point."""
         return float(np.abs(self.defect(z, A)).max())
@@ -160,6 +154,7 @@ def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float],
     """
     system = reduce(spec, graph)
     A = _as_positive(A, "aggregate A")
+    z = dict(_items(z, "z"))
     missing = (set(graph.loops) | set(spec.explicit_tail)) - set(z)
     if missing:
         raise InputError(f"z is missing components for {_shown(sorted(missing))}")
@@ -180,7 +175,7 @@ def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int,
     given, unchecked.
     """
     require_finite(spec)
-    if set(solution.loop_z) != set(spec.loop_activities):
+    if set(_as_kind(solution, BoundaryLawSolution, "solution").loop_z) != set(spec.loop_activities):
         raise InputError(
             f"solution labels {_shown(sorted(solution.loop_z))} do not match spec loops "
             f"{_shown(sorted(spec.loop_activities))}"

@@ -52,6 +52,7 @@ from .model import (
     AdmissibilityGraph,
     BoundaryLawSolution,
     _as_int,
+    _as_kind,
     _as_nonnegative,
     _as_positive,
     _items,
@@ -206,16 +207,6 @@ class TransitionMatrix(_OnWindow):
             P[pos] = row
         return P
 
-    def entry(self, i, j) -> float:
-        """P[i, j], read from the structural form."""
-        r, c = self.index(i), self.index(j)
-        if r == self.window:
-            return float(self.hub_row[c])
-        stay = self.stays.get(self.states[r], 0.0)
-        if c == r:
-            return float(stay)
-        return float(1.0 - stay) if c == self.window else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryDistribution(_OnWindow):
@@ -231,9 +222,6 @@ class StationaryDistribution(_OnWindow):
         p, n = self.probabilities, len(self.states)
         if not (isinstance(p, np.ndarray) and p.dtype == float and p.shape == (n,)):
             raise ShapeMismatch(f"probabilities must be a float array of {n} entries, one per state")
-
-    def probability(self, label) -> float:
-        return float(self.probabilities[self.index(label)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,12 +248,12 @@ def _window_weights(
 ) -> tuple[int, dict]:
     """The window as an int (minimal_window(spec) when None) and the weights
     lambda*z of the listed states, then of TAIL when the spec has unlisted
-    mass.  Checks, in order: the window, the spec/graph pairing, the labels
+    mass.  Checks, in order: the spec/graph pairing, the window, the labels
     (relabel_solution), a finite total, A and the loop z, the residual, and
     each tail z lambda/(1+A)^k; the kernel checks the window's cover.
     """
-    window = _as_window(minimal_window(spec) if window is None else window)
     check_spec_graph(spec, graph)
+    window = _as_window(minimal_window(spec) if window is None else window)
     solution = relabel_solution(solution, graph)
     system = reduce(spec, graph)
     A = _as_positive(solution.A, "aggregate A")
@@ -303,7 +291,7 @@ def transition_matrix(
 
 def minimal_window(spec: ActivitySpec) -> int:
     """Smallest window covering every listed spin."""
-    return max(abs(lab) for lab in spec.listed())
+    return max(abs(lab) for lab in _as_kind(spec, ActivitySpec, "spec").listed())
 
 
 def stationary_closed_form(
@@ -318,9 +306,7 @@ def stationary_closed_form(
 
 def _as_transition_matrix(P) -> TransitionMatrix:
     """P, if it is a TransitionMatrix; the one check of what a kernel is."""
-    if not isinstance(P, TransitionMatrix):
-        raise InputError(f"kernel must be a TransitionMatrix, got {type(P).__name__}")
-    return P
+    return _as_kind(P, TransitionMatrix, "kernel")
 
 
 def _as_vector(X) -> np.ndarray:
@@ -472,8 +458,7 @@ def matrix_to_csv(tm: TransitionMatrix) -> str:
 
 def distribution_to_csv(sd: StationaryDistribution) -> str:
     """CSV text: header of state labels, then the probability row."""
-    if not isinstance(sd, StationaryDistribution):
-        raise InputError(f"distribution must be a StationaryDistribution, got {type(sd).__name__}")
+    sd = _as_kind(sd, StationaryDistribution, "distribution")
     lines = [",".join(_label_str(lab) for lab in sd.states)]
     lines.append(",".join(_fmt(v) for v in sd.probabilities))
     return "\n".join(lines) + "\n"

@@ -114,6 +114,14 @@ def _items(mapping, name: str):
     return mapping.items()
 
 
+def _as_kind(value, kind: type, name: str):
+    """value, if it is an instance of kind; InputError naming the argument if not."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_activity(label, value) -> tuple[int, float]:
     label = _as_int(label, "spin label")
     if label == 0:
@@ -199,11 +207,14 @@ class AdmissibilityGraph:
 
 
 def graph_from_spec(spec: ActivitySpec) -> AdmissibilityGraph:
-    return AdmissibilityGraph(tuple(spec.loop_activities))
+    return AdmissibilityGraph(tuple(_as_kind(spec, ActivitySpec, "spec").loop_activities))
 
 
 def check_spec_graph(spec: ActivitySpec, graph: AdmissibilityGraph) -> None:
-    """Raise unless the spec's loop set and the graph's loop set agree."""
+    """Raise unless spec is an ActivitySpec, graph an AdmissibilityGraph and
+    their loop sets agree."""
+    _as_kind(spec, ActivitySpec, "spec")
+    _as_kind(graph, AdmissibilityGraph, "graph")
     if set(spec.loop_activities) != set(graph.loops):
         raise InputError(
             f"spec loops {_shown(sorted(spec.loop_activities))} do not match graph loops "
@@ -254,6 +265,8 @@ def relabel_solution(solution: BoundaryLawSolution, graph: AdmissibilityGraph) -
     i-th canonical label maps to the i-th smallest actual label.  A solution
     already carrying the graph's labels passes through unchanged.
     """
+    _as_kind(solution, BoundaryLawSolution, "solution")
+    _as_kind(graph, AdmissibilityGraph, "graph")
     if set(solution.loop_z) == set(graph.loops):
         return solution
     canonical = tuple(range(1, len(graph.loops) + 1))
@@ -337,6 +350,7 @@ def _key_label(key, name: str) -> int:
 
 
 def spec_to_json(spec: ActivitySpec) -> dict:
+    _as_kind(spec, ActivitySpec, "spec")
     return {
         "k": spec.k,
         "loops": {_label_text(lab): val for lab, val in sorted(spec.loop_activities.items())},
@@ -348,4 +362,4 @@ def spec_to_json(spec: ActivitySpec) -> dict:
 
 def require_finite(spec: ActivitySpec) -> float:
     """Total activity of a spec, read by _as_total."""
-    return _as_total(spec.total_activity())
+    return _as_total(_as_kind(spec, ActivitySpec, "spec").total_activity())

@@ -51,7 +51,16 @@ from .chain import (
     transition_matrix,  # unused here, but bench/tracing.py patches this name
 )
 from .errors import InputError
-from .model import ActivitySpec, AdmissibilityGraph, _as_int, _as_nonnegative, _items, _shown
+from .model import (
+    ActivitySpec,
+    AdmissibilityGraph,
+    _as_int,
+    _as_kind,
+    _as_nonnegative,
+    _items,
+    _shown,
+    check_spec_graph,
+)
 
 _KEY_SPACE = 1 << 128
 
@@ -107,20 +116,14 @@ def level_sizes(k: int, depth: int) -> list[int]:
 def parent_array(k: int, depth: int) -> np.ndarray:
     """Breadth-first parent index of every vertex; the root gets -1.
 
-    The root's children occupy indices 1..k+1; below that, the i-th vertex
-    of a level (0-based) is the parent of positions k*i..k*i+k-1 of the
-    next level.
+    The root's children occupy indices 1..k+1, and every later vertex v is
+    one of the k children of vertex 1 + (v-k-2)//k.
     """
-    sizes = level_sizes(k, depth)
-    parents = np.full(sum(sizes), -1, dtype=np.int64)
-    offset = 1
-    prev_offset = 0
-    for d in range(1, depth + 1):
-        size = sizes[d]
-        within = np.arange(size)
-        parents[offset : offset + size] = prev_offset + (0 if d == 1 else within // k)
-        prev_offset = offset
-        offset += size
+    k, depth, n = _tree_shape(k, depth)
+    parents = np.zeros(n, dtype=np.int64)
+    parents[0] = -1
+    if depth > 1:
+        parents[k + 2 :] = 1 + np.arange(n - k - 2) // k
     return parents
 
 
@@ -345,6 +348,7 @@ def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     that is, when the parent's mate is the child or -1, or the child is the
     hub.
     """
+    sample, graph = _as_kind(sample, TreeSample, "sample"), _as_kind(graph, AdmissibilityGraph, "graph")
     edges = len(sample.index) - 1
     if edges == 0:
         return 1.0
@@ -387,12 +391,21 @@ def _tally(samples, level: int | None = None) -> dict:
     return counts
 
 
+def _as_samples(samples) -> list:
+    """The samples as a nonempty list, each read as a TreeSample."""
+    try:
+        samples = list(samples)
+    except TypeError:
+        raise InputError(f"samples must be iterable, got {type(samples).__name__}") from None
+    if not samples:
+        raise InputError("no samples")
+    return [_as_kind(sample, TreeSample, "sample") for sample in samples]
+
+
 def level_counts(samples, level: int) -> dict:
     """Spin counts over the vertices at one depth level of every sample."""
     level = _as_int(level, "level", 0)
-    if not samples:
-        raise InputError("no samples")
-    reaching = [sample for sample in samples if level <= sample.depth]
+    reaching = [sample for sample in _as_samples(samples) if level <= sample.depth]
     if not reaching:
         raise InputError(f"no sample reaches level {_shown(level)}")
     return _tally(reaching, level)
@@ -400,9 +413,7 @@ def level_counts(samples, level: int) -> dict:
 
 def empirical_marginal(samples) -> dict:
     """Relative spin frequencies over all vertices of all samples."""
-    if not samples:
-        raise InputError("no samples")
-    counts = _tally(samples)
+    counts = _tally(_as_samples(samples))
     total = sum(counts.values())
     return {lab: c / total for lab, c in counts.items()}
 
@@ -430,8 +441,10 @@ def marginal_tv(empirical: dict, dist) -> float:
     return 0.5 * math.fsum(abs(empirical.get(lab, 0.0) - target.get(lab, 0.0)) for lab in labels)
 
 
-def _oracle_alphabet(spec: ActivitySpec) -> tuple[list, dict]:
-    """Spin alphabet and activity table for brute-force enumeration."""
+def _oracle_alphabet(spec: ActivitySpec, graph: AdmissibilityGraph) -> tuple[list, dict]:
+    """Spin alphabet and activity table for brute-force enumeration, of a
+    spec and a graph that check_spec_graph pairs."""
+    check_spec_graph(spec, graph)
     activity = {0: 1.0}
     for lab, lam in sorted(spec.listed().items()):
         activity[lab] = lam
@@ -456,17 +469,18 @@ def finite_gibbs_oracle(
     probability of an admissible configuration is proportional to the
     product of its activities; inadmissible ones are dropped.  boundary
     optionally pins leaf vertices (breadth-first indices at the last level)
-    to fixed spins.  Raises TooLarge beyond the enumeration caps.
+    to fixed spins.  The graph must carry the spec's loops
+    (check_spec_graph).  Raises TooLarge beyond the enumeration caps.
     """
-    alphabet, activity = _oracle_alphabet(spec)
+    alphabet, activity = _oracle_alphabet(spec, graph)
     depth = _as_int(depth, "enumeration depth", 0, most=_MAX_DEPTH)
     n = _as_int(num_vertices(spec.k, depth), "enumerated vertices", most=_MAX_VERTICES)
     parents = parent_array(spec.k, depth)
     leaf_start = level_slices(spec.k, depth)[depth].start
 
     pinned: dict[int, object] = {}
-    if boundary:
-        for v, s in boundary.items():
+    if boundary is not None:
+        for v, s in _items(boundary, "boundary"):
             v = _as_int(v, "boundary vertex")
             if not leaf_start <= v < n:
                 raise InputError(f"boundary vertex {_shown(v)} is not a leaf index")
@@ -504,8 +518,12 @@ def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neigh
     adjacency indicators with each neighbour, renormalized.  The hub is
     adjacent to everything, so the conditional always exists.
     """
-    alphabet, activity = _oracle_alphabet(spec)
-    neighbors = list(neighbor_spins)
+    alphabet, activity = _oracle_alphabet(spec, graph)
+    try:
+        neighbors = list(neighbor_spins)
+    except TypeError:
+        kind = type(neighbor_spins).__name__
+        raise InputError(f"neighbour spins must be iterable, got {kind}") from None
     for s in neighbors:
         if s not in alphabet:
             raise InputError(f"neighbour spin {_shown(s)} is not in the alphabet")

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from . import two_loop
 from .boundary_law import ReducedSystem
-from .errors import DomainError, InputError
-from .model import ActivitySpec, BoundaryLawSolution, RegimeReport, _as_float, _as_positive
+from .errors import DomainError
+from .model import BoundaryLawSolution, RegimeReport, _as_float, _as_kind, _as_positive
 from .rootfind import refine, root_right
 
 LAMBDA_STAR = 49.0 / 9.0
@@ -42,24 +42,10 @@ _COUNTS = {"i": 3, "ii": 1, "iii": 3, "iv": 5, "v": 3, "vi": 1}
 
 
 @dataclass(frozen=True)
-class ThreeLoopProblem:
+class ThreeLoopProblem(two_loop._LoopProblem):
     """Parameters of a two-nonzero-loop instance with equal loop activities."""
 
-    lam: float
-    Lambda: float
-
-    def __post_init__(self) -> None:
-        two_loop._check_problem(self, "lam", 2)
-
-    @classmethod
-    def from_spec(cls, spec: ActivitySpec) -> "ThreeLoopProblem":
-        (lam_a, lam_b), Lambda = two_loop._spec_loops(spec, 2)
-        if lam_a != lam_b:
-            raise InputError(
-                f"closed-form solver needs equal loop activities, got {lam_a} and {lam_b}; "
-                "the numerical oracle handles the general case"
-            )
-        return cls(lam=lam_a, Lambda=Lambda)
+    loops = 2
 
 
 def thresholds(lam: float) -> tuple[float, float]:
@@ -158,6 +144,7 @@ def solve_asymmetric(problem: ThreeLoopProblem) -> list[float]:
     two in iv, the double root at the critical point x3 once in v, none in
     ii and vi (see _regime).
     """
+    problem = _as_kind(problem, ThreeLoopProblem, "problem")
     lam, Lambda = problem.lam, problem.Lambda
     case, Lambda1, Lambda2 = _regime(lam, Lambda)
     if case in ("ii", "vi"):
@@ -186,13 +173,14 @@ def solve_symmetric(problem: ThreeLoopProblem) -> BoundaryLawSolution:
     boundary law.  It is the only symmetric one below a loop activity of
     about 33.55; past that there can be three, and this returns one of them
     or raises NumericalFailure (see two_loop.solve_loop_aggregate)."""
-    return two_loop._loop_solution(problem.lam, problem.Lambda, 2, ("symmetric", "symmetric"))
+    return two_loop._loop_solution(_as_kind(problem, ThreeLoopProblem, "problem"), ("symmetric",) * 2)
 
 
 def enumerate_solutions(problem: ThreeLoopProblem) -> list[BoundaryLawSolution]:
     """Every translation-invariant boundary law: symmetric first, then the
     asymmetric pairs (each aggregate root contributes a solution and its
     label swap)."""
+    problem = _as_kind(problem, ThreeLoopProblem, "problem")
     system = ReducedSystem(k=2, loop_labels=(1, 2), loop_lams=(problem.lam, problem.lam),
                            Lambda=problem.Lambda)
     out = [solve_symmetric(problem)]
@@ -208,7 +196,7 @@ def enumerate_solutions(problem: ThreeLoopProblem) -> list[BoundaryLawSolution]:
 
 def classify(problem: ThreeLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:
     """Solution count and regime case (see _regime) of a two-loop instance; 0 when divergent."""
-    report = two_loop._divergent_report(problem, "lam", divergent)
+    report = two_loop._divergent_report(problem, ThreeLoopProblem, divergent)
     if report is not None:
         return report
     case, Lambda1, Lambda2 = _regime(problem.lam, problem.Lambda)

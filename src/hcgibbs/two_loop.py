@@ -30,6 +30,7 @@ from .model import (
     BoundaryLawSolution,
     RegimeReport,
     _as_float,
+    _as_kind,
     _as_positive,
     _as_total,
     _shown,
@@ -38,43 +39,45 @@ from .model import (
 from .rootfind import root_right
 
 
-def _check_problem(problem, lam_field: str, mult: int) -> None:
-    """Check a problem with mult equal loops and store its activities as
-    floats: the loop activity (field lam_field) positive and finite, Lambda
-    read by _as_total and at least mult times it."""
-    lam = _as_positive(getattr(problem, lam_field), "loop activity")
-    Lambda = _as_total(problem.Lambda)
-    if Lambda < mult * lam:
-        raise InputError(f"total activity {Lambda} must be >= {mult} times the loop activity {lam}")
-    object.__setattr__(problem, lam_field, lam)
-    object.__setattr__(problem, "Lambda", Lambda)
-
-
-def _spec_loops(spec: ActivitySpec, n: int) -> tuple[tuple[float, ...], float]:
-    """The n loop activities and the total activity of a spec that a
-    closed-form solver for n loops can take."""
-    lams = tuple(spec.loop_activities.values())
-    if spec.k != 2:
-        raise InputError(f"closed-form solver requires tree order k = 2, got k = {_shown(spec.k)}")
-    if len(lams) != n:
-        raise InputError(f"closed-form solver needs {n} nonzero loop(s), got {len(lams)}")
-    return lams, require_finite(spec)
-
-
 @dataclass(frozen=True)
-class TwoLoopProblem:
-    """Parameters of a single-nonzero-loop instance: lam1 > 0, Lambda >= lam1."""
+class _LoopProblem:
+    """An instance of the class's `loops` equal loop activities lam > 0 and a
+    total activity Lambda >= loops * lam, read by _as_positive and _as_total."""
 
-    lam1: float
+    lam: float
     Lambda: float
 
     def __post_init__(self) -> None:
-        _check_problem(self, "lam1", 1)
+        lam = _as_positive(self.lam, "loop activity")
+        Lambda = _as_total(self.Lambda)
+        if Lambda < self.loops * lam:
+            raise InputError(
+                f"total activity {Lambda} must be >= {self.loops} times the loop activity {lam}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "Lambda", Lambda)
 
     @classmethod
-    def from_spec(cls, spec: ActivitySpec) -> "TwoLoopProblem":
-        (lam1,), Lambda = _spec_loops(spec, 1)
-        return cls(lam1=lam1, Lambda=Lambda)
+    def from_spec(cls, spec: ActivitySpec):
+        """The instance of a spec of order k = 2, `loops` equal loops and a finite total."""
+        lams = tuple(_as_kind(spec, ActivitySpec, "spec").loop_activities.values())
+        if spec.k != 2:
+            raise InputError(f"closed-form solver requires tree order k = 2, got k = {_shown(spec.k)}")
+        if len(lams) != cls.loops:
+            raise InputError(f"closed-form solver needs {cls.loops} nonzero loop(s), got {len(lams)}")
+        Lambda = require_finite(spec)
+        if lams[0] != lams[-1]:
+            raise InputError(
+                f"closed-form solver needs equal loop activities, got {lams[0]} and {lams[-1]}; "
+                "the numerical oracle handles the general case"
+            )
+        return cls(lams[0], Lambda)
+
+
+@dataclass(frozen=True)
+class TwoLoopProblem(_LoopProblem):
+    """Parameters of a single-nonzero-loop instance: lam > 0, Lambda >= lam."""
+
+    loops = 1
 
 
 # how far below zero x^2 - 4 lam may round at the branch point x = 2 sqrt(lam),
@@ -231,10 +234,11 @@ def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, f
     return found[0]
 
 
-def _loop_solution(lam: float, Lambda: float, mult: int, branches: tuple[str, str]):
-    """The BoundaryLawSolution with mult equal loops (canonical labels
-    1..mult) at the aggregate root of solve_loop_aggregate; branches names
+def _loop_solution(problem: _LoopProblem, branches: tuple[str, str]):
+    """The BoundaryLawSolution of the problem's equal loops (canonical labels
+    1..loops) at the aggregate root of solve_loop_aggregate; branches names
     the z_plus and the z_minus branch."""
+    lam, Lambda, mult = problem.lam, problem.Lambda, problem.loops
     A, z, sign = solve_loop_aggregate(lam, Lambda, mult)
     labels = tuple(range(1, mult + 1))
     system = ReducedSystem(k=2, loop_labels=labels, loop_lams=(lam,) * mult, Lambda=Lambda)
@@ -248,21 +252,19 @@ def solve_unique(problem: TwoLoopProblem) -> BoundaryLawSolution:
     single-loop instance.  It is the only one below a loop activity of
     about 9.27; past that there can be three, and this returns one of them
     or raises NumericalFailure (see solve_loop_aggregate)."""
-    return _loop_solution(problem.lam1, problem.Lambda, 1, ("two-loop-f", "two-loop-g"))
+    return _loop_solution(_as_kind(problem, TwoLoopProblem, "problem"), ("two-loop-f", "two-loop-g"))
 
 
-def _divergent_report(problem, lam_field: str, divergent: bool) -> RegimeReport | None:
-    """The count-0 report of divergent input, with the problem's loop activity
-    (field lam_field) when given; None when there is a problem to classify."""
-    if divergent:
-        lam = None if problem is None else getattr(problem, lam_field)
-        return RegimeReport(lam, None, None, None, count=0, case_label="divergent")
-    if problem is None:
+def _divergent_report(problem, kind: type, divergent: bool) -> RegimeReport | None:
+    """The count-0 report of divergent input, with the loop activity of the
+    problem (of the given kind) when given; None when there is one to classify."""
+    if problem is None and not divergent:
         raise InputError("classify needs a problem unless divergent=True")
-    return None
+    lam = None if problem is None else _as_kind(problem, kind, "problem").lam
+    return RegimeReport(lam, None, None, None, count=0, case_label="divergent") if divergent else None
 
 
 def classify(problem: TwoLoopProblem | None = None, *, divergent: bool = False) -> RegimeReport:
     """Solution count for the single-loop graph: 1 when finite, 0 when divergent."""
-    return _divergent_report(problem, "lam1", divergent) or RegimeReport(
-        problem.lam1, problem.Lambda, None, None, count=1, case_label="unique")
+    return _divergent_report(problem, TwoLoopProblem, divergent) or RegimeReport(
+        problem.lam, problem.Lambda, None, None, count=1, case_label="unique")

@@ -19,7 +19,7 @@ def test_reduce_fields():
     assert sys_.loop_lams == (1.0,)
     assert sys_.Lambda == pytest.approx(2.0)
     assert sys_.tail_lambda == pytest.approx(1.0)
-    assert sys_.dim == 2
+    assert sys_.defect([0.5], 0.5).shape == (2,)  # the unknowns (z_1, A)
 
 
 def test_reduce_divergent_raises():
@@ -69,7 +69,7 @@ def test_jacobian_matches_finite_differences():
     )
     z = np.array([0.7, 1.3])
     A = 0.9
-    J = sys_.jacobian(z, A)
+    J = sys_.linearise(np.append(z, A))[1]
     eps = 1e-7
 
     def defect_vec(v):
@@ -93,7 +93,7 @@ def test_stacked_map_matches_scalar_arithmetic():
         Z = 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, len(lams)))
         A = 10.0 ** rng.uniform(-3.0, 3.0, size=2000)
         D = sys_.defect(Z, A)
-        J = sys_.jacobian(Z, A)
+        J = sys_.linearise(np.column_stack([Z, A]))[1]
         for i in range(0, 2000, 7):
             z, a = [float(v) for v in Z[i]], float(A[i])
             q = (1.0 + a) ** 2
@@ -101,10 +101,11 @@ def test_stacked_map_matches_scalar_arithmetic():
             want.append(a - sum(z) - sys_.tail_lambda / q)
             assert D[i].tolist() == want
             assert sys_.defect(z, a).tolist() == want
-            assert np.array_equal(J[i], sys_.jacobian(z, a))
+            assert np.array_equal(J[i], sys_.linearise([*z, a])[1])
         # an empty stack is a stack too
         assert sys_.defect(Z[:0], A[:0]).shape == (0, len(lams) + 1)
-        assert sys_.jacobian(Z[:0], A[:0]).shape == (0, len(lams) + 1, len(lams) + 1)
+        J = sys_.linearise(np.column_stack([Z[:0], A[:0]]))[1]
+        assert J.shape == (0, len(lams) + 1, len(lams) + 1)
 
 
 @pytest.mark.parametrize("labels", [(2,), (1, 2), ()])

@@ -68,22 +68,27 @@ def test_row_sums_exact():
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
+def _P(tm, i, j):
+    """The entry of the dense reference tm.matrix from state i to state j."""
+    return tm.matrix[tm.index(i), tm.index(j)]
+
+
 def test_non_loop_rows_step_to_hub():
     tm = transition_matrix(SOL, SPEC, GRAPH, 3)
     for lab in (-3, -2, -1, 2, 3, TAIL):
-        assert tm.entry(lab, 0) == 1.0
+        assert _P(tm, lab, 0) == 1.0
         row = tm.matrix[tm.index(lab)]
         assert row.sum() == 1.0
 
 
 def test_loop_row_two_entries_sum_exactly():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    assert tm.entry(1, 1) + tm.entry(1, 0) == 1.0
-    assert tm.entry(1, 2) == 0.0
+    assert _P(tm, 1, 1) + _P(tm, 1, 0) == 1.0
+    assert _P(tm, 1, 2) == 0.0
     for sol in SOLS2:
         tm2 = transition_matrix(sol, SPEC2, GRAPH2, 2)
         for lab in (1, 2):
-            assert tm2.entry(lab, lab) + tm2.entry(lab, 0) == 1.0
+            assert _P(tm2, lab, lab) + _P(tm2, lab, 0) == 1.0
 
 
 def test_hub_row_proportional_to_weights():
@@ -91,21 +96,11 @@ def test_hub_row_proportional_to_weights():
     z1 = SOL.loop_z[1]
     q = (1.0 + SOL.A) ** 2
     w2 = 0.5 * (0.5 / q)  # activity of state 2 times its boundary-law value
-    assert tm.entry(0, 1) / tm.entry(0, 0) == pytest.approx(1.0 * z1, rel=1e-12)
-    assert tm.entry(0, 2) / tm.entry(0, 0) == pytest.approx(w2, rel=1e-12)
-    assert tm.entry(0, TAIL) / tm.entry(0, 0) == pytest.approx(0.5 * (0.5 / q), rel=1e-12)
-    assert tm.entry(0, -1) == 0.0
-    assert tm.entry(0, -2) == 0.0
-
-
-def test_entry_reads_the_structural_form():
-    spec = ActivitySpec(loop_activities={-2: 9.0, 3: 9.0}, explicit_tail={1: 2.0}, tail_mass=110.0)
-    kernels = [transition_matrix(SOL, SPEC, GRAPH, 3)]
-    kernels += [transition_matrix(sol, spec, graph_from_spec(spec), 4) for sol in SOLS2]
-    for tm in kernels:
-        entries = np.array([[tm.entry(i, j) for j in tm.states] for i in tm.states])
-        assert "matrix" not in tm.__dict__
-        assert entries.tobytes() == tm.matrix.tobytes()
+    assert _P(tm, 0, 1) / _P(tm, 0, 0) == pytest.approx(1.0 * z1, rel=1e-12)
+    assert _P(tm, 0, 2) / _P(tm, 0, 0) == pytest.approx(w2, rel=1e-12)
+    assert _P(tm, 0, TAIL) / _P(tm, 0, 0) == pytest.approx(0.5 * (0.5 / q), rel=1e-12)
+    assert _P(tm, 0, -1) == 0.0
+    assert _P(tm, 0, -2) == 0.0
 
 
 def test_stationary_closed_form_verifies():
@@ -128,7 +123,7 @@ def test_symmetric_branch_balances_loops():
     sym = [s for s in SOLS2 if s.loop_z[1] == s.loop_z[2]]
     assert len(sym) == 1
     sd = stationary_closed_form(sym[0], SPEC2, GRAPH2)
-    assert sd.probability(1) == sd.probability(2)
+    assert sd.probabilities[sd.index(1)] == sd.probabilities[sd.index(2)]
 
 
 def test_uniform_vector_is_not_stationary():
@@ -203,14 +198,14 @@ def test_window_enlargement_appends_zeros():
     small = stationary_closed_form(SOL, SPEC, GRAPH, 2)
     large = stationary_closed_form(SOL, SPEC, GRAPH, 5)
     for lab in (-2, -1, 0, 1, 2, TAIL):
-        assert large.probability(lab) == small.probability(lab)
+        assert large.probabilities[large.index(lab)] == small.probabilities[small.index(lab)]
     for lab in (-5, -4, -3, 3, 4, 5):
-        assert large.probability(lab) == 0.0
+        assert large.probabilities[large.index(lab)] == 0.0
     tm_small = transition_matrix(SOL, SPEC, GRAPH, 2)
     tm_large = transition_matrix(SOL, SPEC, GRAPH, 5)
     for a in (-2, -1, 0, 1, 2, TAIL):
         for b in (-2, -1, 0, 1, 2, TAIL):
-            assert tm_large.entry(a, b) == tm_small.entry(a, b)
+            assert _P(tm_large, a, b) == _P(tm_small, a, b)
 
 
 def test_window_too_small():
@@ -234,11 +229,11 @@ def test_relabel_for_shifted_loop():
     spec = ActivitySpec(loop_activities={5: 1.0}, tail_mass=1.0)
     graph = graph_from_spec(spec)
     tm = transition_matrix(SOL, spec, graph, 5)  # canonical labels map onto loop 5
-    assert tm.entry(5, 5) > 0.0
-    assert tm.entry(5, 5) + tm.entry(5, 0) == 1.0
+    assert _P(tm, 5, 5) > 0.0
+    assert _P(tm, 5, 5) + _P(tm, 5, 0) == 1.0
     sd = stationary_closed_form(SOL, spec, graph)
     assert sd.window == 5
-    assert sd.probability(5) > 0.0
+    assert sd.probabilities[sd.index(5)] > 0.0
     assert verify_stationary(sd, tm).passed
 
 
@@ -306,10 +301,10 @@ def test_stationary_index_validation():
     assert sd.index(TAIL) == 5
     assert sd.index(-2) == 0
     assert sd.index(2) == 4
-    assert sd.probability(TAIL) == sd.probabilities[5]
+    assert sd.probabilities[sd.index(TAIL)] == sd.probabilities[5]
     for label in (-5, -3, 3, 5, "hub", True):
         with pytest.raises(InputError):
-            sd.probability(label)
+            sd.probabilities[sd.index(label)]
 
 
 def test_csv_round_trip():

@@ -117,6 +117,16 @@ def test_parent_array_layout():
         sl = slices[d]
         prev = slices[d - 1]
         assert all(prev.start <= p < prev.stop for p in parents[sl])
+    # a breadth-first walk: the root parents the next k + 1 vertices, and
+    # every later vertex, in order, the next k
+    for k in range(1, 5):
+        for depth in range(6):
+            want = [-1]
+            for parent in range(num_vertices(k, depth)):
+                if len(want) == num_vertices(k, depth):
+                    break
+                want += [parent] * (k + (parent == 0))
+            assert parent_array(k, depth).tolist() == want
 
 
 def test_sampling_is_deterministic():
@@ -166,11 +176,11 @@ def test_forest_levels_pass_chi_square(forest):
         n = sum(counts.values())
         assert n == 200 * level_sizes(2, 10)[level]
         assert n >= 10_000
-        labels = [lab for lab in sd.states if sd.probability(lab) * n >= 5.0]
+        labels = [lab for lab in sd.states if sd.probabilities[sd.index(lab)] * n >= 5.0]
         # nothing outside the positive-probability states may ever appear
         assert set(counts) <= set(labels)
         f_obs = [counts.get(lab, 0) for lab in labels]
-        f_exp = [sd.probability(lab) * n for lab in labels]
+        f_exp = [sd.probabilities[sd.index(lab)] * n for lab in labels]
         res = stats.chisquare(f_obs, f_exp)
         assert res.pvalue >= 0.01
 
