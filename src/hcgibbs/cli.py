@@ -81,30 +81,17 @@ def _json_chunks(obj, indent: str = ""):
 
     Dicts, and lists that hold a container or _Encoded text, get
     json.dumps(indent=2)'s layout of one item a line (_Encoded text stands
-    for the value it encodes and is yielded as it is; a list of nothing
-    else is yielded as runs of its items joined with their separators);
-    every other list goes on one line through the C encoder, which
-    json.dumps bypasses whenever indent is set.  Dict keys are strings, as
-    in every command's output.
+    for the value it encodes and is yielded as it is); every other list
+    goes on one line through the C encoder, which json.dumps bypasses
+    whenever indent is set.  Dict keys are strings, as in every command's
+    output.
     """
     if isinstance(obj, _Encoded):
         yield obj
         return
     inner = indent + "  "
     types = set(map(type, obj)) if isinstance(obj, (list, tuple)) else None
-    if types == {_Encoded}:
-        # a run of encoded rows (a kernel of chain) goes out joined, in
-        # pieces of about one write buffer, not as a chunk per row
-        sep, head = ",\n" + inner, "[\n" + inner
-        batch, size = [], 0
-        for v in obj:
-            if size >= _OUT_BUFFER:
-                yield head + sep.join(batch)
-                head, batch, size = sep, [], 0
-            batch.append(v)
-            size += len(v)
-        yield head + sep.join(batch) + f"\n{indent}]"
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict) and obj:
         sep = "{\n"
         for key, v in obj.items():
             yield f"{sep}{inner}{json.dumps(key)}: "

@@ -114,6 +114,14 @@ def _items(mapping, name: str):
     return mapping.items()
 
 
+def _as_list(value, name: str) -> list:
+    """list(value); InputError naming the argument if it is not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{name} must be iterable, got {type(value).__name__}") from None
+
+
 def _as_kind(value, kind: type, name: str):
     """value, if it is an instance of kind; InputError naming the argument if not."""
     if not isinstance(value, kind):
@@ -184,10 +192,7 @@ class AdmissibilityGraph:
     loops: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            labels = iter(self.loops)
-        except TypeError:
-            raise InputError(f"loops must be iterable, got {type(self.loops).__name__}") from None
+        labels = _as_list(self.loops, "loops")
         loops = tuple(sorted(_as_int(lab, "loop vertex") for lab in labels))
         if not 1 <= len(loops) <= 2:
             raise InputError(f"need one or two nonzero loop vertices, got {len(loops)}")

@@ -56,6 +56,7 @@ from .model import (
     AdmissibilityGraph,
     _as_int,
     _as_kind,
+    _as_list,
     _as_nonnegative,
     _items,
     _shown,
@@ -122,8 +123,7 @@ def parent_array(k: int, depth: int) -> np.ndarray:
     k, depth, n = _tree_shape(k, depth)
     parents = np.zeros(n, dtype=np.int64)
     parents[0] = -1
-    if depth > 1:
-        parents[k + 2 :] = 1 + np.arange(n - k - 2) // k
+    parents[k + 2 :] = 1 + np.arange(n - k - 2) // k
     return parents
 
 
@@ -153,11 +153,10 @@ class TreeSample:
         depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
         k = _as_int(k, "tree order k", 1)
         want = _check_vertex_budget(k, depth, 1)
-        try:
-            spins = tuple(spins)
-        except TypeError:
-            raise InputError(f"spins must be iterable, got {type(spins).__name__}") from None
-        spins = tuple(s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}") for s in spins)
+        spins = tuple(
+            s if s == TAIL else _as_int(s, f"spin other than {TAIL!r}")
+            for s in _as_list(spins, "spins")
+        )
         if len(spins) != want:
             raise InputError(
                 f"depth {depth} on a tree of order {_shown(k)} needs {want} spins, got {len(spins)}"
@@ -393,10 +392,7 @@ def _tally(samples, level: int | None = None) -> dict:
 
 def _as_samples(samples) -> list:
     """The samples as a nonempty list, each read as a TreeSample."""
-    try:
-        samples = list(samples)
-    except TypeError:
-        raise InputError(f"samples must be iterable, got {type(samples).__name__}") from None
+    samples = _as_list(samples, "samples")
     if not samples:
         raise InputError("no samples")
     return [_as_kind(sample, TreeSample, "sample") for sample in samples]
@@ -519,11 +515,7 @@ def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neigh
     adjacent to everything, so the conditional always exists.
     """
     alphabet, activity = _oracle_alphabet(spec, graph)
-    try:
-        neighbors = list(neighbor_spins)
-    except TypeError:
-        kind = type(neighbor_spins).__name__
-        raise InputError(f"neighbour spins must be iterable, got {kind}") from None
+    neighbors = _as_list(neighbor_spins, "neighbour spins")
     for s in neighbors:
         if s not in alphabet:
             raise InputError(f"neighbour spin {_shown(s)} is not in the alphabet")

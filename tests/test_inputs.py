@@ -304,7 +304,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Class.member, that only tests use, each kept as a reference that a test
 # compares against (the test named)
 TEST_ONLY = {
-    "ReducedSystem.tail_lambda": "test_boundary_law.py::test_stacked_map_matches_scalar_arithmetic",
     "TransitionMatrix.matrix": "test_chain.py::test_export_reads_no_dense_matrix",
     "expand": "test_acceptance.py::test_criterion_4_residual_closure",
     "finite_gibbs_oracle": "test_acceptance.py::test_criterion_8_finite_oracle",
@@ -365,13 +364,14 @@ def test_a_public_name_is_used_or_pinned_as_a_test_reference():
     """A public top-level name of the package is used by another function,
     class or statement of the package, by a file under bench/, or by a
     python block of README.md.  A public method or property of a package
-    class, Class.member, is read as an attribute by package code outside
-    its class, by bench/ or by a python block of README.md.  The rest are
-    the pinned test references."""
+    class, Class.member, is read as an attribute by package code, by bench/
+    or by a python block of README.md.  The rest are the pinned test
+    references."""
     public, used = set(), set()
-    members, readers = set(), []  # Class.member; (class or None, attributes) of each statement
+    members, attributes = set(), set()  # Class.member; the names read as obj.name
     for path in sorted(Path(hcgibbs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        attributes |= _attributes(tree)
         relative = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
         # the module's own top-level names and those it imports from the package
         bound = {name for node in tree.body for name in _defined(node)}
@@ -382,19 +382,16 @@ def test_a_public_name_is_used_or_pinned_as_a_test_reference():
             public |= {name for name in _defined(node) if not name.startswith("_")}
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 used |= _package_uses(node, bound, modules) - _defined(node)
-            owner = node.name if isinstance(node, ast.ClassDef) else None
-            readers.append((owner, _attributes(node)))
-            if owner:
-                members |= {f"{owner}.{item.name}" for item in node.body
+            if isinstance(node, ast.ClassDef):
+                members |= {f"{node.name}.{item.name}" for item in node.body
                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
     readme = (ROOT / "README.md").read_text()
     outside = [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").rglob("*.py"))]
     outside += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
     for tree in outside:
         used |= _named(tree)
-        readers.append((None, _attributes(tree)))
-    read = {member for member in members for owner, attributes in readers
-            if owner != member.split(".")[0] and member.split(".")[1] in attributes}
+        attributes |= _attributes(tree)
+    read = {member for member in members if member.split(".")[1] in attributes}
     assert (public - used) | (members - read) == set(TEST_ONLY)
     for name, test in TEST_ONLY.items():
         file, function = test.split("::")
