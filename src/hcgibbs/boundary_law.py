@@ -20,19 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
-from .model import (
-    ActivitySpec,
-    AdmissibilityGraph,
-    BoundaryLawSolution,
-    _as_kind,
-    _as_positive,
-    _items,
-    _positive_values,
-    _shown,
-    check_spec_graph,
-    require_finite,
-)
+from .model import ActivitySpec, AdmissibilityGraph, check_spec_graph, require_finite
 
 
 def _pow(base, k: int):
@@ -144,45 +132,3 @@ def _aggregate_power(A: float, k: int) -> float:
         return (1.0 + A) ** k
     except OverflowError:
         return math.inf
-
-
-def residual(spec: ActivitySpec, graph: AdmissibilityGraph, z: dict[int, float], A: float) -> float:
-    """Max absolute defect of the full listed system at (z, A).
-
-    z must contain every loop and every explicitly listed tail vertex.
-    Unlisted vertices only enter through the aggregate identity.
-    """
-    system = reduce(spec, graph)
-    A = _as_positive(A, "aggregate A")
-    z = dict(_items(z, "z"))
-    missing = (set(graph.loops) | set(spec.explicit_tail)) - set(z)
-    if missing:
-        raise InputError(f"z is missing components for {_shown(sorted(missing))}")
-    z = _positive_values(z, "z")
-    q = _aggregate_power(A, spec.k)
-    tail = (abs(z[lab] - lam / q) for lab, lam in spec.explicit_tail.items())
-    return max([system.residual_at([z[lab] for lab in graph.loops], A), *tail])
-
-
-def expand(solution: BoundaryLawSolution, spec: ActivitySpec) -> tuple[dict[int, float], float]:
-    """Recover every listed boundary-law component plus the unlisted tail mass.
-
-    Returns (z, tail_z_mass): z covers loops and explicit tail vertices,
-    tail_z_mass is the aggregate boundary-law mass of the unlisted states,
-    tail_mass / (1 + A)**k.  The solution must carry the spec's loop
-    labels, and its A is read by _as_positive, else InputError; where
-    (1 + A)**k overflows, the tail z are 0.0.  The loop z are returned as
-    given, unchecked.
-    """
-    require_finite(spec)
-    if set(_as_kind(solution, BoundaryLawSolution, "solution").loop_z) != set(spec.loop_activities):
-        raise InputError(
-            f"solution labels {_shown(sorted(solution.loop_z))} do not match spec loops "
-            f"{_shown(sorted(spec.loop_activities))}"
-        )
-    q = _aggregate_power(_as_positive(solution.A, "aggregate A"), spec.k)
-    z = dict(solution.loop_z)
-    for lab, lam in spec.explicit_tail.items():
-        z[lab] = lam / q
-    return z, spec.tail_mass / q
-

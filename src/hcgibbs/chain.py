@@ -25,9 +25,8 @@ derives its rows and closed-form law from them.  It is stored in its
 structural form: the hub row, one stay probability per loop, and a unit
 step to 0 for every other state.  The sampler draws from that form, export
 encodes the unit row, the hub row and each loop row once, and the
-stationarity check, power iteration and irreducibility read it too: they
-take a TransitionMatrix and nothing else.  Only the matrix attribute, the
-dense reference of the tests, holds a window-squared matrix.
+stationarity check and irreducibility read it too: they take a
+TransitionMatrix and nothing else.  Nothing holds a window-squared matrix.
 
 transition_matrix is the one builder from a solution: it checks the
 solution once, computes its weights over the window and builds the kernel
@@ -40,13 +39,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .boundary_law import _aggregate_power, reduce
-from .errors import InputError, NumericalFailure, ShapeMismatch, WindowTooSmall
+from .errors import InputError, ShapeMismatch, WindowTooSmall
 from .model import (
     ActivitySpec,
     AdmissibilityGraph,
@@ -122,7 +120,6 @@ class TransitionMatrix(_OnWindow):
     row returns the rest to 0, and every other row steps to 0; stationary
     is the closed-form law, (1+S)/d at the hub, (w^2+w)/d at a loop and w/d
     elsewhere, with S the weights' sum and d = 1 + sum of loop w^2 + 2S.
-    matrix, the tests' dense reference, is built from nonunit_rows.
 
     weights is read as a mapping from nonzero ints or TAIL to finite reals
     >= 0 by a type scan and numpy compares, a label off the window being
@@ -198,14 +195,6 @@ class TransitionMatrix(_OnWindow):
             row = np.zeros(len(self.states))
             row[pos], row[self.window] = stay, 1.0 - stay
             yield pos, row
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        P = np.zeros((len(self.states), len(self.states)))
-        P[:, self.window] = 1.0
-        for pos, row in self.nonunit_rows():
-            P[pos] = row
-        return P
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,33 +298,19 @@ def _as_transition_matrix(P) -> TransitionMatrix:
     return _as_kind(P, TransitionMatrix, "kernel")
 
 
-def _as_vector(X) -> np.ndarray:
-    if isinstance(X, StationaryDistribution):
-        return X.probabilities
-    try:
-        arr = np.asarray(X, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"distribution must be a vector of reals, got {type(X).__name__}") from None
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"distribution must be a vector, got shape {arr.shape}")
-    return arr
-
-
 def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
     """Check that X is stationary for the kernel P and normalized, within tol.
 
-    X may be a StationaryDistribution, whose window must be P's, or a
-    plain vector; P must be a TransitionMatrix.  P is multiplied from its
-    structural form, never as the dense matrix.
+    X must be a StationaryDistribution on P's window and P a
+    TransitionMatrix.  P is multiplied from its structural form, never as
+    a dense matrix.
     """
     tol = _as_nonnegative(tol, "tol")
-    x = _as_vector(X)
+    X = _as_kind(X, StationaryDistribution, "distribution")
     P = _as_transition_matrix(P)
-    if isinstance(X, StationaryDistribution) and X.window != P.window:
+    if X.window != P.window:
         raise ShapeMismatch("distribution and matrix are on different state sets")
-    n = len(P.states)
-    if x.shape[0] != n:
-        raise ShapeMismatch(f"distribution has {x.shape[0]} entries but the matrix has {n} states")
+    x = X.probabilities
     max_residual = float(np.max(np.abs(_times_kernel(x, P) - x)))
     sum_error = float(abs(x.sum() - 1.0))
     passed = bool(max_residual <= tol and sum_error <= tol)
@@ -343,7 +318,7 @@ def verify_stationary(X, P, tol: float = 1e-10) -> StationaryReport:
 
 
 def _times_kernel(x: np.ndarray, tm: TransitionMatrix) -> np.ndarray:
-    """x @ tm.matrix in O(states), summed in a fixed order.
+    """x times the dense kernel of tm in O(states), summed in a fixed order.
 
     Off the hub, column j is x[hub] * hub_row[j], plus x[j] * stay at a
     loop.  math.fsum adds the hub column's terms exactly and rounds once,
@@ -382,46 +357,6 @@ def irreducible(P) -> bool:
     )
 
 
-def power_iteration(P, start=None, tol: float = 1e-12, max_iter: int = 10_000):
-    """Iterate x <- x * P on the kernel P until successive total variation falls below tol.
-
-    P must be a TransitionMatrix, multiplied from its structural form.
-    Returns (probabilities, iterations).  The default start is uniform; a
-    supplied start is normalized.  Raises NumericalFailure when max_iter
-    sweeps do not reach the tolerance.
-    """
-    max_iter = _as_int(max_iter, "max_iter", 0)
-    tol = _as_positive(tol, "tol")
-    P = _as_transition_matrix(P)
-    n = len(P.states)
-    if start is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = _as_vector(start).astype(float)
-        if x.shape[0] != n:
-            raise ShapeMismatch(f"start has {x.shape[0]} entries for {n} states")
-        with np.errstate(over="ignore"):  # a sum past double range is refused below
-            mass = x.sum()
-        if np.any(x < 0.0) or not 0.0 < mass < math.inf:  # NaN fails too
-            raise InputError("start vector must be nonnegative with positive finite mass")
-        x /= mass
-    for it in range(1, max_iter + 1):
-        y = _times_kernel(x, P)
-        if total_variation(y, x) < tol:
-            return y, it
-        x = y
-    raise NumericalFailure(f"power iteration did not settle within {max_iter} sweeps")
-
-
-def total_variation(u, v) -> float:
-    """Total variation distance between two probability vectors."""
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"vectors of length {a.shape[0]} and {b.shape[0]}")
-    return float(0.5 * np.abs(a - b).sum())
-
-
 def _fmt(value: float) -> str:
     return "%.17g" % value
 
@@ -431,7 +366,7 @@ def _label_str(label) -> str:
 
 
 def _row_texts(tm: TransitionMatrix, encode) -> list:
-    """encode(row) for each row of tm, without reading the dense matrix.
+    """encode(row) for each row of tm, without building a dense matrix.
 
     encode runs once on the unit step to 0, which every state off the hub
     and the loops shares, and once on each row of tm.nonunit_rows().
@@ -445,15 +380,11 @@ def _row_texts(tm: TransitionMatrix, encode) -> list:
 
 
 def matrix_csv_lines(tm: TransitionMatrix) -> list:
-    """matrix_to_csv's lines, each with its newline; the unit row's text is one shared object."""
+    """CSV lines, each with its newline: a header of state labels, then one
+    row per state.  The unit row's text is one shared object."""
     tm = _as_transition_matrix(tm)
     header = ",".join(_label_str(lab) for lab in tm.states) + "\n"
     return [header] + _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row) + "\n")
-
-
-def matrix_to_csv(tm: TransitionMatrix) -> str:
-    """CSV text: header of state labels, then one row per state."""
-    return "".join(matrix_csv_lines(tm))
 
 
 def distribution_to_csv(sd: StationaryDistribution) -> str:

@@ -354,17 +354,6 @@ def _key_label(key, name: str) -> int:
     raise InputError(f'"{name}" key {_shown(key)} must be an integer label in plain decimal, as "-3"')
 
 
-def spec_to_json(spec: ActivitySpec) -> dict:
-    _as_kind(spec, ActivitySpec, "spec")
-    return {
-        "k": spec.k,
-        "loops": {_label_text(lab): val for lab, val in sorted(spec.loop_activities.items())},
-        "tail": {_label_text(lab): val for lab, val in sorted(spec.explicit_tail.items())},
-        "tail_mass": spec.tail_mass,
-        "divergent": spec.divergent,
-    }
-
-
 def require_finite(spec: ActivitySpec) -> float:
     """Total activity of a spec, read by _as_total."""
     return _as_total(_as_kind(spec, ActivitySpec, "spec").total_activity())

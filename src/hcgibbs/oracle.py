@@ -7,9 +7,7 @@ every random start at once; Newton converges to repelling fixed points of
 the consistency map as readily as to attracting ones, so discovery needs
 no hints.  Hint points (e.g. closed-form solutions) are optional extra
 starts: a genuine hint is confirmed, a wrong one is rejected or pulled onto
-a genuine solution.  fixed_point_iterate keeps the plain damped Picard
-iteration as a single-start instrument; it steps on the same defect
-(ReducedSystem.defect) that Newton reads.
+a genuine solution.
 
 Confirmed points are grouped by one greedy leader rule (_leaders): taken
 in order, a point joins the first earlier leader within a relative
@@ -24,8 +22,6 @@ residual, then by cluster); every other cluster keeps its leader.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +32,7 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
-    _as_float,
     _as_int,
-    _as_positive,
     _shown,
     relabel_solution,
 )
@@ -69,21 +63,6 @@ PITCHFORK_TOL = 5e-2
 
 
 @dataclass(frozen=True)
-class FixedPointResult:
-    """Outcome of one damped-iteration run.
-
-    Converged runs report the accepted point and its residual; failed runs
-    report the final iterate so callers can inspect where the orbit went.
-    """
-
-    converged: bool
-    z: dict[int, float]
-    A: float
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class ClusterPoint:
     """Representative of one cluster of numerically confirmed fixed points."""
 
@@ -98,47 +77,6 @@ class ClusterPoint:
 class MultistartResult:
     count: int
     representatives: tuple[ClusterPoint, ...]
-
-
-def fixed_point_iterate(spec: ActivitySpec, graph: AdmissibilityGraph, init: dict[int, float],
-                        A_init: float, damping: float = 0.5, max_iter: int = 100_000,
-                        tol: float = 1e-11) -> FixedPointResult:
-    """Damped Picard iteration V <- V - theta R(V) on the point V = (z, A).
-
-    R is ReducedSystem.defect, V - F(V), as in _newton; the residual is
-    max |R(V)|.  init maps each loop vertex to a positive starting value;
-    A_init starts the aggregate.  Non-convergence (blow-up, bounded
-    oscillation, or an exhausted budget) is reported in the result, never
-    raised.  An init that already solves the system returns with
-    iterations == 0.  max_iter must be an integer >= 0 and tol a finite
-    number > 0: any other budget or gate could never end the loop.
-    """
-    system = reduce(spec, graph)
-    damping = _as_float(damping, "damping")
-    if not 0.0 < damping <= 1.0:
-        raise InputError(f"damping must lie in (0, 1], got {damping}")
-    max_iter = _as_int(max_iter, "max_iter", 0)
-    tol = _as_positive(tol, "tol")
-    if not isinstance(init, Mapping):
-        raise InputError(f"init must map each loop vertex to a value, got {_shown(init)}")
-    missing = set(system.loop_labels) - set(init)
-    if missing:
-        raise InputError(f"init is missing loop components {_shown(sorted(missing))}")
-    V = np.array([*(_as_positive(init[lab], f"init[{_shown(lab)}]") for lab in system.loop_labels),
-                  _as_positive(A_init, "A_init")])
-    it = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            R = system.defect(V[:-1], V[-1])
-            res = float(np.abs(R).max())
-            # NaN means the orbit left the domain for good (inf - inf)
-            if res < tol or it == max_iter or math.isnan(res):
-                break
-            V = V - damping * R
-            it += 1
-    return FixedPointResult(converged=res < tol,
-                            z={lab: float(v) for lab, v in zip(system.loop_labels, V)},
-                            A=float(V[-1]), iterations=it, residual=res)
 
 
 def _newton(system: ReducedSystem, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,14 +25,10 @@ reproduce any subtree independently, and samples are bit-identical for a
 fixed seed regardless of thread count.  A forest is drawn in blocks of
 trees, level by level: one root draw for the block, then one child draw
 per level over every tree of the block.  Each tree still reads its own
-keyed stream, so the output does not depend on how the trees are grouped,
-and sample_tree is a block of one.  The tail aggregate is sampled as
-the literal symbol "TAIL" and kept unresolved; every unlisted spin behaves
-identically, so statistics treat the aggregate as one state.
-
-A brute-force finite-volume oracle enumerates all admissible configurations
-on tiny trees and returns their exact probabilities, for cross-checking
-conditionals and normalization.
+keyed stream, so the output does not depend on how the trees are
+grouped.  The tail aggregate is sampled as the literal symbol "TAIL" and
+kept unresolved; every unlisted spin behaves identically, so statistics
+treat the aggregate as one state.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .chain import (
 )
 from .errors import InputError
 from .model import (
-    ActivitySpec,
     AdmissibilityGraph,
     _as_int,
     _as_kind,
@@ -60,17 +55,11 @@ from .model import (
     _as_nonnegative,
     _items,
     _shown,
-    check_spec_graph,
 )
 
 _KEY_SPACE = 1 << 128
 
-# enumeration caps for the brute-force oracle
-_MAX_SYMBOLS = 6
-_MAX_DEPTH = 2
-_MAX_VERTICES = 10
-
-# most vertices one sample_tree/sample_forest call may draw, over all trees
+# most vertices one sample_forest call may draw, over all trees
 _MAX_SAMPLE_VERTICES = 2**24
 
 # most vertices sample_forest draws in one block (at least one tree).  Of
@@ -112,19 +101,6 @@ def level_sizes(k: int, depth: int) -> list[int]:
     for d in range(1, depth + 1):
         sizes.append((k + 1) * k ** (d - 1))
     return sizes
-
-
-def parent_array(k: int, depth: int) -> np.ndarray:
-    """Breadth-first parent index of every vertex; the root gets -1.
-
-    The root's children occupy indices 1..k+1, and every later vertex v is
-    one of the k children of vertex 1 + (v-k-2)//k.
-    """
-    k, depth, n = _tree_shape(k, depth)
-    parents = np.zeros(n, dtype=np.int64)
-    parents[0] = -1
-    parents[k + 2 :] = 1 + np.arange(n - k - 2) // k
-    return parents
 
 
 def level_slices(k: int, depth: int) -> list[slice]:
@@ -176,9 +152,6 @@ class TreeSample:
     @cached_property
     def spins(self) -> tuple:
         return tuple(map(self.states.__getitem__, self.index.tolist()))
-
-    def to_json_dict(self) -> dict:
-        return {"depth": self.depth, "seed": self.seed, "spins": list(self.spins)}
 
 
 class _Kernel:
@@ -286,16 +259,6 @@ def _check_vertex_budget(k: int, depth: int, trees: int) -> int:
     return _as_int(trees * num_vertices(k, depth), "sampled vertices", most=_MAX_SAMPLE_VERTICES)
 
 
-def sample_tree(kernel: TransitionMatrix, depth: int, seed: int) -> TreeSample:
-    """Draw one configuration of the given depth from kernel, deterministically in seed."""
-    kernel = _as_transition_matrix(kernel)
-    depth, seed = _as_int(depth, "depth", 0), _as_int(seed, "seed")
-    _check_vertex_budget(kernel.k, depth, 1)
-    table = _Kernel(kernel)
-    idx = _sample_block(table, depth, [seed])[0]
-    return TreeSample._drawn(depth, seed, idx, table.states, table.k)
-
-
 def sample_forest(kernel: TransitionMatrix, depth: int, trees: int,
                   seed: int) -> tuple[TreeSample, ...]:
     """Draw independent trees from kernel; tree t is reproducible from its own seed.
@@ -362,21 +325,18 @@ def edge_admissibility(sample: TreeSample, graph: AdmissibilityGraph) -> float:
     return good / edges
 
 
-def _tally(samples, level: int | None = None) -> dict:
-    """Spin counts over one level, or all vertices, of every sample.
+def _tally(samples) -> dict:
+    """Spin counts over all vertices of every sample.
 
     Labels are keyed in order of first appearance, vertex by vertex, as a
     count that walked every spin would key them.  marginal_tv sums with
     math.fsum, so its value does not depend on that order; the order is
-    kept because README documents it for empirical_marginal and
-    level_counts, and test_vectorised_statistics_match_label_reference
-    pins it.
+    kept because README documents it for empirical_marginal, and
+    test_vectorised_statistics_match_label_reference pins it.
     """
     counts: dict = {}
     for sample in samples:
         idx = sample.index
-        if level is not None:
-            idx = idx[level_slices(sample.k, sample.depth)[level]]
         per_state = np.bincount(idx, minlength=len(sample.states))
         present = np.flatnonzero(per_state).tolist()
         new = [i for i in present if sample.states[i] not in counts]
@@ -396,15 +356,6 @@ def _as_samples(samples) -> list:
     if not samples:
         raise InputError("no samples")
     return [_as_kind(sample, TreeSample, "sample") for sample in samples]
-
-
-def level_counts(samples, level: int) -> dict:
-    """Spin counts over the vertices at one depth level of every sample."""
-    level = _as_int(level, "level", 0)
-    reaching = [sample for sample in _as_samples(samples) if level <= sample.depth]
-    if not reaching:
-        raise InputError(f"no sample reaches level {_shown(level)}")
-    return _tally(reaching, level)
 
 
 def empirical_marginal(samples) -> dict:
@@ -435,93 +386,3 @@ def marginal_tv(empirical: dict, dist) -> float:
     target = _as_marginal(dist)
     labels = set(empirical) | set(target)
     return 0.5 * math.fsum(abs(empirical.get(lab, 0.0) - target.get(lab, 0.0)) for lab in labels)
-
-
-def _oracle_alphabet(spec: ActivitySpec, graph: AdmissibilityGraph) -> tuple[list, dict]:
-    """Spin alphabet and activity table for brute-force enumeration, of a
-    spec and a graph that check_spec_graph pairs."""
-    check_spec_graph(spec, graph)
-    activity = {0: 1.0}
-    for lab, lam in sorted(spec.listed().items()):
-        activity[lab] = lam
-    alphabet = list(activity)
-    if spec.tail_mass > 0.0:
-        alphabet.append(TAIL)
-        activity[TAIL] = spec.tail_mass
-    _as_int(len(alphabet), "enumeration alphabet size", most=_MAX_SYMBOLS)
-    return alphabet, activity
-
-
-def finite_gibbs_oracle(
-    spec: ActivitySpec,
-    graph: AdmissibilityGraph,
-    depth: int,
-    boundary: dict | None = None,
-) -> dict:
-    """Exact configuration probabilities on a tiny tree, by enumeration.
-
-    The alphabet is the hub plus every listed spin, plus the tail symbol
-    when unlisted mass is present (one symbol of activity tail_mass).  The
-    probability of an admissible configuration is proportional to the
-    product of its activities; inadmissible ones are dropped.  boundary
-    optionally pins leaf vertices (breadth-first indices at the last level)
-    to fixed spins.  The graph must carry the spec's loops
-    (check_spec_graph).  Raises TooLarge beyond the enumeration caps.
-    """
-    alphabet, activity = _oracle_alphabet(spec, graph)
-    depth = _as_int(depth, "enumeration depth", 0, most=_MAX_DEPTH)
-    n = _as_int(num_vertices(spec.k, depth), "enumerated vertices", most=_MAX_VERTICES)
-    parents = parent_array(spec.k, depth)
-    leaf_start = level_slices(spec.k, depth)[depth].start
-
-    pinned: dict[int, object] = {}
-    if boundary is not None:
-        for v, s in _items(boundary, "boundary"):
-            v = _as_int(v, "boundary vertex")
-            if not leaf_start <= v < n:
-                raise InputError(f"boundary vertex {_shown(v)} is not a leaf index")
-            if s not in alphabet:
-                raise InputError(f"boundary spin {_shown(s)} is not in the alphabet")
-            pinned[v] = s
-
-    table: dict[tuple, float] = {}
-    config: list = [None] * n
-
-    def assign(v: int, weight: float) -> None:
-        if v == n:
-            table[tuple(config)] = weight
-            return
-        options = (pinned[v],) if v in pinned else alphabet
-        parent_spin = config[parents[v]] if v > 0 else None
-        for s in options:
-            if v > 0 and not graph.adjacency(parent_spin, s):
-                continue
-            config[v] = s
-            assign(v + 1, weight * activity[s])
-        config[v] = None
-
-    assign(0, 1.0)
-    total = sum(table.values())
-    if not total > 0.0:
-        raise InputError("no admissible configuration under the given boundary")
-    return {cfg: w / total for cfg, w in table.items()}
-
-
-def single_site_conditional(spec: ActivitySpec, graph: AdmissibilityGraph, neighbor_spins) -> dict:
-    """Distribution of one spin given its neighbours' spins.
-
-    The weight of candidate i is its activity times the product of
-    adjacency indicators with each neighbour, renormalized.  The hub is
-    adjacent to everything, so the conditional always exists.
-    """
-    alphabet, activity = _oracle_alphabet(spec, graph)
-    neighbors = _as_list(neighbor_spins, "neighbour spins")
-    for s in neighbors:
-        if s not in alphabet:
-            raise InputError(f"neighbour spin {_shown(s)} is not in the alphabet")
-    weights = {}
-    for i in alphabet:
-        if all(graph.adjacency(i, s) for s in neighbors):
-            weights[i] = activity[i]
-    total = sum(weights.values())
-    return {i: w / total for i, w in weights.items()}

@@ -21,14 +21,13 @@ the solution count (1, 3 or 5) off the case, and solve_asymmetric the
 number of asymmetric roots.  All formulas assume k = 2.
 
 h_curve and delta_curve are the symmetric-family branch conditions written
-as functions of the aggregate x = A; they are kept as test instruments.
+as functions of the aggregate x = A; `sweep --emit-curves` prints them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import two_loop
 from .boundary_law import ReducedSystem
@@ -41,7 +40,6 @@ THRESHOLD_RTOL = 1e-9
 _COUNTS = {"i": 3, "ii": 1, "iii": 3, "iv": 5, "v": 3, "vi": 1}
 
 
-@dataclass(frozen=True)
 class ThreeLoopProblem(two_loop._LoopProblem):
     """Parameters of a two-nonzero-loop instance with equal loop activities."""
 

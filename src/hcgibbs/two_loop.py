@@ -12,9 +12,10 @@ branch.  That is not always all of them: past a loop activity of about
 points.  All formulas assume tree order k = 2.
 
 f_curve and g_curve are the same two branch conditions written as quartic
-expressions in x = 1 + A; they are kept as test instruments.  Every such
-curve, here and in three_loop, goes through checked_curve, so a
-non-finite x or a value past double precision raises DomainError.
+expressions in x = 1 + A; `sweep --emit-curves` prints them.  Every such
+curve, here and in three_loop, goes through checked_curve, so an argument
+that is not a real is an InputError, and a non-finite x or a value past
+double precision a DomainError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .model import (
     BoundaryLawSolution,
     RegimeReport,
     _as_float,
+    _as_int,
     _as_kind,
     _as_positive,
     _as_total,
@@ -73,7 +75,6 @@ class _LoopProblem:
         return cls(lams[0], Lambda)
 
 
-@dataclass(frozen=True)
 class TwoLoopProblem(_LoopProblem):
     """Parameters of a single-nonzero-loop instance: lam > 0, Lambda >= lam."""
 
@@ -99,11 +100,13 @@ def _radicand(lam: float, x: float) -> float:
 def checked_curve(curve):
     """A branch-condition curve curve(lam, x, Lambda) with checked arguments and value.
 
-    lam must be positive and x positive and finite; a value that overflows
-    double precision or is otherwise not finite raises DomainError.
+    lam, x and Lambda are read as reals by _as_float; lam must be positive
+    and x positive and finite, and a value that overflows double precision
+    or is otherwise not finite raises DomainError.
     """
     @functools.wraps(curve)
     def checked(lam: float, x: float, Lambda: float) -> float:
+        lam, x, Lambda = _as_float(lam, "lambda"), _as_float(x, "x"), _as_float(Lambda, "Lambda")
         if not (lam > 0.0):
             raise DomainError(f"lambda must be positive, got {lam!r}")
         if not (0.0 < x < math.inf):
@@ -183,12 +186,16 @@ def solve_loop_aggregate(lam: float, Lambda: float, mult: int) -> tuple[float, f
     """One root of the aggregate equation A(1+A)^2 = Lambda + mult*lam*z(2+z).
 
     mult is the number of identical nonzero loop vertices sharing activity
-    lam (1 or 2).  Returns (A, z, sign) where sign is +1 for the z_plus
-    branch and -1 for z_minus.  It looks for one root on one branch; finding
+    lam, an integer 1 or 2, else InputError; lam is read by _as_positive
+    and Lambda by _as_total.  Returns (A, z, sign) where sign is +1 for the
+    z_plus branch and -1 for z_minus.  It looks for one root on one branch; finding
     none, or roots on both branches, is reported as NumericalFailure.  Past
     lam of about 9.27 for one loop (about 33.55 for two) there can be three
     roots, and the scan may step over a close pair.
     """
+    lam, Lambda, mult = _as_positive(lam, "loop activity"), _as_total(Lambda), _as_int(mult, "mult")
+    if mult not in (1, 2):
+        raise InputError(f"mult must be 1 or 2, got {_shown(mult)}")
     A_lo = max(0.0, 2.0 * math.sqrt(lam) - 1.0)
     found: list[tuple[float, float, int]] = []
     for sign in (1, -1):

@@ -25,21 +25,20 @@ from hcgibbs.chain import (
     TransitionMatrix,
     distribution_to_csv,
     irreducible,
-    matrix_to_csv,
+    matrix_csv_lines,
     minimal_window,
-    power_iteration,
     state_labels,
     stationary_closed_form,
-    total_variation,
     transition_matrix,
     verify_stationary,
 )
 from hcgibbs.cli import _Encoded, _json_row, _json_text, main
-from hcgibbs.errors import InputError, NumericalFailure, ShapeMismatch, TooLarge, WindowTooSmall
+from hcgibbs.errors import InputError, ShapeMismatch, TooLarge, WindowTooSmall
 from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec, spec_from_json
-from hcgibbs.sampler import sample_tree
+from hcgibbs.sampler import sample_forest
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
+from reference import dense_matrix, power_iteration, total_variation
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 0.5}, tail_mass=0.5)
 GRAPH = graph_from_spec(SPEC)
@@ -64,20 +63,20 @@ def test_row_sums_exact():
         (SPEC2, GRAPH2, SOLS2[3], 6),
     ]:
         tm = transition_matrix(sol, spec, graph, window)
-        sums = tm.matrix.sum(axis=1)
+        sums = dense_matrix(tm).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
 def _P(tm, i, j):
-    """The entry of the dense reference tm.matrix from state i to state j."""
-    return tm.matrix[tm.index(i), tm.index(j)]
+    """The entry of the dense kernel of tm from state i to state j."""
+    return dense_matrix(tm)[tm.index(i), tm.index(j)]
 
 
 def test_non_loop_rows_step_to_hub():
     tm = transition_matrix(SOL, SPEC, GRAPH, 3)
     for lab in (-3, -2, -1, 2, 3, TAIL):
         assert _P(tm, lab, 0) == 1.0
-        row = tm.matrix[tm.index(lab)]
+        row = dense_matrix(tm)[tm.index(lab)]
         assert row.sum() == 1.0
 
 
@@ -128,8 +127,8 @@ def test_symmetric_branch_balances_loops():
 
 def test_uniform_vector_is_not_stationary():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    n = tm.matrix.shape[0]
-    report = verify_stationary(np.full(n, 1.0 / n), tm)
+    n = len(tm.states)
+    report = verify_stationary(StationaryDistribution(tm.window, np.full(n, 1.0 / n)), tm)
     assert not report.passed
 
 
@@ -139,7 +138,7 @@ def test_power_iteration_matches_closed_form():
         tm = transition_matrix(sol, SPEC2, GRAPH2, sd.window)
         y, iters = power_iteration(tm)
         assert iters >= 1
-        assert total_variation(y, sd) < 1e-8
+        assert total_variation(y, sd.probabilities) < 1e-8
 
 
 def test_power_iteration_custom_start():
@@ -148,17 +147,7 @@ def test_power_iteration_custom_start():
     start = np.zeros(6)
     start[tm.index(0)] = 2.0  # unnormalized on purpose
     y, _ = power_iteration(tm, start=start)
-    assert total_variation(y, sd) < 1e-8
-
-
-def test_power_iteration_validation():
-    tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    with pytest.raises(ShapeMismatch):
-        power_iteration(tm, start=np.ones(3))
-    with pytest.raises(InputError):
-        power_iteration(tm, start=np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(NumericalFailure):
-        power_iteration(tm, max_iter=1)
+    assert total_variation(y, sd.probabilities) < 1e-8
 
 
 def test_irreducible_on_active_states():
@@ -242,12 +231,8 @@ def test_shape_mismatches():
     sd3 = stationary_closed_form(SOL, SPEC, GRAPH, 3)
     with pytest.raises(ShapeMismatch, match="different state sets"):
         verify_stationary(sd3, tm2)
-    with pytest.raises(ShapeMismatch, match="distribution has 4 entries but the matrix has 6 states"):
-        verify_stationary(np.ones(4), tm2)
-    with pytest.raises(ShapeMismatch, match="must be a vector"):
-        verify_stationary(np.ones((6, 1)), tm2)
-    with pytest.raises(ShapeMismatch):
-        total_variation(np.ones(3), np.ones(4))
+    with pytest.raises(ShapeMismatch, match="must be a float array of 6 entries"):
+        StationaryDistribution(tm2.window, np.ones(4))
 
 
 @pytest.mark.parametrize(
@@ -266,20 +251,20 @@ def test_non_finite_distribution_fails_the_check(bad):
         x = sd.probabilities.copy()
         x[[tm.index(lab) for lab in labels]] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            report = verify_stationary(x, tm)
+            report = verify_stationary(StationaryDistribution(tm.window, x), tm)
             assert not report.passed
             assert not np.isfinite(report.max_residual)
 
 
 @pytest.mark.parametrize("P", [
-    transition_matrix(SOL, SPEC, GRAPH, 2).matrix,
-    transition_matrix(SOL, SPEC, GRAPH, 2).matrix.tolist(),
+    dense_matrix(transition_matrix(SOL, SPEC, GRAPH, 2)),
+    dense_matrix(transition_matrix(SOL, SPEC, GRAPH, 2)).tolist(),
     "x",
     None,
 ], ids=["array", "list", "x", "None"])
 def test_the_checks_take_only_a_kernel(P):
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
-    for check in (lambda: verify_stationary(sd, P), lambda: power_iteration(P), lambda: irreducible(P)):
+    for check in (lambda: verify_stationary(sd, P), lambda: irreducible(P)):
         with pytest.raises(InputError, match="kernel must be a TransitionMatrix, got "):
             check()
 
@@ -309,12 +294,11 @@ def test_stationary_index_validation():
 
 def test_csv_round_trip():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    text = matrix_to_csv(tm)
+    text = "".join(matrix_csv_lines(tm))
     lines = text.strip().split("\n")
     assert lines[0] == "-2,-1,0,1,2,TAIL"
     parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    assert parsed.shape == tm.matrix.shape
-    assert np.array_equal(parsed, tm.matrix)
+    assert np.array_equal(parsed, dense_matrix(tm))
 
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
     dlines = distribution_to_csv(sd).strip().split("\n")
@@ -327,10 +311,10 @@ def test_csv_round_trip():
     graph = graph_from_spec(spec)
     for sol in SOLS2:
         tm = transition_matrix(sol, spec, graph, 5)
-        lines = matrix_to_csv(tm).strip().split("\n")
+        lines = "".join(matrix_csv_lines(tm)).strip().split("\n")
         assert lines[0] == "-5,-4,-3,-2,-1,0,1,2,3,4,5,TAIL"
         parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(parsed, tm.matrix)
+        assert np.array_equal(parsed, dense_matrix(tm))
         for lab in (-2, 3):
             assert np.count_nonzero(parsed[tm.index(lab)]) == 2
 
@@ -354,12 +338,11 @@ def test_the_window_alone_gives_the_states():
 
 def test_export_reads_no_dense_matrix():
     tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 4)
-    text = matrix_to_csv(tm)
+    text = "".join(matrix_csv_lines(tm))
     rows = chain._row_texts(tm, _json_row)
-    assert "matrix" not in tm.__dict__
-    assert [json.loads(row) for row in rows] == tm.matrix.tolist()
+    assert [json.loads(row) for row in rows] == dense_matrix(tm).tolist()
     parsed = [[float(tok) for tok in line.split(",")] for line in text.split("\n")[1:-1]]
-    assert parsed == tm.matrix.tolist()
+    assert parsed == dense_matrix(tm).tolist()
 
 
 # 602 states: loops at 1 and 2, every other label of -300..300 listed
@@ -397,15 +380,14 @@ def test_a_kernel_rebuilt_from_its_weights_is_the_same_kernel():
 
 def test_irreducible_copies_no_float_matrix():
     tm = _wide_kernels(300)[0]
-    assert tm.matrix.shape == (602, 602)  # built before the trace starts
     tracemalloc.start()
     try:
         assert irreducible(tm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a float copy of the active block alone would take matrix.nbytes
-    assert peak < tm.matrix.nbytes
+    # a float copy of the active block alone, 602 x 602, would take 2.9 MB
+    assert peak < len(tm.states) ** 2 * 8
 
 
 def _dense_irreducible(m):
@@ -442,7 +424,7 @@ def test_irreducible_matches_dense_restriction():
     verdicts = [irreducible(tm) for tm in kernels]
     # the reference restricts the float matrix to the active states, then thresholds
     active = [np.asarray(tm.active, dtype=bool) for tm in kernels]
-    assert verdicts == [_dense_irreducible(tm.matrix[np.ix_(keep, keep)])
+    assert verdicts == [_dense_irreducible(dense_matrix(tm)[np.ix_(keep, keep)])
                         for tm, keep in zip(kernels, active)]
     assert verdicts.count(False) == 2 * (len(SOLS2) + 1)
 
@@ -476,11 +458,7 @@ def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypa
     assert len(calls) == 1 and 1 <= calls[0][1] <= 2 + 2
 
 
-def test_chain_command_never_reads_the_dense_matrix(wide_spec, capsys, monkeypatch):
-    def dense(self):
-        raise AssertionError("the chain command read the dense kernel")
-
-    monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
+def test_chain_command_never_reads_the_dense_matrix(wide_spec, capsys):
     assert main(["chain", str(wide_spec)]) == 0
     assert all(sol["irreducible"] and sol["report"]["passed"]
                for sol in json.loads(capsys.readouterr().out)["solutions"])
@@ -530,7 +508,6 @@ def test_chain_csv_at_the_state_cap_streams_its_rows(tmp_path):
 def test_csv_lines_share_the_unit_row_text():
     tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 40)
     lines = chain.matrix_csv_lines(tm)
-    assert "".join(lines) == matrix_to_csv(tm)
     assert all(line.endswith("\n") for line in lines)
     unit = lines[1 + tm.index(-40)]
     assert sum(line is unit for line in lines) == len(tm.states) - 1 - len(tm.stays)
@@ -577,38 +554,8 @@ def test_structural_product_matches_the_dense_one():
         x = np.random.default_rng(n).random(n)
         # the hub column's sum is rounded once here; BLAS rounds each of its
         # n additions, in an order that follows its thread count
-        np.testing.assert_allclose(chain._times_kernel(x, tm), x @ tm.matrix,
+        np.testing.assert_allclose(chain._times_kernel(x, tm), x @ dense_matrix(tm),
                                    rtol=n * np.finfo(float).eps, atol=0.0)
-
-
-def test_stationarity_and_power_iteration_read_no_dense_matrix(monkeypatch):
-    def dense(self):
-        raise AssertionError("the dense kernel was read")
-
-    kernels = [
-        (transition_matrix(sol, SPEC2, GRAPH2, window), stationary_closed_form(sol, SPEC2, GRAPH2, window))
-        for sol in SOLS2
-        for window in (2, 40)
-    ]
-    monkeypatch.setattr(TransitionMatrix, "matrix", property(dense))
-    for tm, sd in kernels:
-        assert verify_stationary(sd, tm).passed
-        y, _ = power_iteration(tm)
-        assert total_variation(y, sd) < 1e-8
-
-
-def test_power_iteration_at_the_state_cap_stays_window_linear():
-    tm = transition_matrix(SOLS2[1], SPEC2, GRAPH2, _MAX_STATES // 2 - 1)
-    sd = stationary_closed_form(SOLS2[1], SPEC2, GRAPH2, tm.window)
-    tracemalloc.start()
-    try:
-        y, _ = power_iteration(tm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert total_variation(y, sd) < 1e-8
-    # the dense matrix alone is 128 MiB at the cap
-    assert peak < 8 * 2**20
 
 
 def test_chain_export_streams_its_json(wide_spec, tmp_path):
@@ -660,8 +607,8 @@ def test_encoded_rows_keep_the_nested_list_layout():
 @pytest.mark.parametrize("build", [
     lambda sol: transition_matrix(sol, SPEC, GRAPH),
     lambda sol: stationary_closed_form(sol, SPEC, GRAPH),
-    lambda sol: sample_tree(transition_matrix(sol, SPEC, GRAPH), 2, 0),
-], ids=["transition_matrix", "stationary_closed_form", "sample_tree"])
+    lambda sol: sample_forest(transition_matrix(sol, SPEC, GRAPH), 2, 1, 0),
+], ids=["transition_matrix", "stationary_closed_form", "sample_forest"])
 @pytest.mark.parametrize("A", [-1.0, 1e200])
 def test_a_hand_built_A_is_refused_before_its_power(build, A):
     # (1 + A)**2 was taken before A was read: ZeroDivisionError at -1,

@@ -19,7 +19,7 @@ import pytest
 
 import hcgibbs
 from hcgibbs import three_loop, two_loop
-from hcgibbs.boundary_law import expand, reduce, residual
+from hcgibbs.boundary_law import reduce
 from hcgibbs.chain import (
     _MAX_STATES,
     TAIL,
@@ -28,16 +28,13 @@ from hcgibbs.chain import (
     distribution_to_csv,
     irreducible,
     matrix_csv_lines,
-    matrix_to_csv,
     minimal_window,
-    power_iteration,
     stationary_closed_form,
-    total_variation,
     transition_matrix,
     verify_stationary,
 )
 from hcgibbs.cli import _MAX_CURVE_POINTS, build_parser
-from hcgibbs.errors import DivergentActivities, InputError, NumericalFailure, TooLarge
+from hcgibbs.errors import DivergentActivities, InputError, TooLarge
 from hcgibbs.model import (
     ActivitySpec,
     AdmissibilityGraph,
@@ -46,26 +43,18 @@ from hcgibbs.model import (
     graph_from_spec,
     relabel_solution,
     require_finite,
-    spec_to_json,
 )
-from hcgibbs.oracle import _MAX_STARTS, fixed_point_iterate, multistart_count
+from hcgibbs.oracle import _MAX_STARTS, multistart_count
 from hcgibbs.sampler import (
-    _MAX_DEPTH,
     _MAX_SAMPLE_VERTICES,
-    _MAX_SYMBOLS,
     TreeSample,
     edge_admissibility,
     empirical_marginal,
-    finite_gibbs_oracle,
-    level_counts,
     level_sizes,
     level_slices,
     marginal_tv,
     num_vertices,
-    parent_array,
     sample_forest,
-    sample_tree,
-    single_site_conditional,
 )
 from hcgibbs.three_loop import (
     ThreeLoopProblem,
@@ -82,20 +71,11 @@ GRAPH = graph_from_spec(SPEC)
 SOL = solve_unique(TwoLoopProblem(1.0, 2.0))
 TM = transition_matrix(SOL, SPEC, GRAPH, 2)
 SD = stationary_closed_form(SOL, SPEC, GRAPH, 2)
-SD3 = stationary_closed_form(SOL, SPEC, GRAPH, 3)
 FOREST = sample_forest(TM, 2, 2, 7)
-
-
-def _residual(A=0.5, z1=0.25):
-    return residual(SPEC, GRAPH, {1: z1}, A)
 
 
 def _spec(k=2, label=1, activity=1.0, tail_mass=1.0):
     return ActivitySpec(loop_activities={label: activity}, tail_mass=tail_mass, k=k)
-
-
-def _fixed_point(damping=0.5, max_iter=50, tol=2.0**-20, init=0.5, A_init=0.5):
-    return fixed_point_iterate(SPEC, GRAPH, {1: init}, A_init, damping, max_iter, tol)
 
 
 def _two_loop(lam1=1.0, Lambda=2.0):
@@ -104,10 +84,6 @@ def _two_loop(lam1=1.0, Lambda=2.0):
 
 def _three_loop(lam=9.0, Lambda=130.0):
     return ThreeLoopProblem(lam, Lambda)
-
-
-def _tree(depth=2, seed=7):
-    return sample_tree(TM, depth, seed)
 
 
 def _forest(depth=2, trees=2, seed=7):
@@ -126,20 +102,10 @@ def _kernel(window=2):
     return transition_matrix(SOL, SPEC, GRAPH, window)
 
 
-def _enumerate(depth=1, vertex=1):
-    return finite_gibbs_oracle(SPEC, GRAPH, depth, {vertex: 0})
-
-
-def _power(tol=2.0**-40, max_iter=10_000):
-    return power_iteration(TM, tol=tol, max_iter=max_iter)
-
-
 # (entry point, argument, Python value): every other argument keeps its
 # default; each value is exact in float32, so np.float32 reads as the same
 # double
 CASES = {
-    "residual-A": (_residual, "A", 0.5),
-    "residual-z": (_residual, "z1", 0.25),
     "TwoLoopProblem-lam1": (_two_loop, "lam1", 1.0),
     "TwoLoopProblem-Lambda": (_two_loop, "Lambda", 2.0),
     "ThreeLoopProblem-lam": (_three_loop, "lam", 9.0),
@@ -154,28 +120,16 @@ CASES = {
     "TreeSample-depth": (_hand_tree, "depth", 0),
     "TreeSample-seed": (_hand_tree, "seed", 5),
     "TreeSample-spin": (_hand_tree, "spin", 1),
-    "sample_tree-depth": (_tree, "depth", 2),
-    "sample_tree-seed": (_tree, "seed", -7),
     "sample_forest-depth": (_forest, "depth", 2),
     "sample_forest-trees": (_forest, "trees", 2),
     "sample_forest-seed": (_forest, "seed", 7),
-    "finite_gibbs_oracle-depth": (_enumerate, "depth", 1),
-    "finite_gibbs_oracle-vertex": (_enumerate, "vertex", 1),
     "ActivitySpec-k": (_spec, "k", 2),
     "ActivitySpec-label": (_spec, "label", 1),
     "ActivitySpec-activity": (_spec, "activity", 1.0),
     "ActivitySpec-tail_mass": (_spec, "tail_mass", 1.0),
     "AdmissibilityGraph-loop": (lambda loop: AdmissibilityGraph((loop,)), "loop", 1),
-    "fixed_point_iterate-damping": (_fixed_point, "damping", 0.5),
-    "fixed_point_iterate-max_iter": (_fixed_point, "max_iter", 50),
-    "fixed_point_iterate-tol": (_fixed_point, "tol", 2.0**-20),
-    "fixed_point_iterate-init": (_fixed_point, "init", 0.5),
-    "fixed_point_iterate-A_init": (_fixed_point, "A_init", 0.5),
     "multistart_count-n_starts": (_multistart, "n_starts", 50),
     "multistart_count-seed": (_multistart, "seed", 3),
-    "level_counts-level": (lambda level: level_counts(FOREST, level), "level", 1),
-    "power_iteration-max_iter": (_power, "max_iter", 10_000),
-    "power_iteration-tol": (_power, "tol", 2.0**-40),
     "verify_stationary-tol": (lambda tol: verify_stationary(SD, TM, tol), "tol", 2.0**-30),
     "TransitionMatrix-weight label": (
         lambda label: TransitionMatrix(2, {label: 0.5, 2: 0.5}, (2,)), "label", 1),
@@ -187,6 +141,8 @@ CASES = {
     "BoundaryLawSolution-z": (lambda z: BoundaryLawSolution(1.0, {1: z}, "x", 0.0), "z", 0.5),
     "BoundaryLawSolution-residual": (
         lambda residual: BoundaryLawSolution(1.0, {1: 0.5}, "x", residual), "residual", 0.0),
+    "solve_loop_aggregate-mult": (lambda mult: two_loop.solve_loop_aggregate(1.0, 2.0, mult), "mult", 1),
+    "f_curve-x": (lambda x: two_loop.f_curve(1.0, x, 2.0), "x", 3.0),
 }
 
 
@@ -199,8 +155,6 @@ def _key(result):
         return repr((result.depth, result.seed, result.k, result.spins)), result.index.tobytes()
     if isinstance(result, tuple) and result and isinstance(result[0], TreeSample):
         return tuple(map(_key, result))
-    if isinstance(result, tuple) and result and isinstance(result[0], np.ndarray):
-        return result[0].tobytes(), repr(result[1:])
     return repr(result)
 
 
@@ -300,23 +254,6 @@ def test_a_solution_is_relabelled_only_where_it_is_read():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the public names, and the public members of package classes as
-# Class.member, that only tests use, each kept as a reference that a test
-# compares against (the test named)
-TEST_ONLY = {
-    "TransitionMatrix.matrix": "test_chain.py::test_export_reads_no_dense_matrix",
-    "expand": "test_acceptance.py::test_criterion_4_residual_closure",
-    "finite_gibbs_oracle": "test_acceptance.py::test_criterion_8_finite_oracle",
-    "fixed_point_iterate": "test_acceptance.py::test_criterion_9_divergence_contract",
-    "level_counts": "test_acceptance.py::test_criterion_7_sampler_statistics",
-    "matrix_to_csv": "test_chain.py::test_csv_round_trip",
-    "power_iteration": "test_acceptance.py::test_criterion_6_chain_invariants",
-    "residual": "test_acceptance.py::test_criterion_4_residual_closure",
-    "sample_tree": "test_sampler.py::test_forest_does_not_depend_on_the_block_size",
-    "single_site_conditional": "test_acceptance.py::test_criterion_8_finite_oracle",
-    "spec_to_json": "test_model.py::test_spec_json_round_trip",
-}
-
 
 def _defined(node) -> set[str]:
     """The names a top-level statement defines."""
@@ -360,13 +297,13 @@ def _attributes(tree) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def test_a_public_name_is_used_or_pinned_as_a_test_reference():
+def test_a_public_name_is_used_by_the_package_bench_or_readme():
     """A public top-level name of the package is used by another function,
     class or statement of the package, by a file under bench/, or by a
     python block of README.md.  A public method or property of a package
     class, Class.member, is read as an attribute by package code, by bench/
-    or by a python block of README.md.  The rest are the pinned test
-    references."""
+    or by a python block of README.md.  A reference that only tests read
+    lives in tests/reference.py."""
     public, used = set(), set()
     members, attributes = set(), set()  # Class.member; the names read as obj.name
     for path in sorted(Path(hcgibbs.__file__).parent.glob("*.py")):
@@ -392,32 +329,27 @@ def test_a_public_name_is_used_or_pinned_as_a_test_reference():
         used |= _named(tree)
         attributes |= _attributes(tree)
     read = {member for member in members if member.split(".")[1] in attributes}
-    assert (public - used) | (members - read) == set(TEST_ONLY)
-    for name, test in TEST_ONLY.items():
-        file, function = test.split("::")
-        tree = ast.parse((ROOT / "tests" / file).read_text())
-        body = next(node for node in tree.body if getattr(node, "name", None) == function)
-        assert name.split(".")[-1] in _named(body), test
+    assert (public - used) | (members - read) == set()
 
 
-def test_level_below_zero_is_bad_input():
-    with pytest.raises(InputError):
-        level_counts(FOREST, -1)  # used to count the deepest level
+# the code the references check: they stay independent of it
+CHECKED = {"hcgibbs.two_loop", "hcgibbs.three_loop", "hcgibbs.rootfind", "hcgibbs.oracle"}
+
+
+def test_the_references_import_none_of_the_code_they_check():
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "reference.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module, *(f"{node.module}.{alias.name}" for alias in node.names)}
+    assert imported & CHECKED == set()
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_a_tolerance_that_is_not_a_finite_bound_is_bad_input(tol):
     with pytest.raises(InputError):
-        _power(tol=tol)  # NaN used to run every sweep, then fail
-    with pytest.raises(InputError):
         verify_stationary(SD, TM, tol)  # NaN and -1 used to report passed=False
-
-
-def test_sweep_count_and_zero_tolerance():
-    with pytest.raises(InputError):
-        _power(max_iter=-1)
-    with pytest.raises(NumericalFailure):
-        _power(max_iter=0)
     assert verify_stationary(SD, TM, 0.0).max_residual >= 0.0  # zero is a bound
 
 
@@ -497,16 +429,6 @@ def _points_cap(n, monkeypatch):
     return args.func(args)  # main would map TooLarge to exit code 2
 
 
-def _depth_cap(n, monkeypatch):
-    return finite_gibbs_oracle(SPEC, GRAPH, n)
-
-
-def _alphabet_cap(n, monkeypatch):
-    # the hub, n - 2 listed spins and the tail symbol
-    spec = ActivitySpec({1: 1.0}, {lab: 1.0 for lab in range(2, n - 1)}, tail_mass=1.0)
-    return finite_gibbs_oracle(spec, graph_from_spec(spec), 0)
-
-
 def _vertices_cap(n, monkeypatch):
     monkeypatch.setattr("hcgibbs.sampler._Kernel", _past_the_cap)
     return sample_forest(TM, depth=0, trees=n, seed=1)
@@ -518,8 +440,6 @@ CAPS = {
     "starts": (_MAX_STARTS, _starts_cap),
     "hint starts": (_MAX_STARTS, _hint_starts_cap),
     "--points": (_MAX_CURVE_POINTS, _points_cap),
-    "enumeration depth": (_MAX_DEPTH, _depth_cap),
-    "enumeration alphabet": (_MAX_SYMBOLS, _alphabet_cap),
     "sampled vertices": (_MAX_SAMPLE_VERTICES, _vertices_cap),
 }
 
@@ -565,16 +485,9 @@ HUGE_CASES = {
     "num_vertices-path depth": lambda n: num_vertices(1, n),
     "level_sizes-depth": lambda n: level_sizes(2, n),
     "level_slices-order": lambda n: level_slices(n, 1),
-    "parent_array-path depth": lambda n: parent_array(1, n),
-    "sample_tree-depth": lambda n: _tree(depth=n),
-    "sample_tree-seed": lambda n: _tree(seed=n),
     "sample_forest-depth": lambda n: _forest(depth=n),
     "sample_forest-trees": lambda n: _forest(trees=n),
     "sample_forest-seed": lambda n: _forest(seed=n),
-    "finite_gibbs_oracle-depth": lambda n: _enumerate(depth=n),
-    "finite_gibbs_oracle-vertex": lambda n: _enumerate(vertex=n),
-    "finite_gibbs_oracle-spin": lambda n: finite_gibbs_oracle(SPEC, GRAPH, 1, {3: n}),
-    "level_counts-level": lambda n: level_counts(FOREST, n),
     "transition_matrix-window": _kernel,
     "transition_matrix-tail label": lambda n: transition_matrix(
         SOL, _with_tail(n), graph_from_spec(_with_tail(n)), 2),
@@ -582,15 +495,10 @@ HUGE_CASES = {
     "transition_matrix-solution label": lambda n: transition_matrix(
         BoundaryLawSolution(SOL.A, {n: SOL.loop_z[1]}, SOL.branch, SOL.residual), SPEC, GRAPH, 2),
     "TransitionMatrix.index-label": TM.index,
-    "residual-z label": lambda n: residual(SPEC, GRAPH, {1: 0.25, n: "x"}, 0.5),
-    "power_iteration-max_iter": lambda n: _power(max_iter=n),
     "multistart_count-n_starts": lambda n: _multistart(n_starts=n),
     "multistart_count-seed": lambda n: _multistart(seed=n),
     "multistart_count-hint label": lambda n: multistart_count(
         *_on_loop(n), 50, hints=[BoundaryLawSolution(0.5, {n: "x"}, "hint", 0.0)]),
-    "fixed_point_iterate-max_iter": lambda n: _fixed_point(max_iter=n),
-    "fixed_point_iterate-init label": lambda n: fixed_point_iterate(*_on_loop(n), {n: "x"}, 0.5),
-    "fixed_point_iterate-missing label": lambda n: fixed_point_iterate(*_on_loop(n), {1: 0.5}, 0.5),
 }
 
 
@@ -702,12 +610,10 @@ KERNELS = {
 }
 
 KERNEL_USERS = {
-    "sample_tree": lambda kernel: sample_tree(kernel, 3, 1),
     "sample_forest": lambda kernel: sample_forest(kernel, 3, 4, 1),
     "verify_stationary": lambda kernel: verify_stationary(kernel.stationary, kernel),
     "irreducible": irreducible,
-    "power_iteration": power_iteration,
-    "matrix_to_csv": matrix_to_csv,
+    "matrix_csv_lines": matrix_csv_lines,
 }
 
 
@@ -717,25 +623,6 @@ def test_a_kernel_rebuilt_from_its_weights_is_used_as_the_built_one(kernel, use)
     tm = kernel()
     again = TransitionMatrix(tm.window, tm.weights, tm.loops, tm.k)
     assert _key(use(again)) == _key(use(tm))
-
-
-# a vector argument that is not a vector of reals, or a start that cannot be normalised
-BAD_VECTORS = {
-    "verify_stationary-text": lambda: verify_stationary("x", TM),
-    "total_variation-text": lambda: total_variation("x", "y"),
-    "power_iteration-text start": lambda: power_iteration(TM, start="x"),
-    "power_iteration-infinite start": lambda: power_iteration(TM, start=[math.inf] + [0.0] * 5),
-    "power_iteration-NaN start": lambda: power_iteration(TM, start=[math.nan] + [0.0] * 5),
-    "power_iteration-start past double range": lambda: power_iteration(TM, start=[1e308] * 6),
-}
-
-
-@pytest.mark.parametrize("call", BAD_VECTORS.values(), ids=BAD_VECTORS.keys())
-def test_a_vector_that_is_not_finite_reals_is_bad_input(call):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InputError):
-            call()
 
 
 # a hand-built law, each bad in one way, refused as it is built, before
@@ -765,7 +652,6 @@ def test_a_hand_built_law_is_read_when_it_is_built(call):
 # marginal_tv, a model type's container field, or any function that takes
 # a model object
 BAD_ARGUMENTS = {
-    "matrix_to_csv-None": lambda: matrix_to_csv(None),
     "matrix_csv_lines-law": lambda: matrix_csv_lines(SD),
     "distribution_to_csv-None": lambda: distribution_to_csv(None),
     "distribution_to_csv-kernel": lambda: distribution_to_csv(TM),
@@ -780,7 +666,6 @@ BAD_ARGUMENTS = {
     "level_sizes-text depth": lambda: level_sizes(2, "3"),
     "level_sizes-depth below 0": lambda: level_sizes(2, -1),
     "level_slices-depth below 0": lambda: level_slices(2, -1),
-    "parent_array-text depth": lambda: parent_array(2, "3"),
     "level_sizes-depth past the vertex cap": lambda: level_sizes(2, 20_000),
     "level_slices-path past the vertex cap": lambda: level_slices(1, _MAX_SAMPLE_VERTICES // 2),
     "num_vertices-one over the vertex cap": lambda: num_vertices(2, 23),
@@ -797,15 +682,10 @@ BAD_ARGUMENTS = {
     "check_spec_graph-graph as text": lambda: check_spec_graph(SPEC, "x"),
     "graph_from_spec-text": lambda: graph_from_spec("x"),
     "require_finite-text": lambda: require_finite("x"),
-    "spec_to_json-text": lambda: spec_to_json("x"),
     "relabel_solution-solution as text": lambda: relabel_solution("x", GRAPH),
     "relabel_solution-graph as text": lambda: relabel_solution(SOL, "x"),
     "reduce-spec as text": lambda: reduce("x", GRAPH),
     "reduce-graph as a tuple": lambda: reduce(SPEC, (1,)),
-    "residual-spec as text": lambda: residual("x", GRAPH, {1: 0.25}, 0.5),
-    "residual-z as a list": lambda: residual(SPEC, GRAPH, [1], 0.5),
-    "expand-solution as text": lambda: expand("x", SPEC),
-    "expand-spec as text": lambda: expand(SOL, "x"),
     "TwoLoopProblem.from_spec-text": lambda: TwoLoopProblem.from_spec("x"),
     "ThreeLoopProblem.from_spec-text": lambda: ThreeLoopProblem.from_spec("x"),
     "solve_unique-text": lambda: solve_unique("x"),
@@ -823,23 +703,21 @@ BAD_ARGUMENTS = {
     "transition_matrix-graph as text": lambda: transition_matrix(SOL, SPEC, "x"),
     "stationary_closed_form-graph as text": lambda: stationary_closed_form(SOL, SPEC, "x"),
     "multistart_count-graph as text": lambda: multistart_count(SPEC, "x"),
-    "fixed_point_iterate-spec as text": lambda: fixed_point_iterate("x", GRAPH, {1: 0.5}, 0.5),
+    "verify_stationary-text": lambda: verify_stationary("x", TM),
     "edge_admissibility-tree as text": lambda: edge_admissibility("x", GRAPH),
     "edge_admissibility-graph as a tuple": lambda: edge_admissibility(FOREST[0], (1,)),
     "edge_admissibility-root alone, graph as a tuple": lambda: edge_admissibility(_hand_tree(), (1,)),
-    "level_counts-list of ints": lambda: level_counts([1], 0),
     "empirical_marginal-list of ints": lambda: empirical_marginal([1]),
     "empirical_marginal-an int": lambda: empirical_marginal(5),
-    "finite_gibbs_oracle-spec as text": lambda: finite_gibbs_oracle("x", GRAPH, 1),
-    "finite_gibbs_oracle-boundary an int": lambda: finite_gibbs_oracle(SPEC, GRAPH, 1, boundary=5),
-    "single_site_conditional-graph as text": lambda: single_site_conditional(SPEC, "x", [0]),
-    "single_site_conditional-neighbours an int": lambda: single_site_conditional(SPEC, GRAPH, 5),
-    # a graph whose loops are not its spec's, which the oracle used to
-    # enumerate as though spin 2 had a loop
-    "finite_gibbs_oracle-graph of other loops": lambda: finite_gibbs_oracle(
-        ActivitySpec({1: 1.0}, explicit_tail={2: 0.5}), AdmissibilityGraph((1, 2)), 1),
-    "single_site_conditional-graph of other loops": lambda: single_site_conditional(
-        ActivitySpec({1: 1.0}, explicit_tail={2: 0.5}), AdmissibilityGraph((1, 2)), [2]),
+    # a numeric instrument's argument that is not a real, or a loop count
+    # other than 1 or 2; each used to raise TypeError or NumericalFailure
+    "solve_loop_aggregate-lam as text": lambda: two_loop.solve_loop_aggregate("x", 2.0, 1),
+    "solve_loop_aggregate-mult of 0": lambda: two_loop.solve_loop_aggregate(1.0, 2.0, 0),
+    "solve_loop_aggregate-Lambda NaN": lambda: two_loop.solve_loop_aggregate(1.0, math.nan, 1),
+    "f_curve-lam as text": lambda: two_loop.f_curve("x", 3.0, 2.0),
+    "g_curve-x as text": lambda: two_loop.g_curve(1.0, "x", 2.0),
+    "delta_curve-x None": lambda: three_loop.delta_curve(1.0, None, 2.0),
+    "h_curve-Lambda as text": lambda: three_loop.h_curve(1.0, 3.0, "x"),
 }
 
 

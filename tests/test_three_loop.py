@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from hcgibbs import three_loop, two_loop
-from hcgibbs.boundary_law import expand, residual
 from hcgibbs.errors import DivergentActivities, DomainError, InputError, NumericalFailure
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.three_loop import (
@@ -28,6 +27,7 @@ from hcgibbs.three_loop import (
     q_poly,
     thresholds,
 )
+from reference import expand, residual
 
 LAMBDA2_9 = 144.81948217705747
 X3_9 = 6.361304679775493
