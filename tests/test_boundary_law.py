@@ -5,7 +5,7 @@ import pytest
 
 from hcgibbs.boundary_law import reduce
 from hcgibbs.errors import DivergentActivities
-from hcgibbs.model import ActivitySpec, graph_from_spec
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
 from reference import expand, residual
 
@@ -101,3 +101,14 @@ def test_stacked_map_matches_scalar_arithmetic():
         assert sys_.defect(Z[:0], A[:0]).shape == (0, len(lams) + 1)
         J = sys_.linearise(np.column_stack([Z[:0], A[:0]]))[1]
         assert J.shape == (0, len(lams) + 1, len(lams) + 1)
+
+
+# one loop, one listed tail spin, a tail mass
+LEAK_SPEC = ActivitySpec(loop_activities={1: 1.0}, explicit_tail={2: 0.5}, tail_mass=1.0)
+
+
+def test_an_overflowing_power_of_A_is_infinite():
+    z, tail_z = expand(BoundaryLawSolution(1e200, {1: 0.5}, "x", 0.0), LEAK_SPEC)
+    assert z == {1: 0.5, 2: 0.0} and tail_z == 0.0
+    # (1 + A)**2 used to raise OverflowError; the aggregate identity is off by A
+    assert residual(LEAK_SPEC, graph_from_spec(LEAK_SPEC), {1: 0.5, 2: 0.1}, 1e200) == 1e200

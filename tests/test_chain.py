@@ -150,6 +150,16 @@ def test_power_iteration_custom_start():
     assert total_variation(y, sd.probabilities) < 1e-8
 
 
+def test_stationarity_check_and_power_iteration_agree_at_each_window():
+    for sol in SOLS2:
+        for window in (2, 40):
+            tm = transition_matrix(sol, SPEC2, GRAPH2, window)
+            sd = stationary_closed_form(sol, SPEC2, GRAPH2, window)
+            assert verify_stationary(sd, tm).passed
+            y, _ = power_iteration(tm)
+            assert total_variation(y, sd.probabilities) < 1e-8
+
+
 def test_irreducible_on_active_states():
     assert irreducible(transition_matrix(SOL, SPEC, GRAPH, 2))
     assert irreducible(transition_matrix(SOL, SPEC, GRAPH, 5))

@@ -29,6 +29,7 @@ from hcgibbs.chain import (
     irreducible,
     matrix_csv_lines,
     minimal_window,
+    state_labels,
     stationary_closed_form,
     transition_matrix,
     verify_stationary,
@@ -65,6 +66,7 @@ from hcgibbs.three_loop import (
     thresholds,
 )
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
+from reference import power_iteration, sample_tree
 
 SPEC = ActivitySpec(loop_activities={1: 1.0}, tail_mass=1.0)
 GRAPH = graph_from_spec(SPEC)
@@ -101,6 +103,8 @@ def _hand_tree(depth=0, seed=0, spin=1):
 def _kernel(window=2):
     return transition_matrix(SOL, SPEC, GRAPH, window)
 
+
+CURVE_POINT = {"lam": 1.0, "x": 3.0, "Lambda": 2.0}
 
 # (entry point, argument, Python value): every other argument keeps its
 # default; each value is exact in float32, so np.float32 reads as the same
@@ -142,7 +146,35 @@ CASES = {
     "BoundaryLawSolution-residual": (
         lambda residual: BoundaryLawSolution(1.0, {1: 0.5}, "x", residual), "residual", 0.0),
     "solve_loop_aggregate-mult": (lambda mult: two_loop.solve_loop_aggregate(1.0, 2.0, mult), "mult", 1),
-    "f_curve-x": (lambda x: two_loop.f_curve(1.0, x, 2.0), "x", 3.0),
+    "solve_loop_aggregate-lam": (lambda lam: two_loop.solve_loop_aggregate(lam, 2.0, 1), "lam", 1.0),
+    "solve_loop_aggregate-Lambda": (
+        lambda Lambda: two_loop.solve_loop_aggregate(1.0, Lambda, 1), "Lambda", 2.0),
+    # each argument of each branch-condition curve, at (lam, x, Lambda) = (1, 3, 2)
+    **{
+        f"{curve.__name__}-{arg}": (
+            lambda curve=curve, **one: curve(**{**CURVE_POINT, **one}), arg, CURVE_POINT[arg])
+        for curve in (two_loop.f_curve, two_loop.g_curve, three_loop.h_curve, three_loop.delta_curve)
+        for arg in CURVE_POINT
+    },
+    "loop_z_branches-lam": (lambda lam: two_loop.loop_z_branches(lam, 2.0), "lam", 1.0),
+    "loop_z_branches-A": (lambda A: two_loop.loop_z_branches(1.0, A), "A", 2.0),
+    "q_poly-lam": (lambda lam: three_loop.q_poly(lam, 130.0, 2.0), "lam", 9.0),
+    "q_poly-Lambda": (lambda Lambda: three_loop.q_poly(9.0, Lambda, 2.0), "Lambda", 130.0),
+    "q_poly-x": (lambda x: three_loop.q_poly(9.0, 130.0, x), "x", 2.0),
+    "state_labels-window": (state_labels, "window", 2),
+    "level_sizes-k": (lambda k: level_sizes(k, 3), "k", 2),
+    "level_slices-k": (lambda k: level_slices(k, 3), "k", 2),
+    "level_slices-depth": (lambda depth: level_slices(2, depth), "depth", 3),
+    "TreeSample-k": (lambda k: TreeSample(0, 0, (0,), k=k), "k", 2),
+    "TransitionMatrix-window": (lambda window: TransitionMatrix(window, {1: 0.5}, (1,)), "window", 2),
+    "StationaryDistribution-window": (
+        lambda window: StationaryDistribution(window, SD.probabilities), "window", 2),
+    "StationaryDistribution.index-label": (lambda label: SD.index(label), "label", 1),
+    "stationary_closed_form-window": (
+        lambda window: stationary_closed_form(SOL, SPEC, GRAPH, window), "window", 2),
+    "ActivitySpec-tail label": (lambda label: ActivitySpec({1: 1.0}, {label: 0.5}), "label", 2),
+    "ActivitySpec-tail activity": (lambda activity: ActivitySpec({1: 1.0}, {2: activity}), "activity", 0.5),
+    "marginal_tv-frequency": (lambda frequency: marginal_tv({0: frequency}, SD), "frequency", 1.0),
 }
 
 
@@ -155,6 +187,8 @@ def _key(result):
         return repr((result.depth, result.seed, result.k, result.spins)), result.index.tobytes()
     if isinstance(result, tuple) and result and isinstance(result[0], TreeSample):
         return tuple(map(_key, result))
+    if isinstance(result, tuple) and result and isinstance(result[0], np.ndarray):
+        return result[0].tobytes(), repr(result[1:])
     return repr(result)
 
 
@@ -499,6 +533,23 @@ HUGE_CASES = {
     "multistart_count-seed": lambda n: _multistart(seed=n),
     "multistart_count-hint label": lambda n: multistart_count(
         *_on_loop(n), 50, hints=[BoundaryLawSolution(0.5, {n: "x"}, "hint", 0.0)]),
+    "TransitionMatrix-window": lambda n: TransitionMatrix(n, {1: 0.5}, (1,)),
+    "TransitionMatrix-k": lambda n: TransitionMatrix(2, {1: 0.5}, (1,), n),
+    "TransitionMatrix-weight label": lambda n: TransitionMatrix(2, {1: 0.5, n: 0.5}, (1,)),
+    "TransitionMatrix-loop": lambda n: TransitionMatrix(2, {1: 0.5}, (n,)),
+    "StationaryDistribution-window": lambda n: StationaryDistribution(n, SD.probabilities),
+    "StationaryDistribution.index-label": SD.index,
+    "stationary_closed_form-window": lambda n: stationary_closed_form(SOL, SPEC, GRAPH, n),
+    "state_labels-window": state_labels,
+    "solve_loop_aggregate-mult": lambda n: two_loop.solve_loop_aggregate(1.0, 2.0, n),
+    "num_vertices-k": lambda n: num_vertices(n, 1),
+    "level_sizes-k": lambda n: level_sizes(n, 1),
+    "level_slices-depth": lambda n: level_slices(2, n),
+    "BoundaryLawSolution-z label": lambda n: BoundaryLawSolution(1.0, {n: 0.5}, "x", 0.0),
+    "relabel_solution-z label": lambda n: relabel_solution(
+        BoundaryLawSolution(1.0, {n: 0.5}, "x", 0.0), GRAPH),
+    "check_spec_graph-graph loop": lambda n: check_spec_graph(SPEC, AdmissibilityGraph((n,))),
+    "marginal_tv-label": lambda n: marginal_tv({n: 1.0}, SD),
 }
 
 
@@ -610,9 +661,11 @@ KERNELS = {
 }
 
 KERNEL_USERS = {
+    "sample_tree": lambda kernel: sample_tree(kernel, 3, 1),
     "sample_forest": lambda kernel: sample_forest(kernel, 3, 4, 1),
     "verify_stationary": lambda kernel: verify_stationary(kernel.stationary, kernel),
     "irreducible": irreducible,
+    "power_iteration": power_iteration,
     "matrix_csv_lines": matrix_csv_lines,
 }
 
@@ -718,6 +771,32 @@ BAD_ARGUMENTS = {
     "g_curve-x as text": lambda: two_loop.g_curve(1.0, "x", 2.0),
     "delta_curve-x None": lambda: three_loop.delta_curve(1.0, None, 2.0),
     "h_curve-Lambda as text": lambda: three_loop.h_curve(1.0, 3.0, "x"),
+    "solve_loop_aggregate-mult of 3": lambda: two_loop.solve_loop_aggregate(1.0, 2.0, 3),
+    "solve_loop_aggregate-lam of 0": lambda: two_loop.solve_loop_aggregate(0.0, 2.0, 1),
+    "f_curve-x of 0": lambda: two_loop.f_curve(1.0, 0.0, 2.0),
+    "g_curve-lam below 0": lambda: two_loop.g_curve(-1.0, 3.0, 2.0),
+    "loop_z_branches-lam as text": lambda: two_loop.loop_z_branches("x", 2.0),
+    "loop_z_branches-A None": lambda: two_loop.loop_z_branches(1.0, None),
+    "q_poly-x as text": lambda: three_loop.q_poly(9.0, 130.0, "x"),
+    "q_poly-Lambda infinite": lambda: three_loop.q_poly(9.0, math.inf, 2.0),
+    "thresholds-lam of 0": lambda: thresholds(0.0),
+    "q_critical_points-lam below 0": lambda: q_critical_points(-1.0),
+    # a kernel or law where the other is wanted, or none
+    "state_labels-text": lambda: state_labels("2"),
+    "state_labels-window below 0": lambda: state_labels(-1),
+    "matrix_csv_lines-None": lambda: matrix_csv_lines(None),
+    "distribution_to_csv-text": lambda: distribution_to_csv("x"),
+    "irreducible-law": lambda: irreducible(SD),
+    "verify_stationary-law as the kernel": lambda: verify_stationary(SD, SD),
+    "verify_stationary-kernel as the law": lambda: verify_stationary(TM, TM),
+    "sample_forest-law": lambda: sample_forest(SD, 2, 2, 7),
+    "sample_forest-kernel as text": lambda: sample_forest("x", 2, 2, 7),
+    "stationary_closed_form-solution as text": lambda: stationary_closed_form("x", SPEC, GRAPH),
+    "multistart_count-spec as text": lambda: multistart_count("x", GRAPH),
+    "minimal_window-None": lambda: minimal_window(None),
+    "edge_admissibility-None": lambda: edge_admissibility(None, GRAPH),
+    "TreeSample-spins an int": lambda: TreeSample(0, 0, 5),
+    "level_slices-text k": lambda: level_slices("2", 1),
 }
 
 

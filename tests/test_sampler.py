@@ -109,6 +109,29 @@ def test_tree_geometry():
         num_vertices(2, 1.5)
 
 
+def test_parent_array_layout():
+    """The reference parent rule agrees with the package's breadth-first levels."""
+    assert parents(2, 0) == [-1]
+    assert parents(2, 2) == [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3]
+    assert parents(1, 2) == [-1, 0, 0, 1, 2]
+    # every non-root parent sits in the previous level
+    up = parents(2, 5)
+    slices = level_slices(2, 5)
+    for d in range(1, 6):
+        prev = slices[d - 1]
+        assert all(prev.start <= p < prev.stop for p in up[slices[d]])
+    # a breadth-first walk: the root parents the next k + 1 vertices, and
+    # every later vertex, in order, the next k
+    for k in range(1, 5):
+        for depth in range(6):
+            want = [-1]
+            for parent in range(num_vertices(k, depth)):
+                if len(want) == num_vertices(k, depth):
+                    break
+                want += [parent] * (k + (parent == 0))
+            assert parents(k, depth) == want
+
+
 def test_sampling_is_deterministic():
     a = sample_forest(TM, depth=6, trees=1, seed=123)[0]
     b = sample_forest(TM, depth=6, trees=1, seed=123)[0]
