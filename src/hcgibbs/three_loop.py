@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 from . import two_loop
 from .boundary_law import ReducedSystem
@@ -40,6 +41,7 @@ THRESHOLD_RTOL = 1e-9
 _COUNTS = {"i": 3, "ii": 1, "iii": 3, "iv": 5, "v": 3, "vi": 1}
 
 
+@dataclass(frozen=True)
 class ThreeLoopProblem(two_loop._LoopProblem):
     """Parameters of a two-nonzero-loop instance with equal loop activities."""
 

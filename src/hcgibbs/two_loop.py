@@ -75,6 +75,7 @@ class _LoopProblem:
         return cls(lams[0], Lambda)
 
 
+@dataclass(frozen=True)
 class TwoLoopProblem(_LoopProblem):
     """Parameters of a single-nonzero-loop instance: lam > 0, Lambda >= lam."""
 
@@ -106,7 +107,9 @@ def checked_curve(curve):
     """
     @functools.wraps(curve)
     def checked(lam: float, x: float, Lambda: float) -> float:
-        lam, x, Lambda = _as_float(lam, "lambda"), _as_float(x, "x"), _as_float(Lambda, "Lambda")
+        # three floats, as sweep --emit-curves passes per row, skip the readers
+        if not type(lam) is type(x) is type(Lambda) is float:
+            lam, x, Lambda = _as_float(lam, "lambda"), _as_float(x, "x"), _as_float(Lambda, "Lambda")
         if not (lam > 0.0):
             raise DomainError(f"lambda must be positive, got {lam!r}")
         if not (0.0 < x < math.inf):

@@ -37,16 +37,16 @@ def total_variation(u, v) -> float:
     return float(0.5 * np.abs(np.asarray(u) - np.asarray(v)).sum())
 
 
-def power_iteration(tm, start=None, tol: float = 1e-12, max_iter: int = 10_000):
+def power_iteration(tm, start=None, max_iter: int = 10_000):
     """Iterate x <- x P on the dense kernel until successive iterates lie
-    within tol in total variation; returns (x, sweeps).  The start is
+    within 1e-12 in total variation; returns (x, sweeps).  The start is
     uniform, or the given vector normalised to mass 1."""
     P = dense_matrix(tm)
     n = len(tm.states)
     x = np.full(n, 1.0 / n) if start is None else start / start.sum()
     for sweep in range(1, max_iter + 1):
         y = x @ P
-        if total_variation(y, x) < tol:
+        if total_variation(y, x) < 1e-12:
             return y, sweep
         x = y
     raise AssertionError(f"power iteration did not settle within {max_iter} sweeps")
@@ -64,10 +64,10 @@ class FixedPointResult:
     residual: float
 
 
-def fixed_point_iterate(spec, graph, init, A_init, damping=0.5, max_iter=100_000, tol=1e-11):
+def fixed_point_iterate(spec, graph, init, A_init, damping=0.5, max_iter=100_000):
     """Damped Picard iteration V <- V - damping R(V) on the point V = (z, A),
     with R the reduced system's defect V - F(V); the residual is max |R(V)|.
-    It stops at a residual below tol, after max_iter steps, or on a NaN
+    It stops at a residual below 1e-11, after max_iter steps, or on a NaN
     residual (the orbit left the domain for good), and reports which."""
     system = reduce(spec, graph)
     V = np.array([*(init[lab] for lab in system.loop_labels), A_init], dtype=float)
@@ -76,11 +76,11 @@ def fixed_point_iterate(spec, graph, init, A_init, damping=0.5, max_iter=100_000
         while True:
             R = system.defect(V[:-1], V[-1])
             res = float(np.abs(R).max())
-            if res < tol or it == max_iter or math.isnan(res):
+            if res < 1e-11 or it == max_iter or math.isnan(res):
                 break
             V = V - damping * R
             it += 1
-    return FixedPointResult(converged=res < tol,
+    return FixedPointResult(converged=res < 1e-11,
                             z={lab: float(v) for lab, v in zip(system.loop_labels, V)},
                             A=float(V[-1]), iterations=it, residual=res)
 

@@ -468,7 +468,7 @@ def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypa
     assert len(calls) == 1 and 1 <= calls[0][1] <= 2 + 2
 
 
-def test_chain_command_never_reads_the_dense_matrix(wide_spec, capsys):
+def test_wide_chain_solutions_pass_and_a_wider_window_adds_rows(wide_spec, capsys):
     assert main(["chain", str(wide_spec)]) == 0
     assert all(sol["irreducible"] and sol["report"]["passed"]
                for sol in json.loads(capsys.readouterr().out)["solutions"])

@@ -4,6 +4,7 @@ Expected solution values were computed with the damped fixed-point oracle
 and frozen; see test_oracle for the cross-check at the same parameters.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from hcgibbs.cli import main
 from hcgibbs.errors import DivergentActivities, DomainError, InputError
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.oracle import multistart_count
+from hcgibbs.three_loop import ThreeLoopProblem
 from hcgibbs.two_loop import (
     TwoLoopProblem,
     classify,
@@ -133,6 +135,14 @@ def test_problem_validation():
         TwoLoopProblem(2.0, 1.0)  # total below the loop activity
     with pytest.raises(DivergentActivities):
         TwoLoopProblem(1.0, math.inf)
+
+
+@pytest.mark.parametrize("cls", [TwoLoopProblem, ThreeLoopProblem])
+def test_loop_problems_refuse_every_attribute_write(cls):
+    # each subclass is a frozen dataclass itself: the base's frozen
+    # __setattr__ guards only the base's field names
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls(1.0, 3.0).x = 1
 
 
 def test_from_spec_shape_checks():
