@@ -23,9 +23,9 @@ A kernel is its weights: TransitionMatrix takes the window, the weight
 lambda*z of each state the chain visits, the loops and the tree order, and
 derives its rows and closed-form law from them.  It is stored in its
 structural form: the hub row, one stay probability per loop, and a unit
-step to 0 for every other state.  The sampler draws from that form, export
-encodes the unit row, the hub row and each loop row once, and the
-stationarity check and irreducibility read it too: they take a
+step to 0 for every other state.  The sampler draws from that form, the
+command-line export writes the unit row once and each row of nonunit_rows
+once, and the stationarity check and irreducibility read it too: they take a
 TransitionMatrix and nothing else.  Nothing holds a window-squared matrix.
 
 transition_matrix is the one builder from a solution: it checks the
@@ -212,13 +212,6 @@ class StationaryDistribution(_OnWindow):
         if not (isinstance(p, np.ndarray) and p.dtype == float and p.shape == (n,)):
             raise ShapeMismatch(f"probabilities must be a float array of {n} entries, one per state")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "states": list(self.states),
-            "probabilities": self.probabilities.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class StationaryReport:
@@ -355,41 +348,3 @@ def irreducible(P) -> bool:
     return bool(np.all(P.hub_row[off_hub] > 0.0)) and all(
         1.0 - stay > 0.0 for stay in P.stays.values()
     )
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
-def _label_str(label) -> str:
-    return label if label == TAIL else str(label)
-
-
-def _row_texts(tm: TransitionMatrix, encode) -> list:
-    """encode(row) for each row of tm, without building a dense matrix.
-
-    encode runs once on the unit step to 0, which every state off the hub
-    and the loops shares, and once on each row of tm.nonunit_rows().
-    """
-    unit = np.zeros(len(tm.states))
-    unit[tm.window] = 1.0
-    texts = [encode(unit)] * len(tm.states)
-    for pos, row in tm.nonunit_rows():
-        texts[pos] = encode(row)
-    return texts
-
-
-def matrix_csv_lines(tm: TransitionMatrix) -> list:
-    """CSV lines, each with its newline: a header of state labels, then one
-    row per state.  The unit row's text is one shared object."""
-    tm = _as_transition_matrix(tm)
-    header = ",".join(_label_str(lab) for lab in tm.states) + "\n"
-    return [header] + _row_texts(tm, lambda row: ",".join(_fmt(v) for v in row) + "\n")
-
-
-def distribution_to_csv(sd: StationaryDistribution) -> str:
-    """CSV text: header of state labels, then the probability row."""
-    sd = _as_kind(sd, StationaryDistribution, "distribution")
-    lines = [",".join(_label_str(lab) for lab in sd.states)]
-    lines.append(",".join(_fmt(v) for v in sd.probabilities))
-    return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,14 +35,20 @@ from .model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
+    RegimeReport,
     _as_int,
+    _shown,
     graph_from_spec,
     relabel_solution,
-    spec_from_json,
 )
 from .oracle import multistart_count
 
 _FLOAT_FMT = "%.17g"
+
+_SCHEMA_KEYS = {"k", "loops", "tail", "tail_mass", "divergent"}
+
+# a spec map key is str(label): ASCII digits, an optional "-", no leading zero
+_LABEL_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 # sweep --emit-curves holds every row before the write (about 0.23 KB each)
 _MAX_CURVE_POINTS = 100_000
@@ -109,11 +116,6 @@ def _json_chunks(obj, indent: str = ""):
         yield json.dumps(obj)
 
 
-def _json_text(obj) -> str:
-    """The text _json_chunks yields for obj, joined."""
-    return "".join(_json_chunks(obj))
-
-
 def _emit_json(obj, out: str) -> None:
     """Stream obj's JSON text, then a newline, into out."""
     _write(itertools.chain(_json_chunks(obj), ("\n",)), out)
@@ -153,8 +155,53 @@ def _tree_json(tokens: np.ndarray, index: np.ndarray) -> str:
 
 
 def _json_row(row: np.ndarray) -> _Encoded:
-    """One kernel row as the one-line JSON array _json_text writes for it."""
+    """One kernel row as the one-line JSON array _json_chunks writes for it."""
     return _Encoded(json.dumps(row.tolist()))
+
+
+def _row_texts(tm: chain_mod.TransitionMatrix, encode) -> list:
+    """encode(row) for each row of tm, without building a dense matrix.
+
+    encode runs once on the unit step to 0, which every state off the hub
+    and the loops shares, and once on each row of tm.nonunit_rows().
+    """
+    unit = np.zeros(len(tm.states))
+    unit[tm.window] = 1.0
+    texts = [encode(unit)] * len(tm.states)
+    for pos, row in tm.nonunit_rows():
+        texts[pos] = encode(row)
+    return texts
+
+
+def _csv_line(values) -> str:
+    return ",".join(_FLOAT_FMT % v for v in values) + "\n"
+
+
+def _chain_csv_lines(tm: chain_mod.TransitionMatrix) -> list:
+    """The lines of `chain --format csv`, each with its newline: a header of
+    state labels, one row per state, a blank line, the header again and the
+    stationary law.  The unit row's text is one shared object."""
+    header = ",".join(map(str, tm.states)) + "\n"
+    return [header, *_row_texts(tm, _csv_line), "\n", header, _csv_line(tm.stationary.probabilities)]
+
+
+def _label_text(label) -> str:
+    """str(label), as every document writes a label; an int past Python's
+    limit on int-to-text conversion (4300 digits) is an InputError."""
+    try:
+        return str(label)
+    except ValueError:
+        raise InputError(f"label {_shown(label)} has too many digits to write in decimal") from None
+
+
+def _solution_dict(s: BoundaryLawSolution) -> dict:
+    z = {_label_text(lab): val for lab, val in sorted(s.loop_z.items())}
+    return {"A": s.A, "z": z, "branch": s.branch, "residual": s.residual}
+
+
+def _report_dict(r: RegimeReport) -> dict:
+    return {"lambda": r.lam, "Lambda": r.Lambda, "Lambda1": r.Lambda1, "Lambda2": r.Lambda2,
+            "count": r.count, "case": r.case_label}
 
 
 def _unique_keys(pairs) -> dict:
@@ -173,7 +220,47 @@ def _load_spec(path: str) -> ActivitySpec:
     except (OSError, ValueError, RecursionError) as exc:
         # bad JSON, undecodable bytes and a 4301-digit literal are ValueErrors
         raise InputError(f"cannot read spec file {path} as JSON: {exc}")
-    return spec_from_json(data)
+    return _spec_from_json(data)
+
+
+def _spec_from_json(data) -> ActivitySpec:
+    """The ActivitySpec of a spec file's JSON value.
+
+    Schema: {"k": 2, "loops": {"1": 5.0}, "tail": {"3": 0.5}, "tail_mass": 0.5,
+    "divergent": false}.  "loops" is required, everything else has defaults.
+    A map key is the text str(label) of its label and nothing else, so no
+    two keys name one label; ActivitySpec reads the values.
+    """
+    if not isinstance(data, dict):
+        raise InputError("activity spec must be a JSON object")
+    unknown = set(data) - _SCHEMA_KEYS
+    if unknown:
+        raise InputError(f"unknown keys in activity spec: {_shown(sorted(unknown, key=_shown))}")
+    if "loops" not in data:
+        raise InputError('activity spec needs a "loops" map')
+
+    def parse_map(obj, name: str) -> dict:
+        if not isinstance(obj, dict):
+            raise InputError(f'"{name}" must be a map of integer strings to numbers')
+        return {_key_label(key, name): val for key, val in obj.items()}
+
+    return ActivitySpec(
+        loop_activities=parse_map(data["loops"], "loops"),
+        explicit_tail=parse_map(data.get("tail", {}), "tail"),
+        tail_mass=data.get("tail_mass", 0.0),
+        k=data.get("k", 2),
+        divergent=data.get("divergent", False),
+    )
+
+
+def _key_label(key, name: str) -> int:
+    """The label a key of the spec's name map is the str() of; InputError naming any other key."""
+    if type(key) is str and _LABEL_KEY.fullmatch(key):
+        try:
+            return int(key)
+        except ValueError as exc:  # more digits than int() reads
+            raise InputError(f'"{name}" key of {len(key)} characters: {exc}') from None
+    raise InputError(f'"{name}" key {_shown(key)} must be an integer label in plain decimal, as "-3"')
 
 
 def _positive(value: str, name: str) -> float:
@@ -229,7 +316,7 @@ def cmd_solve(args) -> int:
     spec = _load_spec(args.specfile)
     graph = graph_from_spec(spec)
     sols = _solve_spec(spec, graph, args.graph)
-    _emit_json([s.to_json_dict() for s in sols], args.out)
+    _emit_json([_solution_dict(s) for s in sols], args.out)
     return 0
 
 
@@ -242,7 +329,7 @@ def cmd_classify(args) -> int:
         lam = _positive(args.lam, "--lambda")
         Lambda = _positive(args.Lambda, "--Lambda")
         report = three_loop.classify(three_loop.ThreeLoopProblem(lam, Lambda))
-    _emit_json(report.to_json_dict(), args.out)
+    _emit_json(_report_dict(report), args.out)
     return 0
 
 
@@ -264,9 +351,7 @@ def cmd_chain(args) -> int:
 
     picked = _pick_branch(sols, args.branch)  # checked in either format
     if args.format == "csv":
-        _, tm, _ = entries[sols.index(picked)]
-        stationary = chain_mod.distribution_to_csv(tm.stationary)
-        _write(itertools.chain(chain_mod.matrix_csv_lines(tm), ("\n", stationary)), args.out)
+        _write(_chain_csv_lines(entries[sols.index(picked)][1]), args.out)
         return 0
 
     _emit_json(
@@ -275,13 +360,17 @@ def cmd_chain(args) -> int:
             "solutions": [
                 {
                     "branch": s.branch,
-                    "solution": s.to_json_dict(),
+                    "solution": _solution_dict(s),
                     "matrix": {
                         "window": tm.window,
                         "states": list(tm.states),
-                        "matrix": chain_mod._row_texts(tm, _json_row),
+                        "matrix": _row_texts(tm, _json_row),
                     },
-                    "stationary": tm.stationary.to_json_dict(),
+                    "stationary": {
+                        "window": tm.window,
+                        "states": list(tm.states),
+                        "probabilities": tm.stationary.probabilities.tolist(),
+                    },
                     "report": {
                         "max_residual": report.max_residual,
                         "sum_error": report.sum_error,

@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DivergentActivities, InputError, TooLarge
-
-_SCHEMA_KEYS = {"k", "loops", "tail", "tail_mass", "divergent"}
-
-# a spec map key is str(label): ASCII digits, an optional "-", no leading zero
-_LABEL_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _as_float(value, name: str) -> float:
@@ -82,15 +76,6 @@ def _shown(value) -> str:
         if isinstance(value, int):
             return f"<{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits>"
         return f"<a {type(value).__name__} too long to print>"
-
-
-def _label_text(label) -> str:
-    """str(label), as every document writes a label; an int past Python's
-    limit on int-to-text conversion (4300 digits) is an InputError."""
-    try:
-        return str(label)
-    except ValueError:
-        raise InputError(f"label {_shown(label)} has too many digits to write in decimal") from None
 
 
 def _as_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
@@ -236,9 +221,10 @@ class BoundaryLawSolution:
     and residual is the max absolute defect of the reduced consistency
     system at this point.
 
-    A, each loop_z value and residual are read as reals by _as_float, and
-    branch as a str.  Any real passes: a kernel reads A and z as positive
-    itself, and an oracle hint may hold any reals.
+    A, each loop_z value and residual are read as reals by _as_float, each
+    loop_z label as an integer by _as_int, and branch as a str.  Any real
+    passes: a kernel reads A and z as positive itself, and an oracle hint
+    may hold any reals.
     """
 
     A: float
@@ -248,19 +234,12 @@ class BoundaryLawSolution:
 
     def __post_init__(self) -> None:
         A = _as_float(self.A, "aggregate A")
-        z = {lab: _as_float(v, f"loop_z[{_shown(lab)}]") for lab, v in _items(self.loop_z, "loop_z")}
+        z = {_as_int(lab, "loop_z label"): _as_float(v, f"loop_z[{_shown(lab)}]")
+             for lab, v in _items(self.loop_z, "loop_z")}
         if not isinstance(self.branch, str):
             raise InputError(f"branch must be a str, got {_shown(self.branch)}")
         for name, value in (("A", A), ("loop_z", z), ("residual", _as_float(self.residual, "residual"))):
             object.__setattr__(self, name, value)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "z": {_label_text(lab): val for lab, val in sorted(self.loop_z.items())},
-            "branch": self.branch,
-            "residual": self.residual,
-        }
 
 
 def relabel_solution(solution: BoundaryLawSolution, graph: AdmissibilityGraph) -> BoundaryLawSolution:
@@ -300,58 +279,6 @@ class RegimeReport:
     Lambda2: float | None
     count: int
     case_label: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "Lambda": self.Lambda,
-            "Lambda1": self.Lambda1,
-            "Lambda2": self.Lambda2,
-            "count": self.count,
-            "case": self.case_label,
-        }
-
-
-def spec_from_json(data: dict) -> ActivitySpec:
-    """Build an ActivitySpec from its JSON dict form.
-
-    Schema: {"k": 2, "loops": {"1": 5.0}, "tail": {"3": 0.5}, "tail_mass": 0.5,
-    "divergent": false}.  "loops" is required, everything else has defaults.
-    A map key is the text str(label) of its label and nothing else, so no
-    two keys name one label; ActivitySpec reads the values.
-    """
-    if not isinstance(data, dict):
-        raise InputError("activity spec must be a JSON object")
-    unknown = set(data) - _SCHEMA_KEYS
-    if unknown:
-        raise InputError(f"unknown keys in activity spec: {_shown(sorted(unknown, key=_shown))}")
-    if "loops" not in data:
-        raise InputError('activity spec needs a "loops" map')
-
-    def parse_map(obj, name: str) -> dict:
-        if not isinstance(obj, dict):
-            raise InputError(f'"{name}" must be a map of integer strings to numbers')
-        return {_key_label(key, name): val for key, val in obj.items()}
-
-    k = data.get("k", 2)
-    divergent = data.get("divergent", False)
-    return ActivitySpec(
-        loop_activities=parse_map(data["loops"], "loops"),
-        explicit_tail=parse_map(data.get("tail", {}), "tail"),
-        tail_mass=data.get("tail_mass", 0.0),
-        k=k,
-        divergent=divergent,
-    )
-
-
-def _key_label(key, name: str) -> int:
-    """The label a key of the spec's name map is the str() of; InputError naming any other key."""
-    if type(key) is str and _LABEL_KEY.fullmatch(key):
-        try:
-            return int(key)
-        except ValueError as exc:  # more digits than int() reads
-            raise InputError(f'"{name}" key of {len(key)} characters: {exc}') from None
-    raise InputError(f'"{name}" key {_shown(key)} must be an integer label in plain decimal, as "-3"')
 
 
 def require_finite(spec: ActivitySpec) -> float:

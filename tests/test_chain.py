@@ -23,18 +23,24 @@ from hcgibbs.chain import (
     TAIL,
     StationaryDistribution,
     TransitionMatrix,
-    distribution_to_csv,
     irreducible,
-    matrix_csv_lines,
     minimal_window,
     state_labels,
     stationary_closed_form,
     transition_matrix,
     verify_stationary,
 )
-from hcgibbs.cli import _Encoded, _json_row, _json_text, main
+from hcgibbs.cli import (
+    _chain_csv_lines,
+    _Encoded,
+    _json_chunks,
+    _json_row,
+    _row_texts,
+    _spec_from_json,
+    main,
+)
 from hcgibbs.errors import InputError, ShapeMismatch, TooLarge, WindowTooSmall
-from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec, spec_from_json
+from hcgibbs.model import ActivitySpec, BoundaryLawSolution, graph_from_spec
 from hcgibbs.sampler import sample_forest
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
 from hcgibbs.two_loop import TwoLoopProblem, solve_unique
@@ -302,18 +308,23 @@ def test_stationary_index_validation():
             sd.probabilities[sd.index(label)]
 
 
+def _csv_blocks(tm):
+    """The kernel header, kernel rows, law header and law row of `chain --format csv`."""
+    lines = "".join(_chain_csv_lines(tm)).split("\n")
+    n = len(tm.states)
+    assert len(lines) == n + 5 and lines[n + 1] == lines[-1] == ""
+    return lines[0], lines[1 : n + 1], lines[n + 2], lines[n + 3]
+
+
 def test_csv_round_trip():
     tm = transition_matrix(SOL, SPEC, GRAPH, 2)
-    text = "".join(matrix_csv_lines(tm))
-    lines = text.strip().split("\n")
-    assert lines[0] == "-2,-1,0,1,2,TAIL"
-    parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    header, rows, law_header, law = _csv_blocks(tm)
+    assert header == law_header == "-2,-1,0,1,2,TAIL"
+    parsed = np.array([[float(tok) for tok in line.split(",")] for line in rows])
     assert np.array_equal(parsed, dense_matrix(tm))
 
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
-    dlines = distribution_to_csv(sd).strip().split("\n")
-    assert dlines[0] == "-2,-1,0,1,2,TAIL"
-    dparsed = np.array([float(tok) for tok in dlines[1].split(",")])
+    dparsed = np.array([float(tok) for tok in law.split(",")])
     assert np.array_equal(dparsed, sd.probabilities)
 
     # loops either side of the hub, on a window wider than the minimal one
@@ -321,18 +332,21 @@ def test_csv_round_trip():
     graph = graph_from_spec(spec)
     for sol in SOLS2:
         tm = transition_matrix(sol, spec, graph, 5)
-        lines = "".join(matrix_csv_lines(tm)).strip().split("\n")
-        assert lines[0] == "-5,-4,-3,-2,-1,0,1,2,3,4,5,TAIL"
-        parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+        header, rows, _, _ = _csv_blocks(tm)
+        assert header == "-5,-4,-3,-2,-1,0,1,2,3,4,5,TAIL"
+        parsed = np.array([[float(tok) for tok in line.split(",")] for line in rows])
         assert np.array_equal(parsed, dense_matrix(tm))
         for lab in (-2, 3):
             assert np.count_nonzero(parsed[tm.index(lab)]) == 2
 
 
-def test_json_dicts():
+def test_json_dicts(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"loops": {"1": 1.0}, "tail": {"2": 0.5}, "tail_mass": 0.5}))
+    assert main(["chain", str(path)]) == 0
+    dd = json.loads(capsys.readouterr().out)["solutions"][0]["stationary"]
     sd = stationary_closed_form(SOL, SPEC, GRAPH, 2)
-    dd = sd.to_json_dict()
-    assert dd["states"] == [-2, -1, 0, 1, 2, TAIL]
+    assert dd["window"] == 2 and dd["states"] == [-2, -1, 0, 1, 2, TAIL]
     assert np.array_equal(np.array(dd["probabilities"]), sd.probabilities)
     assert StationaryDistribution(2, sd.probabilities).states == state_labels(2)
 
@@ -348,10 +362,9 @@ def test_the_window_alone_gives_the_states():
 
 def test_export_reads_no_dense_matrix():
     tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 4)
-    text = "".join(matrix_csv_lines(tm))
-    rows = chain._row_texts(tm, _json_row)
+    rows = _row_texts(tm, _json_row)
     assert [json.loads(row) for row in rows] == dense_matrix(tm).tolist()
-    parsed = [[float(tok) for tok in line.split(",")] for line in text.split("\n")[1:-1]]
+    parsed = [[float(tok) for tok in line.split(",")] for line in _csv_blocks(tm)[1]]
     assert parsed == dense_matrix(tm).tolist()
 
 
@@ -371,7 +384,7 @@ def wide_spec(tmp_path):
 
 
 def _wide_kernels(window):
-    spec = spec_from_json(WIDE)
+    spec = _spec_from_json(WIDE)
     graph = graph_from_spec(spec)
     sols = enumerate_solutions(ThreeLoopProblem.from_spec(spec))
     return [transition_matrix(sol, spec, graph, window) for sol in sols]
@@ -441,7 +454,7 @@ def test_irreducible_matches_dense_restriction():
 
 def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypatch):
     calls = []
-    row_texts = chain._row_texts
+    row_texts = cli._row_texts
 
     def counted(tm, encode):
         n = 0
@@ -455,7 +468,7 @@ def test_chain_export_encodes_each_distinct_row_once(wide_spec, capsys, monkeypa
         calls.append((len(texts), n))
         return texts
 
-    monkeypatch.setattr(chain, "_row_texts", counted)
+    monkeypatch.setattr(cli, "_row_texts", counted)
     assert main(["chain", str(wide_spec)]) == 0
     solutions = json.loads(capsys.readouterr().out)["solutions"]
     assert len(solutions) == 3
@@ -517,7 +530,7 @@ def test_chain_csv_at_the_state_cap_streams_its_rows(tmp_path):
 
 def test_csv_lines_share_the_unit_row_text():
     tm = transition_matrix(SOLS2[0], SPEC2, GRAPH2, 40)
-    lines = chain.matrix_csv_lines(tm)
+    lines = _chain_csv_lines(tm)
     assert all(line.endswith("\n") for line in lines)
     unit = lines[1 + tm.index(-40)]
     assert sum(line is unit for line in lines) == len(tm.states) - 1 - len(tm.stays)
@@ -608,10 +621,14 @@ def test_chain_out_goes_out_in_few_writes(wide_spec, tmp_path, monkeypatch):
 
 def test_encoded_rows_keep_the_nested_list_layout():
     rows = np.array([[0.25, 0.75, -0.0], [1.0, 0.0, 0.0]])
-    plain = _json_text({"matrix": rows.tolist(), "states": [-1, 0, 1]})
-    encoded = _json_text({"matrix": [_json_row(row) for row in rows], "states": [-1, 0, 1]})
+
+    def text(obj):
+        return "".join(_json_chunks(obj))
+
+    plain = text({"matrix": rows.tolist(), "states": [-1, 0, 1]})
+    encoded = text({"matrix": [_json_row(row) for row in rows], "states": [-1, 0, 1]})
     assert encoded == plain
-    assert _json_text([_Encoded("[1]"), _Encoded("[2]")]) == _json_text([[1], [2]])
+    assert text([_Encoded("[1]"), _Encoded("[2]")]) == text([[1], [2]])
 
 
 @pytest.mark.parametrize("build", [

@@ -14,15 +14,16 @@ import pytest
 
 import hcgibbs
 from hcgibbs import sampler, two_loop
-from hcgibbs.chain import (
-    distribution_to_csv,
-    matrix_csv_lines,
-    minimal_window,
-    stationary_closed_form,
-    transition_matrix,
+from hcgibbs.chain import minimal_window, stationary_closed_form, transition_matrix
+from hcgibbs.cli import (
+    _MAX_CURVE_POINTS,
+    _chain_csv_lines,
+    _solve_spec,
+    _spec_from_json,
+    _spins_json,
+    main,
 )
-from hcgibbs.cli import _MAX_CURVE_POINTS, _solve_spec, _spins_json, main
-from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution, spec_from_json
+from hcgibbs.model import ActivitySpec, graph_from_spec, relabel_solution
 from hcgibbs.oracle import _MAX_STARTS
 from hcgibbs.sampler import TreeSample, sample_forest
 from hcgibbs.three_loop import ThreeLoopProblem, enumerate_solutions
@@ -401,7 +402,7 @@ EDGES = '{"loops":{"1":1.0},"tail":{"-2047":1.0,"2047":1.0},"tail_mass":1.0}'
 
 def _forest(spec_text, depth, trees, seed=3, window=None):
     """The forest `sample` draws for these flags, on the spec's first solution."""
-    spec = spec_from_json(json.loads(spec_text))
+    spec = _spec_from_json(json.loads(spec_text))
     graph = graph_from_spec(spec)
     sol = _solve_spec(spec, graph, None)[0]
     return sample_forest(transition_matrix(sol, spec, graph, window), depth, trees, seed)
@@ -620,9 +621,7 @@ def test_chain_csv_named_branch(capsys, spec3):
     for sol in enumerate_solutions(ThreeLoopProblem(9.0, 130.0)):
         sol = relabel_solution(sol, graph)
         assert main(["chain", spec3, "--format", "csv", "--branch", sol.branch]) == 0
-        tm = transition_matrix(sol, spec, graph, window)
-        sd = stationary_closed_form(sol, spec, graph, window)
-        expected = "".join(matrix_csv_lines(tm)) + "\n" + distribution_to_csv(sd)
+        expected = "".join(_chain_csv_lines(transition_matrix(sol, spec, graph, window)))
         assert capsys.readouterr().out == expected
 
 

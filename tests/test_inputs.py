@@ -25,16 +25,14 @@ from hcgibbs.chain import (
     TAIL,
     StationaryDistribution,
     TransitionMatrix,
-    distribution_to_csv,
     irreducible,
-    matrix_csv_lines,
     minimal_window,
     state_labels,
     stationary_closed_form,
     transition_matrix,
     verify_stationary,
 )
-from hcgibbs.cli import _MAX_CURVE_POINTS, build_parser
+from hcgibbs.cli import _MAX_CURVE_POINTS, _chain_csv_lines, _json_row, _row_texts, build_parser
 from hcgibbs.errors import DivergentActivities, InputError, TooLarge
 from hcgibbs.model import (
     ActivitySpec,
@@ -80,8 +78,8 @@ def _spec(k=2, label=1, activity=1.0, tail_mass=1.0):
     return ActivitySpec(loop_activities={label: activity}, tail_mass=tail_mass, k=k)
 
 
-def _two_loop(lam1=1.0, Lambda=2.0):
-    return TwoLoopProblem(lam1, Lambda)
+def _two_loop(lam=1.0, Lambda=2.0):
+    return TwoLoopProblem(lam, Lambda)
 
 
 def _three_loop(lam=9.0, Lambda=130.0):
@@ -110,7 +108,7 @@ CURVE_POINT = {"lam": 1.0, "x": 3.0, "Lambda": 2.0}
 # default; each value is exact in float32, so np.float32 reads as the same
 # double
 CASES = {
-    "TwoLoopProblem-lam1": (_two_loop, "lam1", 1.0),
+    "TwoLoopProblem-lam": (_two_loop, "lam", 1.0),
     "TwoLoopProblem-Lambda": (_two_loop, "Lambda", 2.0),
     "ThreeLoopProblem-lam": (_three_loop, "lam", 9.0),
     "ThreeLoopProblem-Lambda": (_three_loop, "Lambda", 130.0),
@@ -143,6 +141,8 @@ CASES = {
     "TransitionMatrix-k": (lambda k: TransitionMatrix(2, {1: 0.5}, (1,), k), "k", 2),
     "BoundaryLawSolution-A": (lambda A: BoundaryLawSolution(A, {1: 0.5}, "x", 0.0), "A", 0.5),
     "BoundaryLawSolution-z": (lambda z: BoundaryLawSolution(1.0, {1: z}, "x", 0.0), "z", 0.5),
+    "BoundaryLawSolution-label": (
+        lambda label: BoundaryLawSolution(1.0, {label: 0.5}, "x", 0.0), "label", 1),
     "BoundaryLawSolution-residual": (
         lambda residual: BoundaryLawSolution(1.0, {1: 0.5}, "x", residual), "residual", 0.0),
     "solve_loop_aggregate-mult": (lambda mult: two_loop.solve_loop_aggregate(1.0, 2.0, mult), "mult", 1),
@@ -277,6 +277,25 @@ def test_only_transition_matrix_builds_a_kernel():
 
 def test_only_the_kernel_path_defaults_the_window():
     assert _users_of("minimal_window") == ["chain.py:_window_weights"]
+
+
+def test_only_cli_writes_document_text():
+    """The float format, the dict shapes and the JSON and CSV readers and
+    writers of the command documents live in cli alone."""
+    fmt, shapes, named = [], [], []
+    for path in sorted(Path(hcgibbs.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        fmt += [path.name] if "%.17g" in source else []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                shapes += [f"{path.name}:{node.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name == "to_json_dict"]
+            elif isinstance(node, ast.FunctionDef) and path.name != "cli.py" \
+                    and ("json" in node.name.lower() or "csv" in node.name.lower()):
+                named.append(f"{path.name}:{node.name}")
+    assert fmt == ["cli.py"]
+    assert shapes == []
+    assert named == []
 
 
 def test_a_solution_is_relabelled_only_where_it_is_read():
@@ -666,7 +685,8 @@ KERNEL_USERS = {
     "verify_stationary": lambda kernel: verify_stationary(kernel.stationary, kernel),
     "irreducible": irreducible,
     "power_iteration": power_iteration,
-    "matrix_csv_lines": matrix_csv_lines,
+    "_chain_csv_lines": _chain_csv_lines,
+    "_row_texts-json": lambda kernel: _row_texts(kernel, _json_row),
 }
 
 
@@ -684,10 +704,10 @@ BAD_LAWS = {
     "one entry": lambda: StationaryDistribution(2, np.array([1.0])),
     "one entry, to marginal_tv": lambda: marginal_tv({0: 1.0}, StationaryDistribution(2, np.array([1.0]))),
     "entries as a list": lambda: StationaryDistribution(2, SD.probabilities.tolist()),
-    "a text entry, to distribution_to_csv": lambda: distribution_to_csv(
-        StationaryDistribution(2, [0.5, "x"])),
+    "a text entry": lambda: StationaryDistribution(
+        2, np.array([*SD.probabilities[:-1], "x"], dtype=object)),
     "entries as ints": lambda: StationaryDistribution(2, np.ones(len(TM.states), dtype=int)),
-    "one entry of a list, to to_json_dict": lambda: StationaryDistribution(1, [0.1]).to_json_dict(),
+    "one entry of a list, to to_json_dict": lambda: StationaryDistribution(1, [0.1]),
     "window as text, to probability": lambda: StationaryDistribution("2", SD.probabilities).index(0),
     "window past the state cap": lambda: StationaryDistribution(_MAX_STATES, SD.probabilities),
 }
@@ -701,13 +721,9 @@ def test_a_hand_built_law_is_read_when_it_is_built(call):
             call()
 
 
-# an argument of the wrong kind to a chain writer, a tree-layout helper,
-# marginal_tv, a model type's container field, or any function that takes
-# a model object
+# an argument of the wrong kind to a tree-layout helper, marginal_tv, a
+# model type's container field, or any function that takes a model object
 BAD_ARGUMENTS = {
-    "matrix_csv_lines-law": lambda: matrix_csv_lines(SD),
-    "distribution_to_csv-None": lambda: distribution_to_csv(None),
-    "distribution_to_csv-kernel": lambda: distribution_to_csv(TM),
     "marginal_tv-list": lambda: marginal_tv([1], SD),
     "marginal_tv-text frequency": lambda: marginal_tv({0: "a"}, SD),
     "marginal_tv-text probability": lambda: marginal_tv({0: 1.0}, {0: "a"}),
@@ -728,6 +744,8 @@ BAD_ARGUMENTS = {
     "BoundaryLawSolution-z as a list": lambda: BoundaryLawSolution(1.0, [1], "x", 0.0),
     "BoundaryLawSolution-A as text": lambda: BoundaryLawSolution("x", {1: 0.5}, "x", 0.0),
     "BoundaryLawSolution-z as text": lambda: BoundaryLawSolution(1.0, {1: "a"}, "x", 0.0),
+    "BoundaryLawSolution-label a float": lambda: BoundaryLawSolution(1.0, {1.5: 0.5}, "x", 0.0),
+    "BoundaryLawSolution-label None": lambda: BoundaryLawSolution(1.0, {None: 0.5}, "x", 0.0),
     "BoundaryLawSolution-branch an int": lambda: BoundaryLawSolution(1.0, {1: 0.5}, 3, 0.0),
     "BoundaryLawSolution-residual None": lambda: BoundaryLawSolution(1.0, {1: 0.5}, "x", None),
     # a model object of the wrong kind, or a container that is none
@@ -784,8 +802,6 @@ BAD_ARGUMENTS = {
     # a kernel or law where the other is wanted, or none
     "state_labels-text": lambda: state_labels("2"),
     "state_labels-window below 0": lambda: state_labels(-1),
-    "matrix_csv_lines-None": lambda: matrix_csv_lines(None),
-    "distribution_to_csv-text": lambda: distribution_to_csv("x"),
     "irreducible-law": lambda: irreducible(SD),
     "verify_stationary-law as the kernel": lambda: verify_stationary(SD, SD),
     "verify_stationary-kernel as the law": lambda: verify_stationary(TM, TM),

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from hcgibbs.cli import _report_dict, _solution_dict, _spec_from_json
 from hcgibbs.errors import DivergentActivities, InputError
 from hcgibbs.model import (
     ActivitySpec,
@@ -17,7 +18,6 @@ from hcgibbs.model import (
     graph_from_spec,
     relabel_solution,
     require_finite,
-    spec_from_json,
 )
 
 
@@ -150,7 +150,7 @@ def test_relabel_solution():
 
 def test_solution_json_dict():
     sol = BoundaryLawSolution(A=2.0, loop_z={2: 0.25, 1: 0.5}, branch="x", residual=1e-15)
-    d = sol.to_json_dict()
+    d = _solution_dict(sol)
     assert d["A"] == 2.0
     assert d["z"] == {"1": 0.5, "2": 0.25}
     assert d["branch"] == "x"
@@ -158,7 +158,7 @@ def test_solution_json_dict():
 
 def test_regime_report_json_dict():
     rep = RegimeReport(9.0, 130.0, 126.0, 144.8, 5, "iv")
-    d = rep.to_json_dict()
+    d = _report_dict(rep)
     assert d == {
         "lambda": 9.0,
         "Lambda": 130.0,
@@ -173,17 +173,17 @@ def test_spec_json_round_trip():
     doc = {"k": 2, "loops": {"1": 9.0, "2": 9.0}, "tail": {"-3": 0.25}, "tail_mass": 0.75,
            "divergent": False}
     spec = ActivitySpec(loop_activities={1: 9.0, 2: 9.0}, explicit_tail={-3: 0.25}, tail_mass=0.75)
-    assert spec_from_json(doc) == spec
+    assert _spec_from_json(doc) == spec
     # negative, multi-digit and long labels, through JSON text too
     doc = {"loops": {"-12": 9.0, "30": 9.0}, "tail": {"-3": 0.25, "7": 1.5, str(10**40): 2.0},
            "tail_mass": 0.75}
     spec = ActivitySpec(loop_activities={-12: 9.0, 30: 9.0},
                         explicit_tail={-3: 0.25, 7: 1.5, 10**40: 2.0}, tail_mass=0.75)
-    assert spec_from_json(doc) == spec_from_json(json.loads(json.dumps(doc))) == spec
+    assert _spec_from_json(doc) == _spec_from_json(json.loads(json.dumps(doc))) == spec
 
 
 def test_spec_json_defaults():
-    spec = spec_from_json({"loops": {"1": 1.0}})
+    spec = _spec_from_json({"loops": {"1": 1.0}})
     assert spec.k == 2
     assert spec.tail_mass == 0.0
     assert spec.explicit_tail == {}
@@ -192,23 +192,23 @@ def test_spec_json_defaults():
 
 def test_spec_json_rejects_unknown_keys():
     with pytest.raises(InputError):
-        spec_from_json({"loops": {"1": 1.0}, "extra": 1})
+        _spec_from_json({"loops": {"1": 1.0}, "extra": 1})
 
 
 def test_spec_json_requires_loops():
     with pytest.raises(InputError):
-        spec_from_json({"tail_mass": 1.0})
+        _spec_from_json({"tail_mass": 1.0})
 
 
 def test_spec_json_rejects_bad_keys_and_values():
     with pytest.raises(InputError):
-        spec_from_json({"loops": {"one": 1.0}})
+        _spec_from_json({"loops": {"one": 1.0}})
     with pytest.raises(InputError):
-        spec_from_json({"loops": {"1": "big"}})
+        _spec_from_json({"loops": {"1": "big"}})
     with pytest.raises(InputError):
-        spec_from_json({"loops": [1.0]})
+        _spec_from_json({"loops": [1.0]})
     with pytest.raises(InputError):
-        spec_from_json([1, 2])
+        _spec_from_json([1, 2])
 
 
 # keys that are not the str() of a label.  int() reads all but the last
@@ -224,21 +224,21 @@ def test_spec_json_map_key_must_be_str_of_its_label(name, key):
     doc = {"loops": {"1": 5.0}, "tail_mass": 10.0}
     doc[name] = {**doc.get(name, {}), key: 7.0}
     with pytest.raises(InputError, match=f'"{name}" key {re.escape(repr(key))} must be'):
-        spec_from_json(doc)
+        _spec_from_json(doc)
 
 
 def test_spec_json_unknown_keys_of_mixed_types_are_bad_input():
     with pytest.raises(InputError, match=r"unknown keys in activity spec: \['a', 1\]"):
-        spec_from_json({1: 2, "a": 3})  # used to raise TypeError from sorted()
+        _spec_from_json({1: 2, "a": 3})  # used to raise TypeError from sorted()
 
 
 @pytest.mark.parametrize("divergent", ["yes", 1, None, 0.0])
 def test_divergent_flag_that_is_not_a_bool_is_bad_input(divergent):
     with pytest.raises(InputError, match="divergent must be a boolean"):
-        spec_from_json({"loops": {"1": 1.0}, "divergent": divergent})
+        _spec_from_json({"loops": {"1": 1.0}, "divergent": divergent})
 
 
 def test_a_label_past_the_int_text_limit_is_refused_in_a_document():
     huge = 10**5000  # Python writes no int of more than 4300 digits
     with pytest.raises(InputError, match="integer of 16610 bits>"):
-        BoundaryLawSolution(1.0, {huge: 0.5}, "x", 0.0).to_json_dict()
+        _solution_dict(BoundaryLawSolution(1.0, {huge: 0.5}, "x", 0.0))

@@ -19,13 +19,13 @@ from hcgibbs.chain import (
     stationary_closed_form,
     transition_matrix,
 )
+from hcgibbs.cli import _spec_from_json
 from hcgibbs.errors import InputError, TooLarge
 from hcgibbs.model import (
     ActivitySpec,
     AdmissibilityGraph,
     BoundaryLawSolution,
     graph_from_spec,
-    spec_from_json,
 )
 from hcgibbs.sampler import (
     _MAX_SAMPLE_VERTICES,
@@ -71,7 +71,7 @@ LISTED = ActivitySpec(loop_activities={1: 0.8}, explicit_tail={-3: 0.4, 2: 0.7},
 LISTED_SOL = solve_unique(TwoLoopProblem.from_spec(LISTED))
 # no unlisted mass: the hub row's cumulative sum ends at 1 - 2**-52, below
 # the largest Philox variate 1 - 2**-53, and TAIL is inactive
-SHORT = spec_from_json(
+SHORT = _spec_from_json(
     {
         "loops": {"1": 3.0725153012591817},
         "tail": {
@@ -85,7 +85,7 @@ SHORT = spec_from_json(
     }
 )
 SHORT_SOL = solve_unique(TwoLoopProblem.from_spec(SHORT))
-WIDE_SPEC = spec_from_json(WIDE)
+WIDE_SPEC = _spec_from_json(WIDE)
 WIDE_SOL = enumerate_solutions(ThreeLoopProblem.from_spec(WIDE_SPEC))[0]
 LARGEST_VARIATE = 1.0 - 2.0**-53
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hcgibbs import three_loop, two_loop
+from hcgibbs.cli import _report_dict
 from hcgibbs.errors import DivergentActivities, DomainError, InputError, NumericalFailure
 from hcgibbs.model import ActivitySpec, graph_from_spec
 from hcgibbs.three_loop import (
@@ -319,8 +320,8 @@ def test_only_regime_compares_against_the_thresholds():
 
 def test_both_classifiers_share_the_divergent_report():
     one, two = two_loop.TwoLoopProblem(9.0, 20.0), ThreeLoopProblem(9.0, 20.0)
-    assert (two_loop.classify(one, divergent=True).to_json_dict()
-            == classify(two, divergent=True).to_json_dict()
+    assert (_report_dict(two_loop.classify(one, divergent=True))
+            == _report_dict(classify(two, divergent=True))
             == {"lambda": 9.0, "Lambda": None, "Lambda1": None, "Lambda2": None,
                 "count": 0, "case": "divergent"})
     for fn in (two_loop.classify, classify):
